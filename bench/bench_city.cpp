@@ -3,13 +3,17 @@
 // The paper's corpus is a ~100-house neighborhood; this bench pushes the
 // engine to city scale (default 10,000 houses) to exercise the calendar
 // event queue, the per-shard packet arenas, and lazy DNS encoding under
-// load. Records stream into a counting sink as the monitors finalize
-// them — no dataset is ever materialized — so resident memory is bounded
+// load. Records stream into a counting sink one simulated minute at a
+// time — no dataset is ever materialized — so resident memory is bounded
 // by the simulation's working set (pending events, open flows, resolver
 // caches), not by the record count.
 //
 //   bench_city [--houses N] [--hours H] [--seed S] [--shards N]
-//              [--pack FILE] [--max-rss-mib M] [--json PATH]
+//              [--threads N] [--pack FILE] [--max-rss-mib M] [--json PATH]
+//
+// `--threads N` (default 1, 0 = hardware concurrency) only sets how many
+// workers execute the shards: for a fixed `--shards` the records are the
+// same for every N, so it is the knob for shard-scaling curves.
 //
 // `--pack FILE` loads a scenario pack (examples/packs/) so the city runs
 // heterogeneous, non-web-centric load — the record key in the JSON line
@@ -19,7 +23,7 @@
 // process exits nonzero if peak RSS exceeds M MiB (the CI perf-smoke job
 // runs 500 houses under such a bound). `--json PATH` appends a one-line
 // timing record compatible with tools/bench_compare.py.
-#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -38,6 +42,7 @@ struct CityScale {
   int hours = 1;
   std::uint64_t seed = 42;
   std::size_t shards = 1;
+  unsigned threads = 1;
   std::uint64_t max_rss_mib = 0;  ///< 0 = report only, no bound asserted
   std::string json_path;
   std::string pack_file;          ///< scenario pack ("" = default composition)
@@ -57,6 +62,15 @@ CityScale parse_args(int argc, char** argv) {
       s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       s.shards = static_cast<std::size_t>(std::atoi(value(i)));
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      const char* v = value(i);
+      const char* end = v + std::strlen(v);
+      const auto [stop, ec] = std::from_chars(v, end, s.threads);
+      if (ec != std::errc{} || stop != end || stop == v) {
+        std::fprintf(stderr, "bench_city: --threads expects a non-negative integer, got '%s'\n",
+                     v);
+        std::exit(2);
+      }
     } else if (std::strcmp(argv[i], "--max-rss-mib") == 0) {
       s.max_rss_mib = static_cast<std::uint64_t>(std::atoll(value(i)));
     } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -95,14 +109,16 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("== bench_city — city-scale simulation, streaming capture ==\n");
-  std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s), pack %s\n",
+  std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s) on %u "
+              "thread(s), pack %s\n",
               scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
-              scale.shards, scale.pack.c_str());
+              scale.shards, scale.threads, scale.pack.c_str());
 
   cfg.houses = scale.houses;
   cfg.duration = SimDuration::hours(scale.hours);
   cfg.seed = scale.seed;
   cfg.shards = scale.shards;
+  cfg.threads = scale.threads;
 
   CountingSink sink;
   const auto t0 = Clock::now();
@@ -111,14 +127,13 @@ int main(int argc, char** argv) {
     scenario::Town town{cfg};
     build_sec = std::chrono::duration<double>(Clock::now() - t0).count();
     town.attach_record_sink(&sink);
-    // Chunked run: a progress line per simulated hour keeps long runs
-    // observable without touching the event path.
-    const SimDuration chunk = SimDuration::min(60);
-    for (SimDuration done; done < cfg.duration; done += chunk) {
-      town.run_for(std::min(chunk, cfg.duration - done));
+    // One-minute chunks: each run_for() buffers its records per shard
+    // until it returns, so the chunk bounds that memory. A progress line
+    // per simulated hour keeps long runs observable.
+    for (int hour = 1; hour <= scale.hours; ++hour) {
+      for (int minute = 0; minute < 60; ++minute) town.run_for(SimDuration::min(1));
       std::printf("  t=%5.1f h  %llu conns + %llu dns streamed, peak RSS %.0f MiB\n",
-                  (done + chunk).to_sec() / 3600.0,
-                  static_cast<unsigned long long>(sink.conns),
+                  static_cast<double>(hour), static_cast<unsigned long long>(sink.conns),
                   static_cast<unsigned long long>(sink.dns),
                   static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
     }
@@ -151,12 +166,13 @@ int main(int argc, char** argv) {
       char buf[640];
       std::snprintf(buf, sizeof buf,
                     "{\"bench\":\"bench_city\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
-                    "\"shards\":%zu,\"pack\":\"%s\",\"gen_sec\":%.3f,\"build_sec\":%.3f,"
+                    "\"threads\":%u,\"shards\":%zu,\"pack\":\"%s\","
+                    "\"gen_sec\":%.3f,\"build_sec\":%.3f,"
                     "\"conns\":%llu,\"dns\":%llu,\"records_per_sec\":%.0f,"
                     "\"peak_rss_bytes\":%llu,\"rss_limit_mib\":%llu,"
                     "\"within_rss_bound\":%s}",
                     scale.houses, scale.hours,
-                    static_cast<unsigned long long>(scale.seed), scale.shards,
+                    static_cast<unsigned long long>(scale.seed), scale.threads, scale.shards,
                     scale.pack.c_str(), gen_sec,
                     build_sec, static_cast<unsigned long long>(sink.conns),
                     static_cast<unsigned long long>(sink.dns),

@@ -12,8 +12,10 @@
 //
 // `--threads N` runs both the simulation shards and the analysis
 // map-reduce on N workers (0 = hardware concurrency); results are
-// identical for any N. `--json PATH` (or the DNSCTX_BENCH_JSON
-// environment variable) appends a one-line JSON timing record per run.
+// identical for any N. It never changes the scenario: `--shards N`
+// (default 1) is the only knob that partitions the town. `--json PATH`
+// (or the DNSCTX_BENCH_JSON environment variable) appends a one-line
+// JSON timing record per run.
 // `--metrics` enables the obs registry (default off, so plain timing
 // runs measure the disabled fast path) and embeds the scrape in the
 // JSON record under "metrics"; `--metrics-out FILE` also writes the
@@ -69,17 +71,14 @@ struct BenchScale {
 [[nodiscard]] inline BenchScale parse_scale(int argc, char** argv) {
   BenchScale s;
   if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
-  bool threads_given = false, shards_given = false;
   int pos = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       s.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-      threads_given = true;
       continue;
     }
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       s.shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-      shards_given = true;
       continue;
     }
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -116,13 +115,6 @@ struct BenchScale {
       default: break;
     }
   }
-  // --threads without --shards: shard for simulation parallelism, by a
-  // rule that depends on the house count only — never on the thread
-  // count — so every --threads value produces the same scenario. Without
-  // --threads the default stays shards = 1, whose platform-cache sharing
-  // (one set of resolver platforms for the whole town) is what the
-  // paper-fidelity numbers in EXPERIMENTS.md are calibrated against.
-  if (threads_given && !shards_given) s.shards = std::min<std::size_t>(s.houses, 16);
   return s;
 }
 

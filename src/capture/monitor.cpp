@@ -1,6 +1,7 @@
 #include "capture/monitor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "dns/codec.hpp"
 #include "netsim/transport.hpp"
@@ -25,22 +26,6 @@ bool Monitor::local_orig(Ipv4Addr ip) const {
   const std::uint32_t mask =
       cfg_.local_prefix_bits == 0 ? 0 : ~std::uint32_t{0} << (32 - cfg_.local_prefix_bits);
   return (ip.to_u32() & mask) == (cfg_.local_net.to_u32() & mask);
-}
-
-void Monitor::emit_conn(const ConnRecord& rec) {
-  if (sink_ != nullptr) {
-    if (local_orig(rec.orig_ip)) sink_->on_conn(rec);
-    return;
-  }
-  out_.conns.push_back(rec);
-}
-
-void Monitor::emit_dns(DnsRecord&& rec) {
-  if (sink_ != nullptr) {
-    sink_->on_dns(rec);
-    return;
-  }
-  out_.dns.push_back(std::move(rec));
 }
 
 bool Monitor::enc_candidate(const ConnRecord& rec) {
@@ -96,10 +81,6 @@ void Monitor::emit_encflow(const Flow& flow) {
   rec.first_down_bytes = flow.enc.first_down;
   rec.pad_aligned_up = flow.enc.pad_up;
   rec.pad_aligned_down = flow.enc.pad_down;
-  if (sink_ != nullptr) {
-    sink_->on_encflow(rec);
-    return;
-  }
   out_.encflows.push_back(rec);
 }
 
@@ -173,7 +154,7 @@ void Monitor::handle_dns(SimTime at_tap, const netsim::Packet& p) {
         rec.answers.push_back(DnsAnswer{std::get<Ipv4Addr>(rr.rdata), rr.ttl});
       }
     }
-    emit_dns(std::move(rec));
+    out_.dns.push_back(std::move(rec));
   }
 }
 
@@ -263,7 +244,7 @@ void Monitor::finalize_flow(Flow& flow, SimTime now) {
     flow.rec.state = ConnState::kOth;
   }
   (void)now;
-  emit_conn(flow.rec);
+  out_.conns.push_back(flow.rec);
   if (cfg_.observe_encrypted_metadata && enc_candidate(flow.rec)) emit_encflow(flow);
 }
 
@@ -279,7 +260,7 @@ void Monitor::expire_state(SimTime now) {
         pending_dns_.erase(e.dns_key);
         rec.answered = false;
         rec.duration = SimDuration::zero();
-        emit_dns(std::move(rec));
+        out_.dns.push_back(std::move(rec));
       }
     } else {
       const auto it = flows_.find(e.tuple);
@@ -323,7 +304,7 @@ void sort_by_time(std::vector<Rec>& recs, KeyFn key) {
 
 }  // namespace
 
-Dataset Monitor::harvest(SimTime end) {
+void Monitor::flush(SimTime end) {
   expire_state(end);
   for (auto& [tuple, flow] : flows_) {
     ++stats_.conns_flushed_at_harvest;
@@ -334,16 +315,22 @@ Dataset Monitor::harvest(SimTime end) {
     ++stats_.dns_unanswered;
     DnsRecord rec = std::move(pd.rec);
     rec.answered = false;
-    emit_dns(std::move(rec));
+    out_.dns.push_back(std::move(rec));
   }
   pending_dns_.clear();
   while (!expiries_.empty()) expiries_.pop();
+}
 
+Dataset Monitor::take_finalized() {
   // Keep only locally-originated connections, matching the paper's
-  // corpus definition (§3). (When a sink is attached, emit_conn applied
-  // the same filter record by record and out_ is empty.)
+  // corpus definition (§3).
   std::erase_if(out_.conns, [&](const ConnRecord& c) { return !local_orig(c.orig_ip); });
+  return std::exchange(out_, Dataset{});
+}
 
+Dataset Monitor::harvest(SimTime end) {
+  flush(end);
+  Dataset result = take_finalized();
   // Timestamp-sort the logs: finalisation order (timeouts, harvest) is
   // not emission order, and the analysis pipeline assumes sorted logs.
   // The sort runs over an extracted timestamp column + index permutation
@@ -351,11 +338,9 @@ Dataset Monitor::harvest(SimTime end) {
   // and is stable so that equal-timestamp records keep finalization
   // order — the order a LiveFeed delivers them in — keeping batch and
   // streaming runs record-for-record identical.
-  sort_by_time(out_.conns, [](const ConnRecord& c) { return c.start; });
-  sort_by_time(out_.dns, [](const DnsRecord& d) { return d.ts; });
-  sort_by_time(out_.encflows, [](const EncFlowRecord& e) { return e.start; });
-  Dataset result = std::move(out_);
-  out_ = Dataset{};
+  sort_by_time(result.conns, [](const ConnRecord& c) { return c.start; });
+  sort_by_time(result.dns, [](const DnsRecord& d) { return d.ts; });
+  sort_by_time(result.encflows, [](const EncFlowRecord& e) { return e.start; });
   return result;
 }
 

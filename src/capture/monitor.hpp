@@ -61,21 +61,23 @@ class Monitor : public netsim::PacketTap {
 
   void observe(SimTime at_tap, const netsim::Packet& p) override;
 
-  /// Flush every open flow/query as of `end` and return the datasets.
-  /// The monitor is reusable afterwards (state cleared; stats persist).
+  /// Flush every open flow/query as of `end` and return the datasets,
+  /// time-sorted. The monitor is reusable afterwards (state cleared;
+  /// stats persist).
   [[nodiscard]] Dataset harvest(SimTime end);
 
-  /// Stream finalized records to `sink` instead of materializing them:
-  /// while a sink is attached the monitor's datasets stay empty and
-  /// harvest() returns an empty Dataset (it still flushes open state —
-  /// to the sink). Records arrive in FINALIZATION order, not timestamp
-  /// order; pair with stream::LiveFeed and open_watermark() to recover
-  /// the canonical order. The conn-side local-originator filter applies
-  /// at emission, exactly as harvest() applies it. Pass nullptr to
-  /// detach.
-  void set_record_sink(RecordSink* sink) { sink_ = sink; }
+  /// Finalize every open flow/query as of `end`, as harvest() does, but
+  /// leave the records for take_finalized().
+  void flush(SimTime end);
 
-  /// Safe reordering bound for a LiveFeed: every record emitted after
+  /// Move out the records finalized since the last take (or harvest) in
+  /// FINALIZATION order, not timestamp order, with harvest()'s
+  /// local-originator conn filter applied. Open flows and pending
+  /// queries stay open; pair with stream::LiveFeed and open_watermark()
+  /// to recover the canonical order.
+  [[nodiscard]] Dataset take_finalized();
+
+  /// Safe reordering bound for a LiveFeed: every record finalized after
   /// this call has key time (conn start / dns query ts) at or after the
   /// returned instant. Computed as the minimum over open flows' starts,
   /// pending queries' timestamps, and `now`.
@@ -137,8 +139,6 @@ class Monitor : public netsim::PacketTap {
   void finalize_flow(Flow& flow, SimTime now);
   [[nodiscard]] SimDuration flow_timeout(const Flow& flow) const;
   [[nodiscard]] bool local_orig(Ipv4Addr ip) const;
-  void emit_conn(const ConnRecord& rec);
-  void emit_dns(DnsRecord&& rec);
   void emit_encflow(const Flow& flow);
 
   MonitorConfig cfg_;
@@ -164,7 +164,6 @@ class Monitor : public netsim::PacketTap {
 
   Dataset out_;
   MonitorStats stats_;
-  RecordSink* sink_ = nullptr;
 };
 
 }  // namespace dnsctx::capture

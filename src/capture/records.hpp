@@ -130,14 +130,14 @@ struct Dataset {
   std::vector<EncFlowRecord> encflows;
 };
 
-/// Consumer of finalized records. The Monitor (and the streaming layer's
-/// reorder/replay helpers) push every completed ConnRecord/DnsRecord
-/// here instead of materializing them, so arbitrarily long runs never
-/// hold the full log in memory. Implementations state their ordering
-/// expectations: the Monitor emits in FINALIZATION order (a conn at its
-/// close, a DNS transaction at its response or timeout), which is not
-/// timestamp order — see stream::LiveFeed for watermark-based
-/// re-sorting.
+/// Consumer of finalized records. scenario::Town (and the streaming
+/// layer's reorder/replay helpers) push every completed record here
+/// instead of materializing them, so arbitrarily long runs never hold
+/// the full log in memory. Implementations state their ordering
+/// expectations: Town delivers each kind in FINALIZATION order (a conn
+/// at its close, a DNS transaction at its response or timeout), which
+/// is not timestamp order, and does not interleave kinds as they
+/// finalized — see stream::LiveFeed for watermark-based re-sorting.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;

@@ -575,11 +575,6 @@ void Town::run() {
   dataset_ = harvest();
 }
 
-void Town::attach_record_sink(capture::RecordSink* sink) {
-  record_sink_ = sink;
-  for (const auto& shard : shards_) shard->monitor->set_record_sink(sink);
-}
-
 SimTime Town::record_watermark() const {
   SimTime w = SimTime::max();
   for (const auto& shard : shards_) {
@@ -592,10 +587,7 @@ void Town::run_for(SimDuration amount) {
   // Each shard's event loop is fully self-contained (its own network,
   // platforms, farm, monitor); shards advance to the same end time in
   // whatever thread interleaving, with identical per-shard results.
-  // A shared record sink is the one cross-shard mutable object — run
-  // sequentially while one is attached.
-  const unsigned threads = record_sink_ != nullptr ? 1 : cfg_.threads;
-  util::parallel_for_each(threads, shards_.size(), [&](std::size_t s) {
+  util::parallel_for_each(cfg_.threads, shards_.size(), [&](std::size_t s) {
     // Span label only materializes when metrics are on; the empty-string
     // span is the documented no-op.
     obs::StageSpan span{obs::enabled() ? "sim/shard" + std::to_string(s)
@@ -605,16 +597,35 @@ void Town::run_for(SimDuration amount) {
   });
   ran_ += amount;
   refresh_truth();
+  forward_finalized();
+}
+
+void Town::forward_finalized() {
+  if (record_sink_ == nullptr) return;
+  // Shard by shard, each kind in finalization order: per kind, exactly
+  // the sequence one sequential pass over the shards would deliver,
+  // which is all a LiveFeed's (key, kind, arrival) order depends on.
+  for (const auto& shard : shards_) {
+    const capture::Dataset ds = shard->monitor->take_finalized();
+    for (const auto& c : ds.conns) record_sink_->on_conn(c);
+    for (const auto& d : ds.dns) record_sink_->on_dns(d);
+    for (const auto& e : ds.encflows) record_sink_->on_encflow(e);
+  }
 }
 
 capture::Dataset Town::harvest() {
   harvested_ = true;
-  const unsigned threads = record_sink_ != nullptr ? 1 : cfg_.threads;
   std::vector<capture::Dataset> parts(shards_.size());
-  util::parallel_for_each(threads, shards_.size(), [&](std::size_t s) {
-    parts[s] = shards_[s]->monitor->harvest(shards_[s]->sim->now());
+  util::parallel_for_each(cfg_.threads, shards_.size(), [&](std::size_t s) {
+    capture::Monitor& monitor = *shards_[s]->monitor;
+    if (record_sink_ != nullptr) {
+      monitor.flush(shards_[s]->sim->now());
+    } else {
+      parts[s] = monitor.harvest(shards_[s]->sim->now());
+    }
   });
   refresh_truth();
+  forward_finalized();
   capture::Dataset fresh = merge_shard_datasets(std::move(parts));
   // run() drains the monitors into dataset_ itself, so the natural
   // run()-then-harvest() sequence used to hit already-empty monitors

@@ -152,13 +152,15 @@ class Town {
   [[nodiscard]] capture::Dataset harvest();
 
   /// Stream records from every shard's monitor into `sink` instead of
-  /// materializing datasets (see Monitor::set_record_sink). The sink is
-  /// shared and not synchronized, so while one is attached run_for() and
-  /// harvest() execute shards sequentially regardless of `threads`.
-  /// Records arrive in finalization order per shard; drive a
-  /// stream::LiveFeed with record_watermark() after each run_for chunk
-  /// to recover the canonical time-sorted order.
-  void attach_record_sink(capture::RecordSink* sink);
+  /// materializing datasets; harvest() then flushes open state to the
+  /// sink and returns an empty Dataset. Shards still run on `threads`:
+  /// each run_for()/harvest() call buffers its records per shard and
+  /// delivers them on the calling thread before returning, shard by
+  /// shard, each kind in finalization order — so memory is bounded by
+  /// the caller's chunk size. Drive a stream::LiveFeed with
+  /// record_watermark() after each chunk to recover the canonical
+  /// time-sorted order. Pass nullptr to detach.
+  void attach_record_sink(capture::RecordSink* sink) { record_sink_ = sink; }
 
   /// Reordering bound across all shards: no record emitted after this
   /// call carries a key time before it (min over shards of the
@@ -215,6 +217,8 @@ class Town {
   void build_house(Shard& shard, std::size_t index, const std::string& profile,
                    bool p2p_house);
   void refresh_truth();
+  /// Deliver every shard's newly finalized records to the attached sink.
+  void forward_finalized();
   [[nodiscard]] std::vector<std::string> assign_profiles() const;
   [[nodiscard]] std::vector<bool> assign_p2p() const;
 

@@ -278,6 +278,71 @@ TEST_F(MonitorTest, NonLocalOriginatorsFilteredAtHarvest) {
   EXPECT_TRUE(ds.conns.empty());
 }
 
+TEST_F(MonitorTest, TakeFinalizedKeepsFinalizationOrderPerKind) {
+  // Two lookups answered in reverse order of their queries.
+  constexpr std::uint16_t kIds[] = {1, 2};
+  for (const std::uint16_t id : kIds) {
+    auto qp = udp(kHouse, static_cast<std::uint16_t>(40'000 + id), kResolver, 53);
+    qp.dns = dns::DnsPayload::from_message(
+        dns::DnsMessage::query(id, dns::DomainName::must("a.example.com")));
+    monitor.observe(at_ms(id * 10), qp);
+  }
+  for (const std::uint16_t id : {kIds[1], kIds[0]}) {
+    const auto query = dns::DnsMessage::query(id, dns::DomainName::must("a.example.com"));
+    auto rp = udp(kResolver, 53, kHouse, static_cast<std::uint16_t>(40'000 + id));
+    rp.dns = dns::DnsPayload::from_message(dns::DnsMessage::response(query, {}));
+    monitor.observe(at_ms(30 + id), rp);
+  }
+  // The conn that starts first closes last.
+  monitor.observe(at_ms(50), tcp(kHouse, 10'001, kServer, 443, {.syn = true}));
+  monitor.observe(at_ms(60), tcp(kServer, 443, kHouse, 10'001, {.syn = true, .ack = true}));
+  play_handshake_and_close(100, 1, 1, 200);
+  monitor.observe(at_ms(5'000), tcp(kServer, 443, kHouse, 10'001, {.ack = true, .fin = true}));
+  monitor.observe(at_ms(5'010), tcp(kHouse, 10'001, kServer, 443, {.ack = true, .fin = true}));
+
+  const Dataset ds = monitor.take_finalized();
+  ASSERT_EQ(ds.conns.size(), 2u);
+  EXPECT_EQ(ds.conns[0].start, at_ms(100));
+  EXPECT_EQ(ds.conns[1].start, at_ms(50));
+  ASSERT_EQ(ds.dns.size(), 2u);
+  EXPECT_EQ(ds.dns[0].ts, at_ms(20));
+  EXPECT_EQ(ds.dns[1].ts, at_ms(10));
+
+  const Dataset again = monitor.take_finalized();
+  EXPECT_TRUE(again.conns.empty());
+  EXPECT_TRUE(again.dns.empty());
+}
+
+TEST_F(MonitorTest, TakeFinalizedFiltersAndLeavesOpenStateAlone) {
+  monitor.observe(at_ms(0), udp(kServer, 9'999, kHouse, 50'000, 64));  // non-local originator
+  monitor.observe(at_ms(0), udp(kHouse, 50'001, kServer, 9'998, 64));
+  // 70 s later both UDP flows have timed out; this TCP flow and lookup stay open.
+  monitor.observe(at_ms(70'000), tcp(kHouse, 10'000, kServer, 443, {.syn = true}));
+  monitor.observe(at_ms(70'010), tcp(kServer, 443, kHouse, 10'000, {.syn = true, .ack = true}));
+  auto qp = udp(kHouse, 40'000, kResolver, 53);
+  qp.dns = dns::DnsPayload::from_message(
+      dns::DnsMessage::query(3, dns::DomainName::must("open.example.com")));
+  monitor.observe(at_ms(70'020), qp);
+
+  const Dataset ds = monitor.take_finalized();
+  ASSERT_EQ(ds.conns.size(), 1u);
+  EXPECT_EQ(ds.conns[0].orig_ip, kHouse);
+  EXPECT_EQ(ds.conns[0].proto, Proto::kUdp);
+  EXPECT_TRUE(ds.dns.empty());
+  EXPECT_EQ(monitor.open_watermark(at_ms(80'000)), at_ms(70'000));
+
+  const Dataset again = monitor.take_finalized();
+  EXPECT_TRUE(again.conns.empty());
+  EXPECT_TRUE(again.dns.empty());
+
+  // The open flow and lookup are still there for harvest to flush.
+  const Dataset rest = monitor.harvest(at_ms(75'000));
+  ASSERT_EQ(rest.conns.size(), 1u);
+  EXPECT_EQ(rest.conns[0].proto, Proto::kTcp);
+  ASSERT_EQ(rest.dns.size(), 1u);
+  EXPECT_FALSE(rest.dns[0].answered);
+}
+
 TEST_F(MonitorTest, ThroughputComputation) {
   ConnRecord c;
   c.resp_bytes = 1'000'000;

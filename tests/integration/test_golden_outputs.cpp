@@ -28,6 +28,7 @@
 #include "scenario/scenario.hpp"
 #include "stream/online_study.hpp"
 #include "stream/spool.hpp"
+#include "temp_dir.hpp"
 #include "util/strings.hpp"
 
 #ifndef DNSCTX_GOLDEN_DIR
@@ -85,8 +86,8 @@ constexpr int kHours = 3;
 }
 
 [[nodiscard]] std::string render_exports(const analysis::Study& s) {
-  const auto dir = std::filesystem::temp_directory_path() / "dnsctx_golden_csv";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp{"dnsctx_golden_csv"};
+  const auto& dir = tmp.path();
   const std::size_t written = analysis::export_study_csv(s, dir.string());
   std::string out = strfmt("csv files: %zu\n", written);
   std::vector<std::string> names;
@@ -100,7 +101,6 @@ constexpr int kHours = 3;
     ss << is.rdbuf();
     out += "==== " + name + " ====\n" + ss.str();
   }
-  std::filesystem::remove_all(dir);
   return out;
 }
 

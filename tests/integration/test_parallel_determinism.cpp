@@ -1,15 +1,22 @@
 // The parallel execution layer's core promise: for a fixed scenario
-// (including its shard count), the captured dataset and every derived
-// analysis result are identical for ANY thread count.
+// (including its shard count), the captured dataset, the records a
+// streaming sink receives, and every derived analysis result are
+// identical for ANY thread count.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "analysis/study.hpp"
 #include "capture/logio.hpp"
 #include "scenario/scenario.hpp"
+#include "stream/feed.hpp"
+#include "stream/spool.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx {
 namespace {
@@ -30,7 +37,49 @@ namespace {
   std::stringstream ss;
   capture::write_conn_log(ss, ds.conns);
   capture::write_dns_log(ss, ds.dns);
+  capture::write_encflow_log(ss, ds.encflows);
   return ss.str();
+}
+
+/// Keeps every record it is handed, per kind, in arrival order.
+struct RecordingSink final : capture::RecordSink {
+  capture::Dataset got;
+  void on_conn(const capture::ConnRecord& rec) override { got.conns.push_back(rec); }
+  void on_dns(const capture::DnsRecord& rec) override { got.dns.push_back(rec); }
+  void on_encflow(const capture::EncFlowRecord& rec) override {
+    got.encflows.push_back(rec);
+  }
+};
+
+/// Stream `town` into `sink` the way live callers do: chunked run_for(),
+/// draining `feed` (when given) to the town's watermark after each
+/// chunk, then harvest(), which must hand back nothing.
+void stream_town(scenario::Town& town, capture::RecordSink& sink,
+                 stream::LiveFeed* feed = nullptr) {
+  town.attach_record_sink(&sink);
+  const SimDuration total = town.config().duration;
+  const SimDuration chunk = SimDuration::min(10);
+  for (SimDuration done; done < total; done += chunk) {
+    town.run_for(std::min(chunk, total - done));
+    if (feed != nullptr) feed->drain(town.record_watermark());
+  }
+  const capture::Dataset leftover = town.harvest();
+  EXPECT_TRUE(leftover.conns.empty());
+  EXPECT_TRUE(leftover.dns.empty());
+  EXPECT_TRUE(leftover.encflows.empty());
+  if (feed != nullptr) feed->close();
+}
+
+/// Every file under `dir`, by name, with its bytes.
+[[nodiscard]] std::map<std::string, std::string> read_tree(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream is{entry.path(), std::ios::binary};
+    std::stringstream ss;
+    ss << is.rdbuf();
+    files[entry.path().filename().string()] = ss.str();
+  }
+  return files;
 }
 
 void expect_same_cdf(const Cdf& a, const Cdf& b) {
@@ -112,6 +161,61 @@ TEST(ParallelDeterminism, DatasetIsByteIdenticalForAnyThreadCount) {
   }
 }
 
+TEST(ParallelDeterminism, SinkRecordsAreIdenticalForAnyThreadCount) {
+  // DoT adds the encrypted-flow kind to the cleartext conn/dns kinds.
+  for (const auto transport : {netsim::Transport::kDo53, netsim::Transport::kDoT}) {
+    auto cfg = small_sharded_config(1);
+    cfg.transport = transport;
+    RecordingSink baseline;
+    {
+      scenario::Town town{cfg};
+      stream_town(town, baseline);
+    }
+    EXPECT_FALSE(baseline.got.conns.empty());
+    if (transport == netsim::Transport::kDoT) {
+      EXPECT_FALSE(baseline.got.encflows.empty());
+    }
+    const std::string expected = serialize(baseline.got);
+
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      cfg.threads = threads;
+      RecordingSink sink;
+      scenario::Town town{cfg};
+      stream_town(town, sink);
+      EXPECT_EQ(serialize(sink.got), expected)
+          << "threads = " << threads << ", transport " << netsim::to_string(transport);
+    }
+  }
+}
+
+TEST(ParallelDeterminism, LiveSpoolIsByteIdenticalForAnyThreadCount) {
+  const testutil::TempDir tmp{"dnsctx_det_spool"};
+  std::map<unsigned, std::map<std::string, std::string>> spools;
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = tmp.file("threads" + std::to_string(threads));
+    scenario::Town town{small_sharded_config(threads)};
+    stream::SpoolWriter writer{dir};
+    stream::LiveFeed feed{writer};
+    stream_town(town, feed, &feed);
+    writer.flush();
+    spools[threads] = read_tree(dir);
+  }
+  EXPECT_FALSE(spools[1].empty());
+  EXPECT_EQ(spools[1], spools[4]);
+}
+
+TEST(ParallelDeterminism, LiveFeedOutputMatchesHarvestedDataset) {
+  scenario::Town batch{small_sharded_config(4)};
+  batch.run();
+
+  RecordingSink ordered;
+  stream::LiveFeed feed{ordered};
+  scenario::Town live{small_sharded_config(4)};
+  stream_town(live, feed, &feed);
+  EXPECT_EQ(feed.buffered(), 0u);
+  EXPECT_EQ(serialize(ordered.got), serialize(batch.dataset()));
+}
+
 TEST(ParallelDeterminism, StudyIsIdenticalForAnyThreadCount) {
   scenario::Town town{small_sharded_config(4)};
   town.run();
@@ -146,8 +250,9 @@ TEST(ParallelDeterminism, DiskRoundTripMatchesInMemoryStudy) {
   scenario::Town town{small_sharded_config(4)};
   town.run();
 
-  const std::string conn_path = "/tmp/dnsctx_det_conn.log";
-  const std::string dns_path = "/tmp/dnsctx_det_dns.log";
+  const testutil::TempDir tmp{"dnsctx_det"};
+  const std::string conn_path = tmp.file("conn.log");
+  const std::string dns_path = tmp.file("dns.log");
   capture::save_dataset(town.dataset(), conn_path, dns_path);
   const capture::Dataset loaded = capture::load_dataset(conn_path, dns_path);
   EXPECT_EQ(serialize(loaded), serialize(town.dataset()));
@@ -157,8 +262,6 @@ TEST(ParallelDeterminism, DiskRoundTripMatchesInMemoryStudy) {
   const analysis::Study mem = analysis::run_study(town.dataset(), cfg);
   const analysis::Study disk = analysis::run_study(loaded, cfg);
   expect_same_study(mem, disk);
-  std::remove(conn_path.c_str());
-  std::remove(dns_path.c_str());
 }
 
 TEST(ParallelDeterminism, SingleShardMatchesLegacySeedStream) {

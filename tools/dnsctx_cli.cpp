@@ -294,8 +294,8 @@ int cmd_simulate(const CliArgs& args) {
   ProgressReporter progress{args.int_option_or("progress", 0)};
 
   if (args.has_flag("binary-logs")) {
-    // Stream straight to a binary spool: records leave the monitors as
-    // they finalize, get time-sorted by the LiveFeed inside the open
+    // Stream straight to a binary spool: records leave the monitors
+    // after every chunk, get time-sorted by the LiveFeed inside the open
     // reordering window, and land in rotating CRC'd segments. No text
     // logs and no in-memory Dataset are ever materialized.
     stream::SpoolWriter writer{*out_dir, spool_cfg};
