@@ -27,6 +27,13 @@ struct NameCase {
   bool ok;
 };
 
+// Prints the case's value rather than its raw bytes, which hold a pointer and
+// padding: ctest names parameterized tests after this text, so it must not
+// change from one build to the next.
+void PrintTo(const NameCase& c, std::ostream* os) {
+  *os << "(\"" << c.text << "\", " << (c.ok ? "true" : "false") << ')';
+}
+
 class NameParseTest : public ::testing::TestWithParam<NameCase> {};
 
 TEST_P(NameParseTest, Validation) {

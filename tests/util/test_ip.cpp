@@ -22,6 +22,13 @@ struct ParseCase {
   bool ok;
 };
 
+// Prints the case's value rather than its raw bytes, which hold a pointer and
+// padding: ctest names parameterized tests after this text, so it must not
+// change from one build to the next.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << "(\"" << c.text << "\", " << (c.ok ? "true" : "false") << ')';
+}
+
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(Ipv4ParseTest, ParseValidation) {
