@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // building blocks: DNS wire codec, cache operations, event dispatch,
-// monitor packet handling and DN-Hunter pairing throughput.
+// monitor packet handling, DN-Hunter pairing throughput, and the live
+// stream path (LiveFeed reordering, OnlineStudy ingest).
 #include <benchmark/benchmark.h>
 
 #include "analysis/classify.hpp"
@@ -12,6 +13,10 @@
 #include "netsim/arena.hpp"
 #include "netsim/event_queue.hpp"
 #include "netsim/sim.hpp"
+#include "scenario/scenario.hpp"
+#include "stream/feed.hpp"
+#include "stream/online_study.hpp"
+#include "stream/spool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -244,6 +249,93 @@ void BM_ClassifyThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_ClassifyThroughput)->Unit(benchmark::kMillisecond);
+
+/// Counts what it is given and nothing else.
+struct CountingSink final : capture::RecordSink {
+  std::uint64_t n = 0;
+  void on_conn(const capture::ConnRecord&) override { ++n; }
+  void on_dns(const capture::DnsRecord&) override { ++n; }
+  void on_encflow(const capture::EncFlowRecord&) override { ++n; }
+};
+
+void BM_LiveFeedReorder(benchmark::State& state) {
+  // Records arrive in finalization order: one every 100 µs, each keyed
+  // up to 5 s before it finalized (a connection is keyed by its start
+  // but emitted at its close). The producer drains after every
+  // `per_drain` records with the watermark 5 s behind, or (pinned) never
+  // advances it, so everything waits for close().
+  const auto per_drain = static_cast<std::size_t>(state.range(0));
+  const bool pinned = state.range(1) != 0;
+  constexpr std::size_t kRecords = 1 << 16;
+  constexpr std::int64_t kStepUs = 100;
+  constexpr std::int64_t kMaxLagUs = 5'000'000;
+  Rng rng{11};
+  std::vector<capture::DnsRecord> dns;
+  std::vector<capture::ConnRecord> conns;
+  std::vector<bool> is_dns;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    const std::int64_t done_us = kMaxLagUs + static_cast<std::int64_t>(i) * kStepUs;
+    if (rng.bernoulli(0.5)) {
+      capture::DnsRecord d;
+      d.ts = SimTime::from_us(done_us - static_cast<std::int64_t>(rng.bounded(50'000)));
+      d.answered = true;
+      d.answers.assign(1 + rng.bounded(3), capture::DnsAnswer{Ipv4Addr{34, 1, 1, 1}, 300});
+      dns.push_back(std::move(d));
+      is_dns.push_back(true);
+    } else {
+      capture::ConnRecord c;
+      c.start = SimTime::from_us(done_us - static_cast<std::int64_t>(rng.bounded(kMaxLagUs)));
+      conns.push_back(c);
+      is_dns.push_back(false);
+    }
+  }
+  for (auto _ : state) {
+    CountingSink sink;
+    stream::LiveFeed feed{sink};
+    std::size_t d = 0;
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      if (is_dns[i]) {
+        feed.on_dns(dns[d++]);
+      } else {
+        feed.on_conn(conns[c++]);
+      }
+      if ((i + 1) % per_drain == 0) {
+        const auto watermark = pinned ? 0 : static_cast<std::int64_t>(i) * kStepUs;
+        feed.drain(SimTime::from_us(watermark));
+      }
+    }
+    feed.close();
+    benchmark::DoNotOptimize(sink.n);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kRecords) * state.iterations());
+}
+BENCHMARK(BM_LiveFeedReorder)
+    ->ArgNames({"per_drain", "pinned"})
+    ->Args({64, 0})
+    ->Args({512, 0})
+    ->Args({4096, 0})
+    ->Args({512, 1})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_OnlineStudyIngest(benchmark::State& state) {
+  // One fixed simulated neighborhood, replayed into a fresh engine.
+  scenario::ScenarioConfig cfg;
+  cfg.houses = 20;
+  cfg.duration = SimDuration::hours(1);
+  cfg.seed = 1;
+  scenario::Town town{cfg};
+  town.run();
+  const capture::Dataset& ds = town.dataset();
+  for (auto _ : state) {
+    stream::OnlineStudy engine;
+    (void)stream::replay_dataset(ds, engine);
+    benchmark::DoNotOptimize(engine.active_records());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ds.conns.size() + ds.dns.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_OnlineStudyIngest)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   const ZipfSampler zipf{10'000, 0.95};

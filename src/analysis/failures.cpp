@@ -76,29 +76,33 @@ void ChainTracker::on_dns(const capture::DnsRecord& rec) {
   const std::int64_t ts_us = rec.ts.count_us();
   const std::int64_t end_us = rec.response_time().count_us();
   const std::uint64_t key = chain_key(rec);
-  House& house = houses_[rec.client_ip];
-  if (const auto it = house.chains.find(key); it != house.chains.end()) {
-    Chain& chain = it->second;
-    if (ts_us <= chain.last_end_us + gap_.count_us()) {
-      ++chain.len;
-      chain.last_end_us = std::max(chain.last_end_us, end_us);
+  // Most lookups are definitive and open no chain: look the house up
+  // rather than create an entry the next sweep would only erase.
+  if (const auto house_it = houses_.find(rec.client_ip); house_it != houses_.end()) {
+    auto& chains = house_it->second.chains;
+    if (const auto it = chains.find(key); it != chains.end()) {
+      Chain& chain = it->second;
+      if (ts_us <= chain.last_end_us + gap_.count_us()) {
+        ++chain.len;
+        chain.last_end_us = std::max(chain.last_end_us, end_us);
+        if (definitive) {
+          close_recovered(chain, end_us);
+          chains.erase(key);
+        }
+        return;
+      }
+      // Too late to belong to the old chain: the client gave up back then.
+      close_failed(chain);
       if (definitive) {
-        close_recovered(chain, end_us);
-        house.chains.erase(key);
+        chains.erase(key);
+      } else {
+        chain = Chain{ts_us, end_us, 1};
       }
       return;
     }
-    // Too late to belong to the old chain: the client gave up back then.
-    close_failed(chain);
-    if (definitive) {
-      house.chains.erase(key);
-    } else {
-      chain = Chain{ts_us, end_us, 1};
-    }
-    return;
   }
   if (!definitive) {
-    house.chains.try_emplace(key, Chain{ts_us, end_us, 1});
+    houses_[rec.client_ip].chains.try_emplace(key, Chain{ts_us, end_us, 1});
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "analysis/export.hpp"
 #include "util/strings.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx::analysis {
 namespace {
@@ -88,14 +89,13 @@ TEST(ExportCsv, ExportStudyWritesFiles) {
   perf.throughput_bps.add(1'000.0);
   study.platforms.push_back(std::move(perf));
 
-  const std::string dir = "/tmp/dnsctx_export_test";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp{"dnsctx_export"};
+  const std::string dir = tmp.path().string();
   const auto files = export_study_csv(study, dir);
   EXPECT_GE(files, 10u);
   EXPECT_TRUE(std::filesystem::exists(dir + "/fig1_gap_cdf.csv"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/fig3_rlookup_local.csv"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/table2.csv"));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ExportCsv, BadDirectoryThrows) {

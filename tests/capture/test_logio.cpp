@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "capture/logio.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx::capture {
 namespace {
@@ -150,8 +151,9 @@ TEST(LogIo, SaveAndLoadDatasetFiles) {
   Dataset ds;
   ds.conns = {sample_conn()};
   ds.dns = {sample_dns()};
-  const std::string conn_path = "/tmp/dnsctx_test_conn.log";
-  const std::string dns_path = "/tmp/dnsctx_test_dns.log";
+  const testutil::TempDir tmp{"dnsctx_logio"};
+  const std::string conn_path = tmp.file("conn.log");
+  const std::string dns_path = tmp.file("dns.log");
   save_dataset(ds, conn_path, dns_path);
   const Dataset back = load_dataset(conn_path, dns_path);
   EXPECT_EQ(back.conns.size(), 1u);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "scenario/config_io.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx::scenario {
 namespace {
@@ -159,7 +160,8 @@ TEST(ConfigIo, TuningRoundTripPreservesOverrides) {
 TEST(ConfigIo, FileRoundTrip) {
   ScenarioConfig cfg;
   cfg.houses = 13;
-  const std::string path = "/tmp/dnsctx_config_test.conf";
+  const testutil::TempDir tmp{"dnsctx_config"};
+  const std::string path = tmp.file("scenario.conf");
   save_config_file(path, cfg);
   EXPECT_EQ(load_config_file(path).houses, 13u);
   EXPECT_THROW((void)load_config_file("/no/such/file.conf"), std::runtime_error);

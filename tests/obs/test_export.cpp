@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_dir.hpp"
+
 namespace dnsctx::obs {
 namespace {
 
@@ -98,8 +100,8 @@ TEST(ObsExportTest, WriteMetricsFileChoosesFormatByExtension) {
   set_enabled(true);
   registry().counter("test_write_file_total").add(7);
 
-  const auto dir = std::filesystem::temp_directory_path() / "dnsctx_obs_export_test";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp{"dnsctx_obs_export"};
+  const auto& dir = tmp.path();
   const auto read = [](const std::filesystem::path& p) {
     std::ifstream is{p};
     std::stringstream ss;
@@ -116,7 +118,6 @@ TEST(ObsExportTest, WriteMetricsFileChoosesFormatByExtension) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"test_write_file_total\":7"), std::string::npos);
 
-  std::filesystem::remove_all(dir);
   registry().counter("test_write_file_total").reset();
   set_enabled(was);
 }

@@ -27,6 +27,7 @@
 #include "serve/server.hpp"
 #include "serve/sockets.hpp"
 #include "stream/spool.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx::serve {
 namespace {
@@ -223,10 +224,8 @@ TEST(Serve, GracefulShutdownFlushesPartialResults) {
   const auto ds = simulate(6, 1, 3);
   const std::string want = expected_json(ds);
 
-  const auto results_dir =
-      std::filesystem::temp_directory_path() / "dnsctx_serve_results_test";
-  std::filesystem::remove_all(results_dir);
-  std::filesystem::create_directories(results_dir);
+  const testutil::TempDir tmp{"dnsctx_serve_results"};
+  const auto& results_dir = tmp.path();
 
   ServeConfig cfg;
   cfg.results_dir = results_dir.string();
@@ -256,7 +255,6 @@ TEST(Serve, GracefulShutdownFlushesPartialResults) {
   std::ostringstream file;
   file << in.rdbuf();
   EXPECT_EQ(file.str(), want + "\n");
-  std::filesystem::remove_all(results_dir);
 }
 
 TEST(Serve, MalformedFrameClosesOnlyThatConnection) {

@@ -12,6 +12,7 @@
 #include "stream/segment.hpp"
 #include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx::stream {
 namespace {
@@ -59,18 +60,7 @@ struct CollectSink : capture::RecordSink {
   }
 };
 
-class TempDir {
- public:
-  explicit TempDir(const char* tag) : path_{fs::temp_directory_path() / tag} {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
+using testutil::TempDir;
 
 TEST(EncSegment, RoundTrip) {
   const auto orig = sample_enc();
@@ -161,12 +151,12 @@ TEST(EncSpool, WriterRotatesAndListsEncSegments) {
   SpoolConfig cfg;
   cfg.max_records_per_segment = 2;
   {
-    SpoolWriter writer{dir.str(), cfg};
+    SpoolWriter writer{dir.path().string(), cfg};
     for (int i = 0; i < 5; ++i) writer.on_encflow(sample_enc(1'000'000 + i * 1'000));
     writer.flush();
     EXPECT_EQ(writer.encflows_written(), 5u);
   }
-  const auto listing = list_spool(dir.str());
+  const auto listing = list_spool(dir.path().string());
   EXPECT_TRUE(listing.conn_segments.empty());
   EXPECT_TRUE(listing.dns_segments.empty());
   ASSERT_EQ(listing.enc_segments.size(), 3u);  // 2 + 2 + 1
@@ -181,7 +171,7 @@ TEST(EncSpool, WriterRotatesAndListsEncSegments) {
 TEST(EncSpool, ReplayMergesThreeKindsWithTieOrder) {
   TempDir dir{"dnsctx_enc_merge"};
   {
-    SpoolWriter writer{dir.str(), SpoolConfig{}};
+    SpoolWriter writer{dir.path().string(), SpoolConfig{}};
     // All three kinds at the same instant, written in "wrong" order: the
     // merged timeline must still deliver dns, conn, enc.
     capture::EncFlowRecord e = sample_enc(1'000'000);
@@ -202,7 +192,7 @@ TEST(EncSpool, ReplayMergesThreeKindsWithTieOrder) {
     writer.flush();
   }
   CollectSink sink;
-  const auto counts = replay_spool(dir.str(), sink);
+  const auto counts = replay_spool(dir.path().string(), sink);
   EXPECT_EQ(counts.conns, 1u);
   EXPECT_EQ(counts.dns, 1u);
   EXPECT_EQ(counts.encflows, 2u);
@@ -229,19 +219,19 @@ TEST(EncSpool, TextConvertersRoundTripEncflowLog) {
   {
     capture::Dataset ds;
     ds.encflows = {sample_enc(1'000'000), sample_enc(2'000'000)};
-    std::ofstream conn{text.str() + "/conn.log"};
-    std::ofstream dns{text.str() + "/dns.log"};
-    std::ofstream enc{text.str() + "/encflow.log"};
+    std::ofstream conn{text.file("conn.log")};
+    std::ofstream dns{text.file("dns.log")};
+    std::ofstream enc{text.file("encflow.log")};
     capture::write_conn_log(conn, ds.conns);
     capture::write_dns_log(dns, ds.dns);
     capture::write_encflow_log(enc, ds.encflows);
   }
-  const auto in_counts = text_to_spool(text.str(), spool.str());
+  const auto in_counts = text_to_spool(text.path().string(), spool.path().string());
   EXPECT_EQ(in_counts.encflows, 2u);
-  const auto out_counts = spool_to_text(spool.str(), text2.str());
+  const auto out_counts = spool_to_text(spool.path().string(), text2.path().string());
   EXPECT_EQ(out_counts.encflows, 2u);
-  std::ifstream a{text.str() + "/encflow.log"};
-  std::ifstream b{text2.str() + "/encflow.log"};
+  std::ifstream a{text.file("encflow.log")};
+  std::ifstream b{text2.file("encflow.log")};
   const std::string sa{std::istreambuf_iterator<char>{a}, {}};
   const std::string sb{std::istreambuf_iterator<char>{b}, {}};
   EXPECT_EQ(sa, sb);
@@ -255,17 +245,17 @@ TEST(EncSpool, SpoolToTextOmitsEncflowLogWhenEmpty) {
   {
     capture::ConnRecord c;
     c.start = SimTime::from_us(1'000'000);
-    std::ofstream conn{text.str() + "/conn.log"};
-    std::ofstream dns{text.str() + "/dns.log"};
+    std::ofstream conn{text.file("conn.log")};
+    std::ofstream dns{text.file("dns.log")};
     capture::write_conn_log(conn, {c});
     capture::write_dns_log(dns, {});
   }
-  (void)text_to_spool(text.str(), spool.str());
-  const auto counts = spool_to_text(spool.str(), text2.str());
+  (void)text_to_spool(text.path().string(), spool.path().string());
+  const auto counts = spool_to_text(spool.path().string(), text2.path().string());
   EXPECT_EQ(counts.encflows, 0u);
   // Cleartext spools convert to exactly the classic two files.
-  EXPECT_FALSE(fs::exists(text2.str() + "/encflow.log"));
-  EXPECT_TRUE(fs::exists(text2.str() + "/conn.log"));
+  EXPECT_FALSE(fs::exists(text2.file("encflow.log")));
+  EXPECT_TRUE(fs::exists(text2.file("conn.log")));
 }
 
 }  // namespace

@@ -10,12 +10,16 @@
 #include "capture/logio.hpp"
 #include "stream/segment.hpp"
 #include "stream/spool.hpp"
+#include "temp_dir.hpp"
 
 namespace dnsctx::stream {
 namespace {
 
+/// A fresh, empty directory `name` under this process's own temporary
+/// root, which is removed at exit.
 std::string temp_dir(const char* name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
+  static const testutil::TempDir root{"dnsctx_segerr_test"};
+  const auto dir = root.path() / name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

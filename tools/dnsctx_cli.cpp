@@ -174,12 +174,6 @@ class ProgressReporter {
       args.int_option_or("shards", static_cast<long long>(cfg.shards)));
   cfg.threads = static_cast<unsigned>(
       args.int_option_or("threads", static_cast<long long>(cfg.threads)));
-  // --threads without an explicit shard count: shard for parallelism,
-  // but by a rule that does not depend on the thread count so the same
-  // scenario is produced for any --threads value.
-  if (args.option("threads") && !args.option("shards") && cfg.shards <= 1) {
-    cfg.shards = std::min<std::size_t>(cfg.houses, 16);
-  }
   if (const auto t = args.option("transport")) {
     const auto parsed = netsim::parse_transport(*t);
     if (!parsed) {
