@@ -23,10 +23,8 @@
 // process exits nonzero if peak RSS exceeds M MiB (the CI perf-smoke job
 // runs 500 houses under such a bound). `--json PATH` appends a one-line
 // timing record compatible with tools/bench_compare.py.
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -38,50 +36,28 @@ using namespace dnsctx;
 using Clock = std::chrono::steady_clock;
 
 struct CityScale {
-  std::size_t houses = 10'000;
-  int hours = 1;
-  std::uint64_t seed = 42;
-  std::size_t shards = 1;
-  unsigned threads = 1;
+  scenario::ScenarioConfig cfg;   ///< --pack, then the scale flags, via the knob table
   std::uint64_t max_rss_mib = 0;  ///< 0 = report only, no bound asserted
   std::string json_path;
-  std::string pack_file;          ///< scenario pack ("" = default composition)
   std::string pack = "default";   ///< pack name for the JSON record key
 };
 
 CityScale parse_args(int argc, char** argv) {
   CityScale s;
-  if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
-  auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--houses") == 0) {
-      s.houses = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      s.hours = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      s.shards = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const char* v = value(i);
-      const char* end = v + std::strlen(v);
-      const auto [stop, ec] = std::from_chars(v, end, s.threads);
-      if (ec != std::errc{} || stop != end || stop == v) {
-        std::fprintf(stderr, "bench_city: --threads expects a non-negative integer, got '%s'\n",
-                     v);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--max-rss-mib") == 0) {
-      s.max_rss_mib = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      s.json_path = value(i);
-    } else if (std::strcmp(argv[i], "--pack") == 0) {
-      s.pack_file = value(i);
-    } else {
-      std::fprintf(stderr, "bench_city: unknown argument %s\n", argv[i]);
-      std::exit(2);
-    }
-  }
+  s.cfg.houses = 10'000;
+  s.cfg.duration = SimDuration::hours(1);
+  const CliArgs args = bench::parse_bench_args(
+      argc, argv, {"houses", "hours", "seed", "shards", "threads", "pack", "max-rss-mib", "json"},
+      {}, 0, [&s](const CliArgs& a) {
+        if (const auto pack = a.option("pack")) {
+          s.pack = scenario::apply_pack_file(*pack, &s.cfg).name;
+        }
+        scenario::set_flag_knobs(s.cfg, a);
+        const long long mib = a.int_option_or("max-rss-mib", 0);
+        if (mib < 0) throw std::runtime_error{"--max-rss-mib must be >= 0"};
+        s.max_rss_mib = static_cast<std::uint64_t>(mib);
+      });
+  s.json_path = bench::json_path_from(args);
   return s;
 }
 
@@ -97,28 +73,13 @@ struct CountingSink final : capture::RecordSink {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CityScale scale = parse_args(argc, argv);
-
-  scenario::ScenarioConfig cfg;
-  if (!scale.pack_file.empty()) {
-    try {
-      scale.pack = scenario::apply_pack_file(scale.pack_file, &cfg).name;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
+  const CityScale scale = parse_args(argc, argv);
+  const scenario::ScenarioConfig& cfg = scale.cfg;
   std::printf("== bench_city — city-scale simulation, streaming capture ==\n");
   std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s) on %u "
               "thread(s), pack %s\n",
-              scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
-              scale.shards, scale.threads, scale.pack.c_str());
-
-  cfg.houses = scale.houses;
-  cfg.duration = SimDuration::hours(scale.hours);
-  cfg.seed = scale.seed;
-  cfg.shards = scale.shards;
-  cfg.threads = scale.threads;
+              cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
+              cfg.shards, cfg.threads, scale.pack.c_str());
 
   CountingSink sink;
   const auto t0 = Clock::now();
@@ -130,7 +91,7 @@ int main(int argc, char** argv) {
     // One-minute chunks: each run_for() buffers its records per shard
     // until it returns, so the chunk bounds that memory. A progress line
     // per simulated hour keeps long runs observable.
-    for (int hour = 1; hour <= scale.hours; ++hour) {
+    for (int hour = 1; hour <= bench::hours_of(cfg); ++hour) {
       for (int minute = 0; minute < 60; ++minute) town.run_for(SimDuration::min(1));
       std::printf("  t=%5.1f h  %llu conns + %llu dns streamed, peak RSS %.0f MiB\n",
                   static_cast<double>(hour), static_cast<unsigned long long>(sink.conns),
@@ -149,9 +110,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sink.dns), gen_sec, build_sec,
               gen_sec > 0.0 ? static_cast<double>(records) / gen_sec : 0.0);
   std::printf("peak RSS: %.1f MiB (%.1f KiB per house)\n", rss_mib,
-              scale.houses > 0
-                  ? static_cast<double>(rss) / 1024.0 / static_cast<double>(scale.houses)
-                  : 0.0);
+              static_cast<double>(rss) / 1024.0 / static_cast<double>(cfg.houses));
 
   const bool within_bound = scale.max_rss_mib == 0 || rss_mib <= static_cast<double>(scale.max_rss_mib);
   if (scale.max_rss_mib != 0) {
@@ -171,8 +130,8 @@ int main(int argc, char** argv) {
                     "\"conns\":%llu,\"dns\":%llu,\"records_per_sec\":%.0f,"
                     "\"peak_rss_bytes\":%llu,\"rss_limit_mib\":%llu,"
                     "\"within_rss_bound\":%s}",
-                    scale.houses, scale.hours,
-                    static_cast<unsigned long long>(scale.seed), scale.threads, scale.shards,
+                    cfg.houses, bench::hours_of(cfg),
+                    static_cast<unsigned long long>(cfg.seed), cfg.threads, cfg.shards,
                     scale.pack.c_str(), gen_sec,
                     build_sec, static_cast<unsigned long long>(sink.conns),
                     static_cast<unsigned long long>(sink.dns),

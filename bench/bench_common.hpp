@@ -8,8 +8,10 @@
 //   bench_tableX [houses] [hours] [seed] [csv_dir]
 //               [--shards N] [--threads N] [--json PATH]
 //               [--transport do53|dot|doh|resolverless]
-//               [--pack FILE] [--metrics] [--metrics-out FILE]
+//               [--faults SPEC] [--pack FILE] [--metrics] [--metrics-out FILE]
 //
+// Scenario values get their config-file rule (scenario/config_io.hpp);
+// an unknown flag, an extra argument or a bad value exits 2 naming it.
 // `--threads N` runs both the simulation shards and the analysis
 // map-reduce on N workers (0 = hardware concurrency); results are
 // identical for any N. It never changes the scenario: `--shards N`
@@ -22,11 +24,14 @@
 // scrape to FILE (.json -> JSON document, otherwise Prometheus text).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
+#include <span>
 #include <string>
 
 #include <sys/resource.h>
@@ -37,8 +42,10 @@
 #include "analysis/report.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/config_io.hpp"
 #include "scenario/pack.hpp"
 #include "scenario/scenario.hpp"
+#include "util/cli.hpp"
 
 namespace dnsctx::bench {
 
@@ -52,106 +59,80 @@ namespace dnsctx::bench {
 }
 
 struct BenchScale {
-  std::size_t houses = 80;
-  int hours = 12;
-  std::uint64_t seed = 42;
+  /// The scenario: houses/hours/seed positionals, --shards, --threads,
+  /// --faults, --transport and --pack, all set through the knob table
+  /// (scenario/config_io.hpp), so each gets its config-file rule.
+  scenario::ScenarioConfig cfg;
   std::string csv_dir;    ///< when non-empty, figure series are exported here
-  unsigned threads = 1;   ///< workers for simulation and analysis (0 = hardware)
-  std::size_t shards = 1; ///< simulation shards (a scenario knob, see scenario.hpp)
   std::string json_path;  ///< when non-empty, append a one-line JSON timing record
-  std::string faults;     ///< fault plan spec ("" = unimpaired baseline)
-  std::string transport = "do53";  ///< DNS transport scenario (see scenario.hpp)
-  bool transport_given = false;    ///< --transport on the command line
-  std::string pack_file;  ///< scenario-pack file ("" = default composition)
+  std::string faults;     ///< --faults as given, for the JSON record ("" = none)
   std::string pack = "default";  ///< pack name for the JSON record key
   bool metrics = false;   ///< enable the obs registry for this run (default off)
   std::string metrics_out;  ///< when non-empty, also write a scrape file on exit
 };
 
-[[nodiscard]] inline BenchScale parse_scale(int argc, char** argv) {
-  BenchScale s;
-  if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
-  int pos = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      s.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-      continue;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      s.shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-      continue;
-    }
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      s.json_path = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      s.faults = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
-      s.transport = argv[++i];
-      s.transport_given = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--pack") == 0 && i + 1 < argc) {
-      s.pack_file = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--metrics") == 0) {
-      s.metrics = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      s.metrics = true;
-      s.metrics_out = argv[++i];
-      continue;
-    }
-    switch (++pos) {
-      case 1: s.houses = static_cast<std::size_t>(std::atoi(argv[i])); break;
-      case 2: s.hours = std::atoi(argv[i]); break;
-      case 3: s.seed = static_cast<std::uint64_t>(std::atoll(argv[i])); break;
-      case 4: s.csv_dir = argv[i]; break;
-      default: break;
-    }
-  }
-  return s;
+/// The scenario's length in whole hours, as the benches print it.
+[[nodiscard]] inline int hours_of(const scenario::ScenarioConfig& cfg) {
+  return static_cast<int>(cfg.duration.count_us() / 3'600'000'000LL);
 }
 
-/// Build the scenario for a bench scale. Applies the pack file first
-/// (recording its name in s.pack for the JSON record), then the scale
-/// knobs on top — so `--houses` etc. always win over pack contents.
-[[nodiscard]] inline scenario::ScenarioConfig scenario_for(BenchScale& s) {
-  scenario::ScenarioConfig cfg;
-  if (!s.pack_file.empty()) {
-    try {
-      s.pack = scenario::apply_pack_file(s.pack_file, &cfg).name;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::exit(2);
-    }
+/// Parse a bench's command line strictly: a flag not in `valued` or
+/// `bare`, a missing or unexpected value, more than `max_positionals`
+/// positionals, or an error thrown by `apply` (which sets the scenario
+/// through the knob table) prints "bench: problem" and exits 2, so a bad
+/// flag never silently runs a different experiment.
+template <typename Apply>
+[[nodiscard]] CliArgs parse_bench_args(int argc, char** argv, const std::set<std::string>& valued,
+                                       const std::set<std::string>& bare,
+                                       std::size_t max_positionals, Apply&& apply) {
+  const char* slash = std::strrchr(argv[0], '/');
+  const char* tool = slash != nullptr ? slash + 1 : argv[0];
+  CliArgs args = parse_cli(std::span<const char* const>{
+      const_cast<const char* const*>(argv) + 1, static_cast<std::size_t>(argc - 1)});
+  const auto fail = [tool](const char* problem) {
+    std::fprintf(stderr, "%s: %s\n", tool, problem);
+    std::exit(2);
+  };
+  if (const auto problem = args.misuse(valued, bare, max_positionals)) fail(problem->c_str());
+  try {
+    apply(args);
+  } catch (const std::exception& e) {
+    fail(e.what());
   }
-  cfg.houses = s.houses;
-  cfg.duration = SimDuration::hours(s.hours);
-  cfg.seed = s.seed;
-  cfg.shards = s.shards;
-  cfg.threads = s.threads;
-  if (!s.faults.empty()) cfg.faults = faults::FaultPlan::parse(s.faults);
-  if (s.transport_given || s.pack_file.empty()) {
-    if (const auto t = netsim::parse_transport(s.transport)) {
-      cfg.transport = *t;
-    } else {
-      std::fprintf(stderr,
-                   "unknown transport '%s' (expected do53, dot, doh, or resolverless)\n",
-                   s.transport.c_str());
-      std::exit(2);
-    }
-  } else {
-    // Pack without an explicit --transport: keep the pack's default and
-    // reflect it into the record so the JSON key matches reality.
-    s.transport = netsim::to_string(cfg.transport);
-  }
-  return cfg;
+  return args;
+}
+
+/// The JSON record file: --json, else DNSCTX_BENCH_JSON, else none.
+[[nodiscard]] inline std::string json_path_from(const CliArgs& args) {
+  const char* env = std::getenv("DNSCTX_BENCH_JSON");
+  return args.option_or("json", env != nullptr ? env : "");
+}
+
+[[nodiscard]] inline BenchScale parse_scale(int argc, char** argv) {
+  BenchScale s;
+  s.cfg.houses = 80;
+  s.cfg.duration = SimDuration::hours(12);
+  const CliArgs args = parse_bench_args(
+      argc, argv, {"shards", "threads", "json", "faults", "transport", "pack", "metrics-out"},
+      {"metrics"}, 4, [&s](const CliArgs& a) {
+        // The pack first, so the scale knobs always win over its contents.
+        if (const auto pack = a.option("pack")) {
+          s.pack = scenario::apply_pack_file(*pack, &s.cfg).name;
+        }
+        constexpr std::pair<const char*, std::string_view> kPositionals[] = {
+            {"houses", "houses"}, {"hours", "duration_hours"}, {"seed", "seed"}};
+        for (std::size_t i = 0; i < std::min<std::size_t>(3, a.positionals.size()); ++i) {
+          const auto& [name, key] = kPositionals[i];
+          scenario::set_knob(s.cfg, key, a.positionals[i], name);
+        }
+        scenario::set_flag_knobs(s.cfg, a);
+      });
+  if (args.positionals.size() > 3) s.csv_dir = args.positionals[3];
+  s.json_path = json_path_from(args);
+  s.faults = args.option_or("faults", "");
+  s.metrics_out = args.option_or("metrics-out", "");
+  s.metrics = args.has_flag("metrics") || !s.metrics_out.empty();
+  return s;
 }
 
 struct BenchRun {
@@ -181,6 +162,7 @@ inline void append_json_record(const std::string& path, const char* bench_name,
   const analysis::FailureReport failures =
       analysis::build_failure_report(run.town().dataset());
   const analysis::FailureCounts& fc = failures.counts;
+  const std::string transport{netsim::to_string(s.cfg.transport)};
   char buf[1536];
   std::snprintf(buf, sizeof buf,
                 "{\"bench\":\"%s\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
@@ -191,9 +173,9 @@ inline void append_json_record(const std::string& path, const char* bench_name,
                 "\"failed_lookups\":%llu,\"servfail\":%llu,\"retry_chains\":%llu,"
                 "\"recovered_chains\":%llu,\"failed_chains\":%llu,\"s0_conns\":%llu,"
                 "\"peak_rss_bytes\":%llu}",
-                bench_name, s.houses, s.hours, static_cast<unsigned long long>(s.seed),
-                s.threads, s.shards, s.faults.c_str(), s.pack.c_str(),
-                s.transport.c_str(), encflows,
+                bench_name, s.cfg.houses, hours_of(s.cfg),
+                static_cast<unsigned long long>(s.cfg.seed), s.cfg.threads, s.cfg.shards,
+                s.faults.c_str(), s.pack.c_str(), transport.c_str(), encflows,
                 run.enc_classify_sec, run.gen_sec, run.study_sec,
                 total_sec, conns, dns, records_per_sec,
                 static_cast<unsigned long long>(fc.unanswered + fc.servfail +
@@ -218,18 +200,19 @@ inline void append_json_record(const std::string& path, const char* bench_name,
 /// timing for the generation and study halves.
 [[nodiscard]] inline BenchRun run_default(const char* bench_name, int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
-  BenchScale scale = parse_scale(argc, argv);
+  const BenchScale scale = parse_scale(argc, argv);
   if (scale.metrics) obs::set_enabled(true);
-  const scenario::ScenarioConfig cfg = scenario_for(scale);  // may set scale.pack
   std::printf("== %s — dnsctx reproduction of \"Putting DNS in Context\" (IMC'20) ==\n",
               bench_name);
+  const std::string transport{netsim::to_string(scale.cfg.transport)};
   std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %u thread(s), "
               "transport %s, pack %s (paper: ~100 houses, 7 days)\n",
-              scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
-              scale.threads, scale.transport.c_str(), scale.pack.c_str());
+              scale.cfg.houses, hours_of(scale.cfg),
+              static_cast<unsigned long long>(scale.cfg.seed), scale.cfg.threads,
+              transport.c_str(), scale.pack.c_str());
   BenchRun run;
   const auto t0 = Clock::now();
-  run.town_ptr = std::make_unique<scenario::Town>(cfg);
+  run.town_ptr = std::make_unique<scenario::Town>(scale.cfg);
   run.town().run();
   const auto t1 = Clock::now();
   run.gen_sec = std::chrono::duration<double>(t1 - t0).count();
@@ -239,7 +222,7 @@ inline void append_json_record(const std::string& path, const char* bench_name,
               conns, dns, run.gen_sec);
 
   analysis::StudyConfig study_cfg;
-  study_cfg.threads = scale.threads;
+  study_cfg.threads = scale.cfg.threads;
   run.study = analysis::run_study(run.town().dataset(), study_cfg);
   const auto t2 = Clock::now();
   run.study_sec = std::chrono::duration<double>(t2 - t1).count();

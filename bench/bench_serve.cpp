@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,46 +46,36 @@ namespace {
 using namespace dnsctx;
 using Clock = std::chrono::steady_clock;
 
+constexpr const char* kDefaultFaults = "loss=0.01,outage=upstream1:600-1200";
+
 struct ServeScale {
-  std::size_t houses = 40;
-  int hours = 4;
-  std::uint64_t seed = 42;
-  std::string faults = "loss=0.01,outage=upstream1:600-1200";
+  /// The impaired run's scenario: --houses/--hours/--seed and --faults
+  /// via the knob table. The clean run is the same without the faults.
+  scenario::ScenarioConfig impaired;
+  std::string faults = kDefaultFaults;  ///< the impaired run's plan, as given
   std::size_t segment_records = 512;
   std::string json_path;
 };
 
 ServeScale parse_args(int argc, char** argv) {
   ServeScale s;
-  if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
-  auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--houses") == 0) {
-      s.houses = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      s.hours = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      s.faults = value(i);
-    } else if (std::strcmp(argv[i], "--segment-records") == 0) {
-      s.segment_records = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      s.json_path = value(i);
-    } else {
-      std::fprintf(stderr, "bench_serve: unknown argument %s\n", argv[i]);
-      std::exit(2);
-    }
-  }
+  s.impaired.duration = SimDuration::hours(4);
+  s.impaired.faults = faults::FaultPlan::parse(kDefaultFaults);
+  const CliArgs args = bench::parse_bench_args(
+      argc, argv, {"houses", "hours", "seed", "faults", "segment-records", "json"}, {}, 0,
+      [&s](const CliArgs& a) {
+        scenario::set_flag_knobs(s.impaired, a);
+        // The latency push sends quarter-size segments, which must hold a record.
+        const long long per = a.int_option_or("segment-records", 512);
+        if (per < 4) throw std::runtime_error{"--segment-records must be >= 4"};
+        s.segment_records = static_cast<std::size_t>(per);
+      });
+  s.faults = args.option_or("faults", kDefaultFaults);
+  s.json_path = bench::json_path_from(args);
   return s;
 }
 
-capture::Dataset simulate(const ServeScale& s, const std::string& faults) {
-  scenario::ScenarioConfig cfg;
-  cfg.houses = s.houses;
-  cfg.duration = SimDuration::hours(s.hours);
-  cfg.seed = s.seed;
-  if (!faults.empty()) cfg.faults = faults::FaultPlan::parse(faults);
+capture::Dataset simulate(const scenario::ScenarioConfig& cfg) {
   scenario::Town town{cfg};
   town.run();
   return town.dataset();
@@ -225,11 +214,14 @@ std::string http_get_body(std::uint16_t port, const std::string& target) {
 
 int main(int argc, char** argv) {
   const ServeScale scale = parse_args(argc, argv);
+  const scenario::ScenarioConfig& cfg = scale.impaired;
 
-  std::printf("Simulating %zu houses x %dh (seed %llu)...\n", scale.houses, scale.hours,
-              static_cast<unsigned long long>(scale.seed));
-  const auto ds = simulate(scale, "");
-  const auto ds_faulty = simulate(scale, scale.faults);
+  std::printf("Simulating %zu houses x %dh (seed %llu)...\n", cfg.houses,
+              bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed));
+  scenario::ScenarioConfig clean = cfg;
+  clean.faults = {};
+  const auto ds = simulate(clean);
+  const auto ds_faulty = simulate(cfg);
   const std::uint64_t records = ds.conns.size() + ds.dns.size();
   const std::uint64_t faulty_records = ds_faulty.conns.size() + ds_faulty.dns.size();
 
@@ -294,7 +286,7 @@ int main(int argc, char** argv) {
           "\"impaired_records\":%llu,\"impaired_records_per_sec\":%.0f,"
           "\"wire_bytes\":%llu,\"wire_v1_bytes\":%llu,\"compression_ratio\":%.3f,"
           "\"match\":%s,\"survived_faults\":%s,\"peak_rss_bytes\":%llu}\n",
-          scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
+          cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
           static_cast<unsigned long long>(records), throughput.sec, rps, p50, p99,
           static_cast<unsigned long long>(faulty_records), imp_rps,
           static_cast<unsigned long long>(wire.v2_bytes),

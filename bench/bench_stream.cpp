@@ -14,7 +14,6 @@
 //   bench_stream [--houses N] [--hours H] [--seed S] [--shards N]
 //                [--spool DIR] [--json PATH]
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 
 #include "bench_common.hpp"
@@ -28,10 +27,7 @@ using namespace dnsctx;
 using Clock = std::chrono::steady_clock;
 
 struct StreamScale {
-  std::size_t houses = 40;
-  int hours = 6;
-  std::uint64_t seed = 42;
-  std::size_t shards = 1;
+  scenario::ScenarioConfig cfg;  ///< --houses/--hours/--seed/--shards via the knob table
   std::string spool_dir = "bench_stream.spool";
   std::string json_path;
   std::string phase;  ///< internal: "stream" / "batch" child mode
@@ -39,28 +35,13 @@ struct StreamScale {
 
 StreamScale parse_args(int argc, char** argv) {
   StreamScale s;
-  if (const char* env = std::getenv("DNSCTX_BENCH_JSON"); env && *env) s.json_path = env;
-  auto value = [&](int& i) -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--houses") == 0) {
-      s.houses = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      s.hours = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(value(i)));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      s.shards = static_cast<std::size_t>(std::atoi(value(i)));
-    } else if (std::strcmp(argv[i], "--spool") == 0) {
-      s.spool_dir = value(i);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      s.json_path = value(i);
-    } else if (std::strcmp(argv[i], "--phase") == 0) {
-      s.phase = value(i);
-    } else {
-      std::fprintf(stderr, "bench_stream: unknown argument %s\n", argv[i]);
-      std::exit(2);
-    }
-  }
+  s.cfg.duration = SimDuration::hours(6);
+  const CliArgs args = bench::parse_bench_args(
+      argc, argv, {"houses", "hours", "seed", "shards", "spool", "json", "phase"}, {}, 0,
+      [&s](const CliArgs& a) { scenario::set_flag_knobs(s.cfg, a); });
+  s.spool_dir = args.option_or("spool", s.spool_dir);
+  s.json_path = bench::json_path_from(args);
+  s.phase = args.option_or("phase", "");
   return s;
 }
 
@@ -177,15 +158,10 @@ int main(int argc, char** argv) {
   if (!scale.phase.empty()) return run_phase(scale);
 
   std::printf("== bench_stream — streaming ingestion vs batch pipeline ==\n");
+  const scenario::ScenarioConfig& cfg = scale.cfg;
   std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s)\n",
-              scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
-              scale.shards);
-
-  scenario::ScenarioConfig cfg;
-  cfg.houses = scale.houses;
-  cfg.duration = SimDuration::hours(scale.hours);
-  cfg.seed = scale.seed;
-  cfg.shards = scale.shards;
+              cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
+              cfg.shards);
 
   // Phase 1: simulate straight into the spool — no dataset materialized.
   std::filesystem::remove_all(scale.spool_dir);
@@ -297,8 +273,8 @@ int main(int argc, char** argv) {
           "\"active_records\":%llu,\"spool_bytes\":%llu,\"spool_v1_bytes\":%llu,"
           "\"compression_ratio\":%.3f,\"import_sec\":%.3f,"
           "\"import_records_per_sec\":%.0f,\"match\":%s}",
-          scale.houses, scale.hours, static_cast<unsigned long long>(scale.seed),
-          scale.shards, gen_sec, stream_r.sec, batch_r.sec,
+          cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
+          cfg.shards, gen_sec, stream_r.sec, batch_r.sec,
           static_cast<unsigned long long>(conns), static_cast<unsigned long long>(dns),
           stream_r.sec > 0.0 ? static_cast<double>(total) / stream_r.sec : 0.0,
           batch_r.sec > 0.0 ? static_cast<double>(total) / batch_r.sec : 0.0,

@@ -3,19 +3,16 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <ostream>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 
 namespace dnsctx::scenario {
 
-namespace {
-
-[[nodiscard]] std::string_view trim(std::string_view s) {
+std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
   while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
     s.remove_suffix(1);
@@ -23,12 +20,12 @@ namespace {
   return s;
 }
 
+namespace {
+
 /// Strict numeric parse: the whole token must be consumed, values must
 /// be representable, and doubles must be finite (std::from_chars'
 /// general format happily accepts "inf"/"nan" — reject those here, a
 /// NaN probability would silently disable every bernoulli draw).
-/// Errors carry no location; the dispatch loop wraps them with
-/// file + line + key.
 template <typename T>
 [[nodiscard]] T parse_number(std::string_view v) {
   T out{};
@@ -50,35 +47,61 @@ template <typename T>
   return out;
 }
 
-/// 24 comma-separated hour multipliers (diurnal tables).
+/// Throws "<what> '<v>' must be <rule>" unless `ok`.
+void require(bool ok, std::string_view v, const char* rule, const char* what = "value") {
+  if (!ok) {
+    throw std::runtime_error{
+        strfmt("%s '%.*s' must be %s", what, static_cast<int>(v.size()), v.data(), rule)};
+  }
+}
+
 [[nodiscard]] double parse_prob(std::string_view v) {
   const double p = parse_number<double>(v);
-  if (p < 0.0 || p > 1.0) {
-    throw std::runtime_error{
-        strfmt("probability '%.*s' must be in [0, 1]", static_cast<int>(v.size()),
-               v.data())};
-  }
+  require(p >= 0.0 && p <= 1.0, v, "in [0, 1]", "probability");
   return p;
 }
 
 [[nodiscard]] double parse_positive(std::string_view v) {
   const double x = parse_number<double>(v);
-  if (!(x > 0.0)) {
-    throw std::runtime_error{
-        strfmt("value '%.*s' must be > 0", static_cast<int>(v.size()), v.data())};
-  }
+  require(x > 0.0, v, "> 0");
   return x;
 }
 
 [[nodiscard]] double parse_non_negative(std::string_view v) {
   const double x = parse_number<double>(v);
-  if (x < 0.0) {
-    throw std::runtime_error{
-        strfmt("value '%.*s' must be >= 0", static_cast<int>(v.size()), v.data())};
-  }
+  require(x >= 0.0, v, ">= 0");
   return x;
 }
 
+template <typename T>
+[[nodiscard]] T parse_min1(std::string_view v) {
+  const T n = parse_number<T>(v);
+  require(n >= 1, v, ">= 1");
+  return n;
+}
+
+[[nodiscard]] SimDuration parse_duration_hours(std::string_view v) {
+  return SimDuration::hours(parse_min1<int>(v));
+}
+
+[[nodiscard]] int parse_hour_of_day(std::string_view v) {
+  const int h = parse_number<int>(v);
+  if (h < 0 || h > 23) throw std::runtime_error{"start_hour must be in [0, 23]"};
+  return h;
+}
+
+[[nodiscard]] netsim::Transport parse_transport(std::string_view v) {
+  if (const auto t = netsim::parse_transport(v)) return *t;
+  throw std::runtime_error{
+      strfmt("unknown transport '%.*s' (expected do53, dot, doh, or resolverless)",
+             static_cast<int>(v.size()), v.data())};
+}
+
+[[nodiscard]] bool parse_switch(std::string_view v) { return parse_number<int>(v) != 0; }
+
+[[nodiscard]] std::string parse_text(std::string_view v) { return std::string{v}; }
+
+/// 24 comma-separated hour multipliers, checked as a diurnal table.
 [[nodiscard]] std::array<double, 24> parse_hours(std::string_view v) {
   std::array<double, 24> out{};
   std::size_t idx = 0;
@@ -91,96 +114,229 @@ template <typename T>
     v.remove_prefix(comma + 1);
   }
   if (idx != out.size()) throw std::runtime_error{"expected exactly 24 hour values"};
+  (void)traffic::DiurnalProfile::custom(out);
   return out;
 }
 
-void save_tuning(std::ostream& os, const traffic::TrafficTuning& t) {
-  // Written only when changed so pre-pack configs stay byte-identical.
-  const traffic::TrafficTuning def{};
-  const auto num = [&os](const char* key, auto value, auto def_value) {
-    if (value != def_value) os << "tuning." << key << " = " << value << "\n";
-  };
-  const auto flt = [&os](const char* key, double value, double def_value) {
-    if (value != def_value) os << strfmt("tuning.%s = %g\n", key, value);
-  };
-  num("computers_min", t.computers_min, def.computers_min);
-  num("computers_max", t.computers_max, def.computers_max);
-  num("computers_light", t.computers_light, def.computers_light);
-  flt("android_extra_prob", t.android_extra_prob, def.android_extra_prob);
-  flt("apple_prob", t.apple_prob, def.apple_prob);
-  flt("apple_prob_light", t.apple_prob_light, def.apple_prob_light);
-  flt("tv_prob", t.tv_prob, def.tv_prob);
-  flt("tv_prob_light", t.tv_prob_light, def.tv_prob_light);
-  num("iot_min", t.iot_min, def.iot_min);
-  num("iot_max", t.iot_max, def.iot_max);
-  flt("alarm_prob", t.alarm_prob, def.alarm_prob);
-  flt("browser_session_scale", t.browser_session_scale, def.browser_session_scale);
-  flt("video_session_scale", t.video_session_scale, def.video_session_scale);
-  flt("background_poll_scale", t.background_poll_scale, def.background_poll_scale);
-  flt("pages_per_session_scale", t.pages_per_session_scale, def.pages_per_session_scale);
-  flt("conncheck_scale", t.conncheck_scale, def.conncheck_scale);
-  flt("prefetch_prob", t.prefetch_prob, def.prefetch_prob);
-  flt("household_site_prob", t.household_site_prob, def.household_site_prob);
-  flt("junk_probe_prob", t.junk_probe_prob, def.junk_probe_prob);
-  flt("junk_queries_per_hour", t.junk_queries_per_hour, def.junk_queries_per_hour);
-  num("web_cdn_min", t.web.cdn_min, def.web.cdn_min);
-  num("web_cdn_max", t.web.cdn_max, def.web.cdn_max);
-  num("web_ad_min", t.web.ad_min, def.web.ad_min);
-  num("web_ad_max", t.web.ad_max, def.web.ad_max);
-  num("web_tracker_min", t.web.tracker_min, def.web.tracker_min);
-  num("web_tracker_max", t.web.tracker_max, def.web.tracker_max);
-  num("web_api_min", t.web.api_min, def.web.api_min);
-  num("web_api_max", t.web.api_max, def.web.api_max);
-  num("web_links_min", t.web.links_min, def.web.links_min);
-  num("web_links_max", t.web.links_max, def.web.links_max);
-  if (t.diurnal_hours != def.diurnal_hours) {
-    os << "tuning.diurnal_hours =";
-    for (std::size_t h = 0; h < t.diurnal_hours.size(); ++h) {
-      os << strfmt("%s%g", h == 0 ? " " : ",", t.diurnal_hours[h]);
-    }
-    os << "\n";
+/// Shortest text that parses back to the same number (doubles exactly).
+template <typename T>
+  requires std::is_arithmetic_v<T>
+[[nodiscard]] std::string to_text(T v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string{buf, res.ptr};
+}
+[[nodiscard]] std::string to_text(bool v) { return v ? "1" : "0"; }
+[[nodiscard]] std::string to_text(const std::string& v) { return v; }
+[[nodiscard]] std::string to_text(SimDuration d) {
+  return to_text(d.count_us() / 3'600'000'000LL);
+}
+[[nodiscard]] std::string to_text(netsim::Transport t) {
+  return std::string{netsim::to_string(t)};
+}
+[[nodiscard]] std::string to_text(const faults::FaultPlan& plan) { return plan.to_string(); }
+[[nodiscard]] std::string to_text(const std::array<double, 24>& hours) {
+  std::string out;
+  for (const double h : hours) out += (out.empty() ? "" : ",") + to_text(h);
+  return out;
+}
+
+enum KnobFlags : unsigned { kAlways = 0, kIfChanged = 1, kQuoted = 2 };
+
+/// A row for the field reached from ScenarioConfig by the member
+/// pointers `Path`, stored as `Parse(value)` and written by to_text.
+template <auto Parse, auto... Path>
+[[nodiscard]] constexpr Knob knob(std::string_view key, std::string_view pack_key = {},
+                                  unsigned flags = kAlways) {
+  return Knob{key, pack_key,
+              [](ScenarioConfig& c, std::string_view v) { (c .* ... .* Path) = Parse(v); },
+              [](const ScenarioConfig& c) { return to_text((c .* ... .* Path)); },
+              (flags & kIfChanged) == 0, (flags & kQuoted) != 0};
+}
+
+/// A TrafficTuning row: written only when changed, so snapshots of
+/// pre-pack configs keep their bytes.
+template <auto Parse, auto... Path>
+[[nodiscard]] constexpr Knob tuning_knob(std::string_view key, std::string_view pack_key) {
+  return knob<Parse, &ScenarioConfig::tuning, Path...>(key, pack_key, kIfChanged);
+}
+
+constexpr auto parse_count = parse_number<std::size_t>;
+constexpr auto parse_count_min1 = parse_min1<std::size_t>;
+
+using Cfg = ScenarioConfig;
+using Mix = HouseProfileMix;
+using Zones = resolver::ZoneDbConfig;
+using Tun = traffic::TrafficTuning;
+using Web = traffic::WebFanout;
+
+/// Every ScenarioConfig field, in save_config order.
+constexpr Knob kKnobs[] = {
+    knob<parse_number<std::uint64_t>, &Cfg::seed>("seed"),
+    knob<parse_count_min1, &Cfg::houses>("houses"),
+    knob<parse_duration_hours, &Cfg::duration>("duration_hours"),
+    knob<parse_hour_of_day, &Cfg::start_hour>("start_hour", "scenario.start_hour"),
+    knob<parse_count, &Cfg::shards>("shards"),
+    knob<parse_number<unsigned>, &Cfg::threads>("threads"),
+    knob<parse_positive, &Cfg::activity_scale>("activity_scale", "scenario.activity_scale"),
+    knob<parse_prob, &Cfg::ttl_violation_prob>("ttl_violation_prob",
+                                               "scenario.ttl_violation_prob"),
+    knob<parse_prob, &Cfg::dead_ntp_frac>("dead_ntp_frac", "scenario.dead_ntp_frac"),
+    knob<parse_prob, &Cfg::p2p_house_frac>("p2p_house_frac", "scenario.p2p_house_frac"),
+    knob<parse_prob, &Cfg::encrypted_dns_device_frac>("encrypted_dns_device_frac",
+                                                      "scenario.encrypted_dns_device_frac"),
+    knob<parse_prob, &Cfg::whole_house_cache_frac>("whole_house_cache_frac",
+                                                   "scenario.whole_house_cache_frac"),
+    knob<faults::FaultPlan::parse, &Cfg::faults>("faults", "faults.plan", kIfChanged | kQuoted),
+    knob<parse_transport, &Cfg::transport>("transport", "transport.default",
+                                           kIfChanged | kQuoted),
+    knob<parse_switch, &Cfg::collect_truth>("collect_truth", {}, kIfChanged),
+    knob<parse_text, &Cfg::pack>("pack", {}, kIfChanged),
+    knob<parse_prob, &Cfg::mix, &Mix::isp_only>("mix.isp_only", "mix.isp_only"),
+    knob<parse_prob, &Cfg::mix, &Mix::cloudflare>("mix.cloudflare", "mix.cloudflare"),
+    knob<parse_prob, &Cfg::mix, &Mix::no_isp>("mix.no_isp", "mix.no_isp"),
+    knob<parse_prob, &Cfg::mix, &Mix::opendns_in_mixed>("mix.opendns_in_mixed",
+                                                        "mix.opendns_in_mixed"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::web_sites>("zones.web_sites", "zones.web_sites"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::cdn_domains>("zones.cdn_domains",
+                                                             "zones.cdn_domains"),
+    knob<parse_count, &Cfg::zones, &Zones::ad_domains>("zones.ad_domains", "zones.ad_domains"),
+    knob<parse_count, &Cfg::zones, &Zones::tracker_domains>("zones.tracker_domains",
+                                                            "zones.tracker_domains"),
+    knob<parse_count, &Cfg::zones, &Zones::api_domains>("zones.api_domains",
+                                                        "zones.api_domains"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::video_sites>("zones.video_sites",
+                                                             "zones.video_sites"),
+    knob<parse_count, &Cfg::zones, &Zones::other_names>("zones.other_names",
+                                                        "zones.other_names"),
+    knob<parse_positive, &Cfg::zones, &Zones::zipf_exponent>("zones.zipf_exponent",
+                                                             "zones.zipf_exponent"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::edges_per_cdn>("zones.edges_per_cdn",
+                                                               "zones.edges_per_cdn"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::hosting_pool_ips>("zones.hosting_pool_ips",
+                                                                  "zones.hosting_pool_ips"),
+    tuning_knob<parse_count_min1, &Tun::computers_min>("tuning.computers_min",
+                                                       "devices.computers_min"),
+    tuning_knob<parse_count, &Tun::computers_max>("tuning.computers_max",
+                                                  "devices.computers_max"),
+    tuning_knob<parse_count_min1, &Tun::computers_light>("tuning.computers_light",
+                                                         "devices.computers_light"),
+    tuning_knob<parse_prob, &Tun::android_extra_prob>("tuning.android_extra_prob",
+                                                      "devices.android_extra_prob"),
+    tuning_knob<parse_prob, &Tun::apple_prob>("tuning.apple_prob", "devices.apple_prob"),
+    tuning_knob<parse_prob, &Tun::apple_prob_light>("tuning.apple_prob_light",
+                                                    "devices.apple_prob_light"),
+    tuning_knob<parse_prob, &Tun::tv_prob>("tuning.tv_prob", "devices.tv_prob"),
+    tuning_knob<parse_prob, &Tun::tv_prob_light>("tuning.tv_prob_light",
+                                                 "devices.tv_prob_light"),
+    tuning_knob<parse_count, &Tun::iot_min>("tuning.iot_min", "devices.iot_min"),
+    tuning_knob<parse_count, &Tun::iot_max>("tuning.iot_max", "devices.iot_max"),
+    tuning_knob<parse_prob, &Tun::alarm_prob>("tuning.alarm_prob", "devices.alarm_prob"),
+    tuning_knob<parse_positive, &Tun::browser_session_scale>("tuning.browser_session_scale",
+                                                             "apps.browser_session_scale"),
+    tuning_knob<parse_positive, &Tun::video_session_scale>("tuning.video_session_scale",
+                                                           "apps.video_session_scale"),
+    tuning_knob<parse_positive, &Tun::background_poll_scale>("tuning.background_poll_scale",
+                                                             "apps.background_poll_scale"),
+    tuning_knob<parse_positive, &Tun::pages_per_session_scale>(
+        "tuning.pages_per_session_scale", "apps.pages_per_session_scale"),
+    tuning_knob<parse_positive, &Tun::conncheck_scale>("tuning.conncheck_scale",
+                                                       "apps.conncheck_scale"),
+    tuning_knob<parse_prob, &Tun::prefetch_prob>("tuning.prefetch_prob", "apps.prefetch_prob"),
+    tuning_knob<parse_prob, &Tun::household_site_prob>("tuning.household_site_prob",
+                                                       "apps.household_site_prob"),
+    tuning_knob<parse_prob, &Tun::junk_probe_prob>("tuning.junk_probe_prob",
+                                                   "apps.junk_probe_prob"),
+    tuning_knob<parse_non_negative, &Tun::junk_queries_per_hour>(
+        "tuning.junk_queries_per_hour", "apps.junk_queries_per_hour"),
+    tuning_knob<parse_count, &Tun::web, &Web::cdn_min>("tuning.web_cdn_min", "web.cdn_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::cdn_max>("tuning.web_cdn_max", "web.cdn_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::ad_min>("tuning.web_ad_min", "web.ad_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::ad_max>("tuning.web_ad_max", "web.ad_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::tracker_min>("tuning.web_tracker_min",
+                                                           "web.tracker_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::tracker_max>("tuning.web_tracker_max",
+                                                           "web.tracker_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::api_min>("tuning.web_api_min", "web.api_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::api_max>("tuning.web_api_max", "web.api_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::links_min>("tuning.web_links_min",
+                                                         "web.links_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::links_max>("tuning.web_links_max",
+                                                         "web.links_max"),
+    tuning_knob<parse_hours, &Tun::diurnal_hours>("tuning.diurnal_hours", "diurnal.hours"),
+};
+
+void set(const Knob& knob, ScenarioConfig& cfg, std::string_view value,
+         const std::string& where) {
+  try {
+    knob.parse(cfg, value);
+  } catch (const std::exception& e) {
+    throw std::runtime_error{where + ": " + e.what()};
   }
+}
+
+[[nodiscard]] const Knob* find_knob(std::string_view key) {
+  for (const Knob& k : kKnobs) {
+    if (k.key == key) return &k;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-void save_config(std::ostream& os, const ScenarioConfig& cfg) {
-  os << "# dnsctx scenario configuration\n";
-  os << "seed = " << cfg.seed << "\n";
-  os << "houses = " << cfg.houses << "\n";
-  os << "duration_hours = " << cfg.duration.count_us() / 3'600'000'000LL << "\n";
-  os << "start_hour = " << cfg.start_hour << "\n";
-  os << "shards = " << cfg.shards << "\n";
-  os << "threads = " << cfg.threads << "\n";
-  os << strfmt("activity_scale = %g\n", cfg.activity_scale);
-  os << strfmt("ttl_violation_prob = %g\n", cfg.ttl_violation_prob);
-  os << strfmt("dead_ntp_frac = %g\n", cfg.dead_ntp_frac);
-  os << strfmt("p2p_house_frac = %g\n", cfg.p2p_house_frac);
-  os << strfmt("encrypted_dns_device_frac = %g\n", cfg.encrypted_dns_device_frac);
-  os << strfmt("whole_house_cache_frac = %g\n", cfg.whole_house_cache_frac);
-  if (!cfg.faults.empty()) os << "faults = " << cfg.faults.to_string() << "\n";
-  // Transport knobs are written only when set, like `faults`, so classic
-  // configs round-trip byte-identically.
-  if (cfg.transport != netsim::Transport::kDo53) {
-    os << "transport = " << netsim::to_string(cfg.transport) << "\n";
+const Knob* find_pack_knob(std::string_view section_key) {
+  for (const Knob& k : kKnobs) {
+    if (!k.pack_key.empty() && k.pack_key == section_key) return &k;
   }
-  if (cfg.collect_truth) os << "collect_truth = 1\n";
-  if (cfg.pack != "default") os << "pack = " << cfg.pack << "\n";
-  os << strfmt("mix.isp_only = %g\n", cfg.mix.isp_only);
-  os << strfmt("mix.cloudflare = %g\n", cfg.mix.cloudflare);
-  os << strfmt("mix.no_isp = %g\n", cfg.mix.no_isp);
-  os << strfmt("mix.opendns_in_mixed = %g\n", cfg.mix.opendns_in_mixed);
-  os << "zones.web_sites = " << cfg.zones.web_sites << "\n";
-  os << "zones.cdn_domains = " << cfg.zones.cdn_domains << "\n";
-  os << "zones.ad_domains = " << cfg.zones.ad_domains << "\n";
-  os << "zones.tracker_domains = " << cfg.zones.tracker_domains << "\n";
-  os << "zones.api_domains = " << cfg.zones.api_domains << "\n";
-  os << "zones.video_sites = " << cfg.zones.video_sites << "\n";
-  os << "zones.other_names = " << cfg.zones.other_names << "\n";
-  os << strfmt("zones.zipf_exponent = %g\n", cfg.zones.zipf_exponent);
-  os << "zones.edges_per_cdn = " << cfg.zones.edges_per_cdn << "\n";
-  os << "zones.hosting_pool_ips = " << cfg.zones.hosting_pool_ips << "\n";
-  save_tuning(os, cfg.tuning);
+  return nullptr;
+}
+
+void set_knob(ScenarioConfig& cfg, std::string_view key, std::string_view value,
+              const std::string& where) {
+  const Knob* knob = find_knob(key);
+  if (knob == nullptr) {
+    throw std::logic_error{strfmt("set_knob: no knob '%.*s'", static_cast<int>(key.size()),
+                                  key.data())};
+  }
+  set(*knob, cfg, value, where);
+}
+
+void set_flag_knobs(ScenarioConfig& cfg, const CliArgs& args) {
+  static constexpr std::pair<const char*, std::string_view> kFlagKnobs[] = {
+      {"houses", "houses"},         {"hours", "duration_hours"}, {"seed", "seed"},
+      {"start-hour", "start_hour"}, {"shards", "shards"},        {"threads", "threads"},
+      {"transport", "transport"},   {"faults", "faults"}};
+  for (const auto& [flag, key] : kFlagKnobs) {
+    if (const auto value = args.option(flag)) {
+      set_knob(cfg, key, *value, std::string{"--"} + flag);
+    }
+  }
+}
+
+void EndOfFileChecks::note(const Knob& knob, const std::string& where) {
+  if (knob.key.starts_with("mix.")) mix_at_ = where;
+  if (knob.key.starts_with("tuning.")) tuning_at_ = where;
+}
+
+void EndOfFileChecks::run(const ScenarioConfig& cfg) const {
+  const auto check = [](const std::string& at, const auto& part) {
+    try {
+      part.validate();
+    } catch (const std::exception& e) {
+      throw std::runtime_error{at + ": " + e.what()};
+    }
+  };
+  check(mix_at_, cfg.mix);
+  check(tuning_at_, cfg.tuning);
+}
+
+void save_config(std::ostream& os, const ScenarioConfig& cfg) {
+  static const ScenarioConfig kDefaults{};
+  os << "# dnsctx scenario configuration\n";
+  for (const Knob& k : kKnobs) {
+    const std::string value = k.text(cfg);
+    if (k.always || value != k.text(kDefaults)) os << k.key << " = " << value << "\n";
+  }
 }
 
 void save_config_file(const std::string& path, const ScenarioConfig& cfg) {
@@ -191,122 +347,7 @@ void save_config_file(const std::string& path, const ScenarioConfig& cfg) {
 
 ScenarioConfig load_config(std::istream& is, const std::string& source) {
   ScenarioConfig cfg;
-  using Setter = std::function<void(std::string_view)>;
-  const std::unordered_map<std::string, Setter> setters = {
-      {"seed", [&](auto v) { cfg.seed = parse_number<std::uint64_t>(v); }},
-      {"houses", [&](auto v) { cfg.houses = parse_number<std::size_t>(v); }},
-      {"duration_hours",
-       [&](auto v) { cfg.duration = SimDuration::hours(parse_number<int>(v)); }},
-      {"start_hour", [&](auto v) { cfg.start_hour = parse_number<int>(v); }},
-      {"shards", [&](auto v) { cfg.shards = parse_number<std::size_t>(v); }},
-      {"threads", [&](auto v) { cfg.threads = parse_number<unsigned>(v); }},
-      {"activity_scale", [&](auto v) { cfg.activity_scale = parse_positive(v); }},
-      {"ttl_violation_prob",
-       [&](auto v) { cfg.ttl_violation_prob = parse_prob(v); }},
-      {"dead_ntp_frac", [&](auto v) { cfg.dead_ntp_frac = parse_prob(v); }},
-      {"p2p_house_frac", [&](auto v) { cfg.p2p_house_frac = parse_prob(v); }},
-      {"encrypted_dns_device_frac",
-       [&](auto v) { cfg.encrypted_dns_device_frac = parse_prob(v); }},
-      {"whole_house_cache_frac",
-       [&](auto v) { cfg.whole_house_cache_frac = parse_prob(v); }},
-      {"faults", [&](auto v) { cfg.faults = faults::FaultPlan::parse(v); }},
-      {"transport",
-       [&](auto v) {
-         const auto t = netsim::parse_transport(v);
-         if (!t) {
-           throw std::runtime_error{
-               strfmt("unknown transport '%.*s' (expected do53, dot, doh, or "
-                      "resolverless)",
-                      static_cast<int>(v.size()), v.data())};
-         }
-         cfg.transport = *t;
-       }},
-      {"collect_truth", [&](auto v) { cfg.collect_truth = parse_number<int>(v) != 0; }},
-      {"pack", [&](auto v) { cfg.pack = std::string{v}; }},
-      {"mix.isp_only", [&](auto v) { cfg.mix.isp_only = parse_prob(v); }},
-      {"mix.cloudflare", [&](auto v) { cfg.mix.cloudflare = parse_prob(v); }},
-      {"mix.no_isp", [&](auto v) { cfg.mix.no_isp = parse_prob(v); }},
-      {"mix.opendns_in_mixed",
-       [&](auto v) { cfg.mix.opendns_in_mixed = parse_prob(v); }},
-      {"zones.web_sites",
-       [&](auto v) { cfg.zones.web_sites = parse_number<std::size_t>(v); }},
-      {"zones.cdn_domains",
-       [&](auto v) { cfg.zones.cdn_domains = parse_number<std::size_t>(v); }},
-      {"zones.ad_domains",
-       [&](auto v) { cfg.zones.ad_domains = parse_number<std::size_t>(v); }},
-      {"zones.tracker_domains",
-       [&](auto v) { cfg.zones.tracker_domains = parse_number<std::size_t>(v); }},
-      {"zones.api_domains",
-       [&](auto v) { cfg.zones.api_domains = parse_number<std::size_t>(v); }},
-      {"zones.video_sites",
-       [&](auto v) { cfg.zones.video_sites = parse_number<std::size_t>(v); }},
-      {"zones.other_names",
-       [&](auto v) { cfg.zones.other_names = parse_number<std::size_t>(v); }},
-      {"zones.zipf_exponent",
-       [&](auto v) { cfg.zones.zipf_exponent = parse_positive(v); }},
-      {"zones.edges_per_cdn",
-       [&](auto v) { cfg.zones.edges_per_cdn = parse_number<std::size_t>(v); }},
-      {"zones.hosting_pool_ips",
-       [&](auto v) { cfg.zones.hosting_pool_ips = parse_number<std::size_t>(v); }},
-      {"tuning.computers_min",
-       [&](auto v) { cfg.tuning.computers_min = parse_number<std::size_t>(v); }},
-      {"tuning.computers_max",
-       [&](auto v) { cfg.tuning.computers_max = parse_number<std::size_t>(v); }},
-      {"tuning.computers_light",
-       [&](auto v) { cfg.tuning.computers_light = parse_number<std::size_t>(v); }},
-      {"tuning.android_extra_prob",
-       [&](auto v) { cfg.tuning.android_extra_prob = parse_prob(v); }},
-      {"tuning.apple_prob", [&](auto v) { cfg.tuning.apple_prob = parse_prob(v); }},
-      {"tuning.apple_prob_light",
-       [&](auto v) { cfg.tuning.apple_prob_light = parse_prob(v); }},
-      {"tuning.tv_prob", [&](auto v) { cfg.tuning.tv_prob = parse_prob(v); }},
-      {"tuning.tv_prob_light",
-       [&](auto v) { cfg.tuning.tv_prob_light = parse_prob(v); }},
-      {"tuning.iot_min", [&](auto v) { cfg.tuning.iot_min = parse_number<std::size_t>(v); }},
-      {"tuning.iot_max", [&](auto v) { cfg.tuning.iot_max = parse_number<std::size_t>(v); }},
-      {"tuning.alarm_prob", [&](auto v) { cfg.tuning.alarm_prob = parse_prob(v); }},
-      {"tuning.browser_session_scale",
-       [&](auto v) { cfg.tuning.browser_session_scale = parse_positive(v); }},
-      {"tuning.video_session_scale",
-       [&](auto v) { cfg.tuning.video_session_scale = parse_positive(v); }},
-      {"tuning.background_poll_scale",
-       [&](auto v) { cfg.tuning.background_poll_scale = parse_positive(v); }},
-      {"tuning.pages_per_session_scale",
-       [&](auto v) { cfg.tuning.pages_per_session_scale = parse_positive(v); }},
-      {"tuning.conncheck_scale",
-       [&](auto v) { cfg.tuning.conncheck_scale = parse_positive(v); }},
-      {"tuning.prefetch_prob",
-       [&](auto v) { cfg.tuning.prefetch_prob = parse_prob(v); }},
-      {"tuning.household_site_prob",
-       [&](auto v) { cfg.tuning.household_site_prob = parse_prob(v); }},
-      {"tuning.junk_probe_prob",
-       [&](auto v) { cfg.tuning.junk_probe_prob = parse_prob(v); }},
-      {"tuning.junk_queries_per_hour",
-       [&](auto v) { cfg.tuning.junk_queries_per_hour = parse_non_negative(v); }},
-      {"tuning.web_cdn_min",
-       [&](auto v) { cfg.tuning.web.cdn_min = parse_number<std::size_t>(v); }},
-      {"tuning.web_cdn_max",
-       [&](auto v) { cfg.tuning.web.cdn_max = parse_number<std::size_t>(v); }},
-      {"tuning.web_ad_min",
-       [&](auto v) { cfg.tuning.web.ad_min = parse_number<std::size_t>(v); }},
-      {"tuning.web_ad_max",
-       [&](auto v) { cfg.tuning.web.ad_max = parse_number<std::size_t>(v); }},
-      {"tuning.web_tracker_min",
-       [&](auto v) { cfg.tuning.web.tracker_min = parse_number<std::size_t>(v); }},
-      {"tuning.web_tracker_max",
-       [&](auto v) { cfg.tuning.web.tracker_max = parse_number<std::size_t>(v); }},
-      {"tuning.web_api_min",
-       [&](auto v) { cfg.tuning.web.api_min = parse_number<std::size_t>(v); }},
-      {"tuning.web_api_max",
-       [&](auto v) { cfg.tuning.web.api_max = parse_number<std::size_t>(v); }},
-      {"tuning.web_links_min",
-       [&](auto v) { cfg.tuning.web.links_min = parse_number<std::size_t>(v); }},
-      {"tuning.web_links_max",
-       [&](auto v) { cfg.tuning.web.links_max = parse_number<std::size_t>(v); }},
-      {"tuning.diurnal_hours",
-       [&](auto v) { cfg.tuning.diurnal_hours = parse_hours(v); }},
-  };
-
+  EndOfFileChecks checks{source};
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -319,19 +360,17 @@ ScenarioConfig load_config(std::istream& is, const std::string& source) {
           strfmt("%s line %zu: expected key = value", source.c_str(), line_no)};
     }
     const std::string key{trim(stripped.substr(0, eq))};
-    const std::string_view value = trim(stripped.substr(eq + 1));
-    const auto it = setters.find(key);
-    if (it == setters.end()) {
+    const Knob* knob = find_knob(key);
+    if (knob == nullptr) {
       throw std::runtime_error{
           strfmt("%s line %zu: unknown key '%s'", source.c_str(), line_no, key.c_str())};
     }
-    try {
-      it->second(value);
-    } catch (const std::exception& e) {
-      throw std::runtime_error{strfmt("%s line %zu: key '%s': %s", source.c_str(),
-                                      line_no, key.c_str(), e.what())};
-    }
+    const std::string where = strfmt("%s line %zu: key '%s'", source.c_str(), line_no,
+                                     key.c_str());
+    set(*knob, cfg, trim(stripped.substr(eq + 1)), where);
+    checks.note(*knob, where);
   }
+  checks.run(cfg);
   return cfg;
 }
 

@@ -1,7 +1,5 @@
 #include "scenario/pack.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -9,81 +7,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "scenario/config_io.hpp"
 #include "util/strings.hpp"
 
 namespace dnsctx::scenario {
 
 namespace {
-
-[[nodiscard]] std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-template <typename T>
-[[nodiscard]] T parse_number(std::string_view v) {
-  T out{};
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::runtime_error{
-        strfmt("number '%.*s' is out of range", static_cast<int>(v.size()), v.data())};
-  }
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    throw std::runtime_error{
-        strfmt("bad number '%.*s'", static_cast<int>(v.size()), v.data())};
-  }
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(out)) {
-      throw std::runtime_error{strfmt("number '%.*s' must be finite",
-                                      static_cast<int>(v.size()), v.data())};
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] double parse_prob(std::string_view v) {
-  const double p = parse_number<double>(v);
-  if (p < 0.0 || p > 1.0) {
-    throw std::runtime_error{
-        strfmt("probability '%.*s' must be in [0, 1]", static_cast<int>(v.size()),
-               v.data())};
-  }
-  return p;
-}
-
-[[nodiscard]] double parse_positive(std::string_view v) {
-  const double x = parse_number<double>(v);
-  if (!(x > 0.0)) {
-    throw std::runtime_error{
-        strfmt("value '%.*s' must be > 0", static_cast<int>(v.size()), v.data())};
-  }
-  return x;
-}
-
-[[nodiscard]] double parse_non_negative(std::string_view v) {
-  const double x = parse_number<double>(v);
-  if (x < 0.0) {
-    throw std::runtime_error{
-        strfmt("value '%.*s' must be >= 0", static_cast<int>(v.size()), v.data())};
-  }
-  return x;
-}
-
-[[nodiscard]] std::size_t parse_count(std::string_view v) {
-  return parse_number<std::size_t>(v);
-}
-
-[[nodiscard]] std::size_t parse_count_min1(std::string_view v) {
-  const std::size_t n = parse_count(v);
-  if (n == 0) {
-    throw std::runtime_error{
-        strfmt("value '%.*s' must be >= 1", static_cast<int>(v.size()), v.data())};
-  }
-  return n;
-}
 
 /// Optionally double-quoted string (quotes required when the value
 /// could be mistaken for syntax; bare tokens are fine otherwise).
@@ -104,21 +33,6 @@ template <typename T>
   return std::string{v};
 }
 
-[[nodiscard]] std::array<double, 24> parse_hours(std::string_view v) {
-  std::array<double, 24> out{};
-  std::size_t idx = 0;
-  while (true) {
-    const auto comma = v.find(',');
-    const std::string_view tok = trim(v.substr(0, comma));
-    if (idx >= out.size()) throw std::runtime_error{"expected exactly 24 hour values"};
-    out[idx++] = parse_number<double>(tok);
-    if (comma == std::string_view::npos) break;
-    v.remove_prefix(comma + 1);
-  }
-  if (idx != out.size()) throw std::runtime_error{"expected exactly 24 hour values"};
-  return out;
-}
-
 [[nodiscard]] bool valid_pack_name(std::string_view name) {
   if (name.empty() || name.size() > 64) return false;
   for (const char c : name) {
@@ -134,15 +48,13 @@ template <typename T>
 PackInfo apply_pack(std::string_view text, const std::string& source,
                     ScenarioConfig* cfg) {
   PackInfo info;
-  auto& tun = cfg->tuning;
+  EndOfFileChecks checks{source};
 
-  // Dispatch table keyed "section.key". Setters parse + range-check the
-  // value and throw location-free messages; the line loop adds
-  // source + line + key. Cross-key constraints (min <= max, mix sums)
-  // are checked once at end of file.
+  // The pack grammar's own keys, keyed "section.key". Every other key is
+  // a knob-table row (config_io.hpp) whose pack_key names it, so a value
+  // gets the same rule here as in a config file.
   using Setter = std::function<void(std::string_view)>;
-  const std::unordered_map<std::string, Setter> setters = {
-      // [pack]
+  const std::unordered_map<std::string, Setter> own_keys = {
       {"pack.name",
        [&](auto v) {
          const std::string name = parse_string(v);
@@ -153,128 +65,21 @@ PackInfo apply_pack(std::string_view text, const std::string& source,
          info.name = name;
        }},
       {"pack.description", [&](auto v) { info.description = parse_string(v); }},
-      // [mix]
-      {"mix.isp_only", [&](auto v) { cfg->mix.isp_only = parse_prob(v); }},
-      {"mix.cloudflare", [&](auto v) { cfg->mix.cloudflare = parse_prob(v); }},
-      {"mix.no_isp", [&](auto v) { cfg->mix.no_isp = parse_prob(v); }},
-      {"mix.opendns_in_mixed",
-       [&](auto v) { cfg->mix.opendns_in_mixed = parse_prob(v); }},
-      // [scenario] — composition-side ScenarioConfig knobs only; run
-      // shape (seed/houses/duration/shards/threads) stays with the CLI.
-      {"scenario.activity_scale",
-       [&](auto v) { cfg->activity_scale = parse_positive(v); }},
-      {"scenario.ttl_violation_prob",
-       [&](auto v) { cfg->ttl_violation_prob = parse_prob(v); }},
-      {"scenario.dead_ntp_frac", [&](auto v) { cfg->dead_ntp_frac = parse_prob(v); }},
-      {"scenario.p2p_house_frac",
-       [&](auto v) { cfg->p2p_house_frac = parse_prob(v); }},
-      {"scenario.encrypted_dns_device_frac",
-       [&](auto v) { cfg->encrypted_dns_device_frac = parse_prob(v); }},
-      {"scenario.whole_house_cache_frac",
-       [&](auto v) { cfg->whole_house_cache_frac = parse_prob(v); }},
-      {"scenario.start_hour",
-       [&](auto v) {
-         const auto h = parse_number<int>(v);
-         if (h < 0 || h > 23) throw std::runtime_error{"start_hour must be in [0, 23]"};
-         cfg->start_hour = h;
-       }},
-      // [zones]
-      {"zones.web_sites",
-       [&](auto v) { cfg->zones.web_sites = parse_count_min1(v); }},
-      {"zones.cdn_domains",
-       [&](auto v) { cfg->zones.cdn_domains = parse_count_min1(v); }},
-      {"zones.ad_domains", [&](auto v) { cfg->zones.ad_domains = parse_count(v); }},
-      {"zones.tracker_domains",
-       [&](auto v) { cfg->zones.tracker_domains = parse_count(v); }},
-      {"zones.api_domains", [&](auto v) { cfg->zones.api_domains = parse_count(v); }},
-      {"zones.video_sites",
-       [&](auto v) { cfg->zones.video_sites = parse_count_min1(v); }},
-      {"zones.other_names", [&](auto v) { cfg->zones.other_names = parse_count(v); }},
-      {"zones.zipf_exponent",
-       [&](auto v) { cfg->zones.zipf_exponent = parse_positive(v); }},
-      {"zones.edges_per_cdn",
-       [&](auto v) { cfg->zones.edges_per_cdn = parse_count_min1(v); }},
-      {"zones.hosting_pool_ips",
-       [&](auto v) { cfg->zones.hosting_pool_ips = parse_count_min1(v); }},
-      // [devices]
-      {"devices.computers_min",
-       [&](auto v) { tun.computers_min = parse_count_min1(v); }},
-      {"devices.computers_max", [&](auto v) { tun.computers_max = parse_count(v); }},
-      {"devices.computers_light",
-       [&](auto v) { tun.computers_light = parse_count_min1(v); }},
-      {"devices.android_extra_prob",
-       [&](auto v) { tun.android_extra_prob = parse_prob(v); }},
-      {"devices.apple_prob", [&](auto v) { tun.apple_prob = parse_prob(v); }},
-      {"devices.apple_prob_light",
-       [&](auto v) { tun.apple_prob_light = parse_prob(v); }},
-      {"devices.tv_prob", [&](auto v) { tun.tv_prob = parse_prob(v); }},
-      {"devices.tv_prob_light", [&](auto v) { tun.tv_prob_light = parse_prob(v); }},
-      {"devices.iot_min", [&](auto v) { tun.iot_min = parse_count(v); }},
-      {"devices.iot_max", [&](auto v) { tun.iot_max = parse_count(v); }},
-      {"devices.alarm_prob", [&](auto v) { tun.alarm_prob = parse_prob(v); }},
-      // [apps]
-      {"apps.browser_session_scale",
-       [&](auto v) { tun.browser_session_scale = parse_positive(v); }},
-      {"apps.video_session_scale",
-       [&](auto v) { tun.video_session_scale = parse_positive(v); }},
-      {"apps.background_poll_scale",
-       [&](auto v) { tun.background_poll_scale = parse_positive(v); }},
-      {"apps.pages_per_session_scale",
-       [&](auto v) { tun.pages_per_session_scale = parse_positive(v); }},
-      {"apps.conncheck_scale",
-       [&](auto v) { tun.conncheck_scale = parse_positive(v); }},
-      {"apps.prefetch_prob", [&](auto v) { tun.prefetch_prob = parse_prob(v); }},
-      {"apps.household_site_prob",
-       [&](auto v) { tun.household_site_prob = parse_prob(v); }},
-      {"apps.junk_probe_prob", [&](auto v) { tun.junk_probe_prob = parse_prob(v); }},
-      {"apps.junk_queries_per_hour",
-       [&](auto v) { tun.junk_queries_per_hour = parse_non_negative(v); }},
-      // [web]
-      {"web.cdn_min", [&](auto v) { tun.web.cdn_min = parse_count(v); }},
-      {"web.cdn_max", [&](auto v) { tun.web.cdn_max = parse_count(v); }},
-      {"web.ad_min", [&](auto v) { tun.web.ad_min = parse_count(v); }},
-      {"web.ad_max", [&](auto v) { tun.web.ad_max = parse_count(v); }},
-      {"web.tracker_min", [&](auto v) { tun.web.tracker_min = parse_count(v); }},
-      {"web.tracker_max", [&](auto v) { tun.web.tracker_max = parse_count(v); }},
-      {"web.api_min", [&](auto v) { tun.web.api_min = parse_count(v); }},
-      {"web.api_max", [&](auto v) { tun.web.api_max = parse_count(v); }},
-      {"web.links_min", [&](auto v) { tun.web.links_min = parse_count(v); }},
-      {"web.links_max", [&](auto v) { tun.web.links_max = parse_count(v); }},
-      // [diurnal]
       {"diurnal.profile",
        [&](auto v) {
          const std::string p = parse_string(v);
+         auto& hours = cfg->tuning.diurnal_hours;
          if (p == "residential") {
-           tun.diurnal_hours = traffic::kResidentialHours;
+           hours = traffic::kResidentialHours;
          } else if (p == "office") {
-           tun.diurnal_hours = traffic::kOfficeHours;
+           hours = traffic::kOfficeHours;
          } else if (p == "flat") {
-           tun.diurnal_hours.fill(1.0);
+           hours.fill(1.0);
          } else {
            throw std::runtime_error{
                "unknown diurnal profile '" + p +
                "' (expected residential, flat, or office)"};
          }
-       }},
-      {"diurnal.hours",
-       [&](auto v) {
-         tun.diurnal_hours = parse_hours(v);
-         (void)traffic::DiurnalProfile::custom(tun.diurnal_hours);
-       }},
-      // [faults]
-      {"faults.plan",
-       [&](auto v) { cfg->faults = faults::FaultPlan::parse(parse_string(v)); }},
-      // [transport]
-      {"transport.default",
-       [&](auto v) {
-         const std::string name = parse_string(v);
-         const auto t = netsim::parse_transport(name);
-         if (!t) {
-           throw std::runtime_error{
-               "unknown transport '" + name +
-               "' (expected do53, dot, doh, or resolverless)"};
-         }
-         cfg->transport = *t;
        }},
   };
 
@@ -322,15 +127,24 @@ PackInfo apply_pack(std::string_view text, const std::string& source,
     if (section.empty()) {
       fail(line_no, "key '" + key + "' appears before any [section]");
     }
-    const auto it = setters.find(section + "." + key);
-    if (it == setters.end()) {
+    const std::string section_key = section + "." + key;
+    const Knob* knob = find_pack_knob(section_key);
+    const auto own = own_keys.find(section_key);
+    if (knob == nullptr && own == own_keys.end()) {
       fail(line_no, "unknown key '" + key + "' in section [" + section + "]");
     }
+    const std::string where =
+        strfmt("%s line %zu: key '%s'", source.c_str(), line_no, key.c_str());
     try {
-      it->second(value);
+      if (knob == nullptr) {
+        own->second(value);
+      } else {
+        knob->parse(*cfg, knob->quoted ? parse_string(value) : std::string{value});
+      }
     } catch (const std::exception& e) {
-      fail(line_no, "key '" + key + "': " + e.what());
+      throw std::runtime_error{where + ": " + e.what()};
     }
+    if (knob != nullptr) checks.note(*knob, where);
   }
 
   if (info.name.empty()) {
@@ -338,12 +152,7 @@ PackInfo apply_pack(std::string_view text, const std::string& source,
   }
   // Cross-key constraints last, so they see the final state no matter
   // the key order in the file.
-  try {
-    cfg->mix.validate();
-    cfg->tuning.validate();
-  } catch (const std::exception& e) {
-    throw std::runtime_error{source + ": " + e.what()};
-  }
+  checks.run(*cfg);
   cfg->pack = info.name;
   return info;
 }

@@ -5,9 +5,11 @@
 // web fanout, zone popularity, junk/NXDOMAIN rate, diurnal shape, and
 // per-pack fault/transport defaults — without touching run-shape knobs
 // (seed, houses, duration, shards, threads), which stay with the CLI.
-// Parsing has the strict-flag rigor of the CLI: unknown sections/keys,
-// malformed or out-of-range values and structural errors all throw
-// std::runtime_error naming the file and line. See examples/packs/.
+// Every key but [pack] name/description and [diurnal] profile is a row
+// of the knob table (config_io.hpp), so it gets its config key's rule.
+// Unknown sections/keys, malformed or out-of-range values and
+// structural errors all throw std::runtime_error naming the file and
+// line. See examples/packs/.
 //
 //   [pack]
 //   name = iot_heavy            # required, [A-Za-z0-9._-]

@@ -39,6 +39,27 @@ struct CliArgs {
 
   /// Names of options/flags not in `known` (for strict validation).
   [[nodiscard]] std::vector<std::string> unknown_keys(const std::set<std::string>& known) const;
+
+  /// Strict check for a tool that knows its whole command line: every
+  /// --key is in `valued` and has a value, or in `bare` and has none,
+  /// and there are at most `max_positionals` positionals. Returns a
+  /// message naming the first offending flag or argument, or nullopt.
+  [[nodiscard]] std::optional<std::string> misuse(const std::set<std::string>& valued,
+                                                  const std::set<std::string>& bare,
+                                                  std::size_t max_positionals) const {
+    for (const auto& [key, value] : options) {
+      if (bare.contains(key)) return "--" + key + " takes no value";
+      if (!valued.contains(key)) return "unknown option --" + key;
+    }
+    for (const auto& key : flags) {
+      if (valued.contains(key)) return "--" + key + " expects a value";
+      if (!bare.contains(key)) return "unknown option --" + key;
+    }
+    if (positionals.size() > max_positionals) {
+      return "unexpected argument '" + positionals[max_positionals] + "'";
+    }
+    return std::nullopt;
+  }
 };
 
 /// Parse argv[1..]; never throws.

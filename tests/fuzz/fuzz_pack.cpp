@@ -1,44 +1,65 @@
-// libFuzzer target for the scenario-pack parser. The contract: any
-// byte sequence either applies cleanly or is rejected with a
-// std::runtime_error naming the source — never a crash, never a
-// sanitizer fault. Accepted packs must additionally leave the config
-// in a state the scenario layer itself validates (mix + tuning), and
-// the config-file layer must be able to snapshot the result.
+// libFuzzer target for the two text front ends of the scenario knob
+// table: every input goes to the scenario-pack parser and to the
+// config-file parser. One contract for both: an input is either rejected
+// with a std::runtime_error naming the source — never a crash, never a
+// sanitizer fault — or accepted as a config that passes the scenario
+// layer's own checks (mix + tuning) and whose save_config snapshot is a
+// fixed point of save∘load.
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
+#include <string>
 
 #include "scenario/config_io.hpp"
 #include "scenario/pack.hpp"
 
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  const std::string_view text{reinterpret_cast<const char*>(data), size};
-  dnsctx::scenario::ScenarioConfig cfg;
-  dnsctx::scenario::PackInfo info;
+namespace {
+
+namespace scn = dnsctx::scenario;
+
+[[nodiscard]] std::string snapshot(const scn::ScenarioConfig& cfg) {
+  std::ostringstream os;
+  scn::save_config(os, cfg);
+  return os.str();
+}
+
+/// Run one front end; when it accepts, hold the result to the contract.
+template <typename Parse>
+void check_front_end(Parse&& parse) {
+  std::optional<scn::ScenarioConfig> cfg;
   try {
-    info = dnsctx::scenario::apply_pack(text, "fuzz.pack", &cfg);
+    cfg = parse();
   } catch (const std::runtime_error&) {
-    return 0;  // rejection with a diagnostic is the contract
-  } catch (const std::invalid_argument&) {
-    return 0;  // tuning/diurnal validation surfaces this way
+    return;  // rejection with a diagnostic is the contract
   }
-  // Accepted: the pack name was recorded and the combined state passed
-  // the scenario layer's own validators (apply_pack runs them last, so
-  // a second validate() must agree).
-  if (info.name.empty() || cfg.pack != info.name) std::abort();
   try {
-    cfg.mix.validate();
-    cfg.tuning.validate();
+    cfg->mix.validate();
+    cfg->tuning.validate();
   } catch (...) {
-    std::abort();  // accepted pack left an invalid config behind
+    std::abort();  // an accepted input left an invalid config behind
   }
-  // The snapshot writer must be able to round-trip the tuning overrides.
-  std::stringstream snapshot;
-  dnsctx::scenario::save_config(snapshot, cfg);
-  const dnsctx::scenario::ScenarioConfig back =
-      dnsctx::scenario::load_config(snapshot, "snapshot");
-  if (!(back.tuning == cfg.tuning)) std::abort();
+  // The whole snapshot must reload (an exception here escapes and is
+  // reported as a crash) and write back byte for byte.
+  const std::string first = snapshot(*cfg);
+  std::istringstream is{first};
+  if (snapshot(scn::load_config(is, "snapshot")) != first) std::abort();
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
+  const std::string text{reinterpret_cast<const char*>(data), size};
+  check_front_end([&text] {
+    scn::ScenarioConfig cfg;
+    const scn::PackInfo info = scn::apply_pack(text, "fuzz.pack", &cfg);
+    if (info.name.empty() || cfg.pack != info.name) std::abort();
+    return cfg;
+  });
+  check_front_end([&text] {
+    std::istringstream is{text};
+    return scn::load_config(is, "fuzz.conf");
+  });
   return 0;
 }

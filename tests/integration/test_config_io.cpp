@@ -1,10 +1,17 @@
 // Unit tests for scenario config files.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "scenario/config_io.hpp"
 #include "temp_dir.hpp"
+#include "util/strings.hpp"
+
+#ifndef DNSCTX_SCENARIO_DIR
+#error "DNSCTX_SCENARIO_DIR must be defined by the build"
+#endif
 
 namespace dnsctx::scenario {
 namespace {
@@ -118,6 +125,17 @@ TEST(ConfigIo, NumericRejectionTable) {
       {"tuning.junk_queries_per_hour = nan", "tuning.junk_queries_per_hour",
        "finite"},
       {"tuning.diurnal_hours = 1,2,3", "tuning.diurnal_hours", "24"},
+      // Rules packs or Town already enforced: one rule per field now.
+      {"zones.web_sites = 0", "zones.web_sites", ">= 1"},
+      {"zones.edges_per_cdn = 0", "zones.edges_per_cdn", ">= 1"},
+      {"start_hour = 24", "start_hour", "[0, 23]"},
+      {"tuning.computers_min = 0", "tuning.computers_min", ">= 1"},
+      {"houses = 0", "houses", ">= 1"},
+      {"duration_hours = -1", "duration_hours", ">= 1"},
+      // With the default cloudflare and no_isp shares the triple tops 1.
+      {"mix.isp_only = 0.95", "mix.isp_only", "exceeds 1.0"},
+      {"tuning.diurnal_hours = 0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+       "tuning.diurnal_hours", "must be > 0"},
   };
   for (const Row& row : rows) {
     std::stringstream ss{std::string{row.line} + "\n"};
@@ -155,6 +173,73 @@ TEST(ConfigIo, TuningRoundTripPreservesOverrides) {
   save_config(plain, ScenarioConfig{});
   EXPECT_EQ(plain.str().find("tuning."), std::string::npos);
   EXPECT_EQ(plain.str().find("pack"), std::string::npos);
+}
+
+TEST(ConfigIo, SnapshotsAreExact) {
+  // The classic default snapshot keeps its bytes.
+  std::stringstream plain;
+  save_config(plain, ScenarioConfig{});
+  EXPECT_EQ(plain.str(),
+            "# dnsctx scenario configuration\n"
+            "seed = 42\nhouses = 40\nduration_hours = 8\nstart_hour = 15\nshards = 1\n"
+            "threads = 1\nactivity_scale = 1\nttl_violation_prob = 0.2\n"
+            "dead_ntp_frac = 0.35\np2p_house_frac = 0.24\n"
+            "encrypted_dns_device_frac = 0\nwhole_house_cache_frac = 0\n"
+            "mix.isp_only = 0.12\nmix.cloudflare = 0.045\nmix.no_isp = 0.05\n"
+            "mix.opendns_in_mixed = 0.38\nzones.web_sites = 600\nzones.cdn_domains = 50\n"
+            "zones.ad_domains = 90\nzones.tracker_domains = 60\nzones.api_domains = 120\n"
+            "zones.video_sites = 25\nzones.other_names = 150\nzones.zipf_exponent = 0.95\n"
+            "zones.edges_per_cdn = 4\nzones.hosting_pool_ips = 200\n");
+
+  // Every double knob, each at a value that needs all 17 significant
+  // digits: the snapshot must reload it bit for bit. Between 0.125 and
+  // 0.5 the 16-digit grid is coarser than the doubles, so most values
+  // there need 17.
+  const auto doubles = [](ScenarioConfig& c) {
+    auto& t = c.tuning;
+    std::vector<double*> out = {
+        &c.activity_scale,       &c.ttl_violation_prob,   &c.dead_ntp_frac,
+        &c.p2p_house_frac,       &c.encrypted_dns_device_frac, &c.whole_house_cache_frac,
+        &c.mix.isp_only,         &c.mix.cloudflare,       &c.mix.no_isp,
+        &c.mix.opendns_in_mixed, &c.zones.zipf_exponent,  &t.android_extra_prob,
+        &t.apple_prob,           &t.apple_prob_light,     &t.tv_prob,
+        &t.tv_prob_light,        &t.alarm_prob,           &t.browser_session_scale,
+        &t.video_session_scale,  &t.background_poll_scale, &t.pages_per_session_scale,
+        &t.conncheck_scale,      &t.prefetch_prob,        &t.household_site_prob,
+        &t.junk_probe_prob,      &t.junk_queries_per_hour};
+    for (double& h : t.diurnal_hours) out.push_back(&h);
+    return out;
+  };
+  ScenarioConfig cfg;
+  const auto knobs = doubles(cfg);
+  for (std::size_t i = 0; i < knobs.size(); ++i) {
+    double v = 0.13 + 0.007 * static_cast<double>(i);
+    do {
+      v = std::nextafter(v, 1.0);
+    } while (std::stod(strfmt("%.16g", v)) == v);
+    *knobs[i] = v;
+  }
+  std::stringstream ss;
+  save_config(ss, cfg);
+  EXPECT_NE(ss.str().find("activity_scale = 0.13000000000000003\n"), std::string::npos)
+      << ss.str();
+  ScenarioConfig back = load_config(ss);
+  const auto back_knobs = doubles(back);
+  for (std::size_t i = 0; i < knobs.size(); ++i) {
+    EXPECT_EQ(*back_knobs[i], *knobs[i]) << "double knob #" << i;
+  }
+}
+
+TEST(ConfigIo, ShippedScenariosLoad) {
+  const std::string dir = DNSCTX_SCENARIO_DIR;
+  const ScenarioConfig paper = load_config_file(dir + "/paper_scale.conf");
+  EXPECT_EQ(paper.houses, 100u);
+  EXPECT_EQ(paper.duration, SimDuration::hours(168));
+  EXPECT_EQ(paper.start_hour, 0);
+  const ScenarioConfig future = load_config_file(dir + "/encrypted_future.conf");
+  EXPECT_EQ(future.houses, 40u);
+  EXPECT_EQ(future.duration, SimDuration::hours(12));
+  EXPECT_DOUBLE_EQ(future.encrypted_dns_device_frac, 0.7);
 }
 
 TEST(ConfigIo, FileRoundTrip) {

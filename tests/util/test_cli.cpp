@@ -75,6 +75,17 @@ TEST(Cli, UnknownKeyDetection) {
   EXPECT_EQ(unknown[0], "tpyo");
 }
 
+TEST(Cli, MisuseNamesTheOffendingFlag) {
+  const std::set<std::string> valued{"json", "shards"};
+  const std::set<std::string> bare{"metrics"};
+  EXPECT_EQ(parse({"80", "--json", "x", "--metrics"}).misuse(valued, bare, 1), std::nullopt);
+  EXPECT_EQ(parse({"--houses", "3"}).misuse(valued, bare, 4), "unknown option --houses");
+  EXPECT_EQ(parse({"--tpyo"}).misuse(valued, bare, 4), "unknown option --tpyo");
+  EXPECT_EQ(parse({"--shards"}).misuse(valued, bare, 4), "--shards expects a value");
+  EXPECT_EQ(parse({"--metrics", "40"}).misuse(valued, bare, 4), "--metrics takes no value");
+  EXPECT_EQ(parse({"2", "1", "x"}).misuse(valued, bare, 2), "unexpected argument 'x'");
+}
+
 TEST(Cli, OptionOrFallback) {
   const auto args = parse({});
   EXPECT_EQ(args.option_or("x", "fallback"), "fallback");

@@ -66,7 +66,6 @@
 #include "analysis/timeseries.hpp"
 #include "analysis/truth.hpp"
 #include "capture/logio.hpp"
-#include "netsim/transport.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/config_io.hpp"
@@ -163,29 +162,9 @@ class ProgressReporter {
   if (const auto pack = args.option("pack")) {
     scenario::apply_pack_file(*pack, &cfg);
   }
-  cfg.houses = static_cast<std::size_t>(
-      args.int_option_or("houses", static_cast<long long>(cfg.houses)));
-  cfg.duration = SimDuration::hours(
-      args.int_option_or("hours", cfg.duration.count_us() / 3'600'000'000LL));
-  cfg.seed = static_cast<std::uint64_t>(
-      args.int_option_or("seed", static_cast<long long>(cfg.seed)));
-  cfg.start_hour = static_cast<int>(args.int_option_or("start-hour", cfg.start_hour));
-  cfg.shards = static_cast<std::size_t>(
-      args.int_option_or("shards", static_cast<long long>(cfg.shards)));
-  cfg.threads = static_cast<unsigned>(
-      args.int_option_or("threads", static_cast<long long>(cfg.threads)));
-  if (const auto t = args.option("transport")) {
-    const auto parsed = netsim::parse_transport(*t);
-    if (!parsed) {
-      throw std::runtime_error{strfmt(
-          "unknown transport '%s' (expected do53, dot, doh, or resolverless)",
-          t->c_str())};
-    }
-    cfg.transport = *parsed;
-  }
-  // Fault plan: --faults replaces the config file's plan wholesale, the
-  // individual flags then override single fields on top of it.
-  if (const auto spec = args.option("faults")) cfg.faults = faults::FaultPlan::parse(*spec);
+  scenario::set_flag_knobs(cfg, args);
+  // Fault plan: --faults (set above) replaces the config file's plan
+  // wholesale, the individual flags then override single fields on top.
   cfg.faults.loss = args.double_option_or("loss", cfg.faults.loss);
   cfg.faults.dup = args.double_option_or("dup", cfg.faults.dup);
   cfg.faults.reorder = args.double_option_or("reorder", cfg.faults.reorder);
