@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // building blocks: DNS wire codec, cache operations, event dispatch,
-// monitor packet handling, DN-Hunter pairing throughput, and the live
-// stream path (LiveFeed reordering, OnlineStudy ingest).
+// NAT mapping, monitor packet handling, DN-Hunter pairing throughput,
+// and the live stream path (LiveFeed reordering, OnlineStudy ingest).
 #include <benchmark/benchmark.h>
 
 #include "analysis/classify.hpp"
@@ -12,6 +12,7 @@
 #include "dns/codec.hpp"
 #include "netsim/arena.hpp"
 #include "netsim/event_queue.hpp"
+#include "netsim/nat.hpp"
 #include "netsim/sim.hpp"
 #include "scenario/scenario.hpp"
 #include "stream/feed.hpp"
@@ -166,6 +167,87 @@ void BM_MonitorTcpConn(benchmark::State& state) {
   benchmark::DoNotOptimize(monitor.packets_seen());
 }
 BENCHMARK(BM_MonitorTcpConn);
+
+void BM_NatMapOutbound(benchmark::State& state) {
+  // One gateway, five devices, each query on a new UDP source port from
+  // its device's sequential allocator (StubResolver::alloc_port). A
+  // query every 675 simulated ms against the 15 min idle limit keeps
+  // 1 300-2 700 mappings live (2 000 on average). The simulator runs
+  // every 16 queries, so each query also pays its LAN hop and WAN send.
+  struct Sink : netsim::Host {
+    void receive(const netsim::Packet&) override {}
+  } sink;
+  netsim::Simulator sim;
+  netsim::Network net{sim, netsim::LatencyModel{}, 1};
+  net.set_default_host(&sink);
+  netsim::HouseGateway gateway{sim, net, Ipv4Addr{100, 66, 2, 1}, 7};
+  constexpr int kDevices = 5;
+  for (std::uint8_t d = 0; d < kDevices; ++d) {
+    gateway.attach_device(Ipv4Addr{192, 168, 1, static_cast<std::uint8_t>(10 + d)}, &sink);
+  }
+  std::uint16_t next_port[kDevices] = {20'000, 20'000, 20'000, 20'000, 20'000};
+  const SimDuration step = SimDuration::ms(675);
+  std::uint64_t i = 0;
+  auto query = [&] {
+    const auto d = static_cast<std::size_t>(i % kDevices);
+    netsim::Packet p;
+    p.src_ip = Ipv4Addr{192, 168, 1, static_cast<std::uint8_t>(10 + d)};
+    p.src_port = next_port[d];
+    next_port[d] = next_port[d] >= 64'000 ? std::uint16_t{20'000}
+                                          : static_cast<std::uint16_t>(next_port[d] + 1);
+    p.dst_ip = Ipv4Addr{8, 8, 8, 8};
+    p.dst_port = 53;
+    p.proto = Proto::kUdp;
+    gateway.from_device(std::move(p));
+    if (++i % 16 == 0) sim.run_until(sim.now() + step * 16);
+  };
+  for (int warm = 0; warm < 4'000; ++warm) query();  // reach the steady state
+  for (auto _ : state) query();
+  state.counters["live_mappings"] = static_cast<double>(gateway.active_mappings());
+  state.SetItemsProcessed(state.iterations());
+  sim.run_to_completion();  // in-flight hops hold handles into net's arena
+}
+BENCHMARK(BM_NatMapOutbound);
+
+void BM_MonitorConcurrentFlows(benchmark::State& state) {
+  // 64 connections from one house to one server on port 443 are open at
+  // once: every iteration opens the next (SYN) and closes the oldest
+  // (FIN both ways), so each packet probes a 64-flow table.
+  // BM_MonitorTcpConn holds one flow at a time and cannot see the
+  // table's hash.
+  constexpr std::uint64_t kOpen = 64;
+  capture::Monitor monitor;
+  const Ipv4Addr house{100, 66, 1, 1};
+  const Ipv4Addr server{34, 1, 1, 1};
+  auto port_of = [](std::uint64_t seq) {
+    return static_cast<std::uint16_t>(10'000 + seq % 50'000);
+  };
+  auto packet = [&](std::uint64_t seq, netsim::TcpFlags flags, bool from_house) {
+    netsim::Packet p;
+    p.src_ip = from_house ? house : server;
+    p.dst_ip = from_house ? server : house;
+    p.src_port = from_house ? port_of(seq) : std::uint16_t{443};
+    p.dst_port = from_house ? std::uint16_t{443} : port_of(seq);
+    p.proto = Proto::kTcp;
+    p.tcp = flags;
+    return p;
+  };
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  for (; seq < kOpen; ++seq) {
+    monitor.observe(SimTime::from_us(t), packet(seq, {.syn = true}, true));
+  }
+  for (auto _ : state) {
+    t += 1'000;
+    monitor.observe(SimTime::from_us(t), packet(seq, {.syn = true}, true));
+    monitor.observe(SimTime::from_us(t), packet(seq - kOpen, {.ack = true, .fin = true}, false));
+    monitor.observe(SimTime::from_us(t), packet(seq - kOpen, {.ack = true, .fin = true}, true));
+    ++seq;
+    if (seq % 4'096 == 0) benchmark::DoNotOptimize(monitor.take_finalized());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MonitorConcurrentFlows);
 
 void BM_PairingThroughput(benchmark::State& state) {
   // Build a dataset of `n` lookups + conns once; measure full pairing.

@@ -126,7 +126,8 @@ void Monitor::handle_dns(SimTime at_tap, const netsim::Packet& p) {
     pd.rec.client_port = p.src_port;
     pd.rec.resolver_ip = p.dst_ip;
     if (!msg->questions.empty()) {
-      pd.rec.query = msg->questions.front().qname.text();
+      // DomainName ids live in the same table: copy, don't re-intern.
+      pd.rec.query = util::InternedName::from_id(msg->questions.front().qname.id());
       pd.rec.qtype = msg->questions.front().qtype;
     }
     pd.txid = msg->id;
@@ -302,18 +303,32 @@ void sort_by_time(std::vector<Rec>& recs, KeyFn key) {
   recs = std::move(sorted);
 }
 
+/// The table's open entries in creation order. FlatMap iteration order
+/// follows the hash function and the table's growth history, and
+/// equal-time records keep their finalization order downstream
+/// (harvest()'s stable sort, LiveFeed's arrival tie-break).
+template <typename Table>
+[[nodiscard]] std::vector<typename Table::value_type::second_type*> by_generation(Table& table) {
+  std::vector<typename Table::value_type::second_type*> out;
+  out.reserve(table.size());
+  for (auto& kv : table) out.push_back(&kv.second);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->generation < b->generation; });
+  return out;
+}
+
 }  // namespace
 
 void Monitor::flush(SimTime end) {
   expire_state(end);
-  for (auto& [tuple, flow] : flows_) {
+  for (Flow* flow : by_generation(flows_)) {
     ++stats_.conns_flushed_at_harvest;
-    finalize_flow(flow, end);
+    finalize_flow(*flow, end);
   }
   flows_.clear();
-  for (auto& [key, pd] : pending_dns_) {
+  for (PendingDns* pd : by_generation(pending_dns_)) {
     ++stats_.dns_unanswered;
-    DnsRecord rec = std::move(pd.rec);
+    DnsRecord rec = std::move(pd->rec);
     rec.answered = false;
     out_.dns.push_back(std::move(rec));
   }

@@ -36,7 +36,7 @@ void DnsCache::remove_at(std::uint32_t idx) {
   Entry& e = slab_[idx];
   map_.erase(e.key);
   e.answers.clear();
-  e.key = Key{};
+  e.key = CacheKey{};
   free_slots_.push_back(idx);
 }
 
@@ -52,7 +52,7 @@ void DnsCache::insert(const DomainName& qname, RrType qtype,
   if (cfg_.min_ttl_sec) ttl = std::max(ttl, cfg_.min_ttl_sec);
   if (cfg_.max_ttl_sec) ttl = std::min(ttl, cfg_.max_ttl_sec);
 
-  if (const auto it = map_.find(KeyRef{&qname, qtype}); it != map_.end()) {
+  if (const auto it = map_.find(CacheKey{qname, qtype}); it != map_.end()) {
     remove_at(it->second);
   }
   if (map_.size() >= cfg_.capacity && cfg_.capacity > 0) evict_lru();
@@ -66,7 +66,7 @@ void DnsCache::insert(const DomainName& qname, RrType qtype,
     slab_.emplace_back();
   }
   Entry& e = slab_[idx];
-  e.key = Key{qname, qtype};
+  e.key = CacheKey{qname, qtype};
   e.answers = std::move(answers);
   e.rcode = rcode;
   e.inserted_at = now;
@@ -81,7 +81,7 @@ void DnsCache::insert(const DomainName& qname, RrType qtype,
 
 std::optional<CacheHitView> DnsCache::lookup_view(const DomainName& qname, RrType qtype,
                                                   SimTime now) {
-  const auto it = map_.find(KeyRef{&qname, qtype});
+  const auto it = map_.find(CacheKey{qname, qtype});
   if (it == map_.end() || now >= slab_[it->second].servable_until) {
     if (it != map_.end()) remove_at(it->second);
     ++stats_.misses;
@@ -120,7 +120,7 @@ std::optional<CacheHit> DnsCache::lookup(const DomainName& qname, RrType qtype, 
 
 std::optional<CacheHit> DnsCache::peek(const DomainName& qname, RrType qtype,
                                        SimTime now) const {
-  const auto it = map_.find(KeyRef{&qname, qtype});
+  const auto it = map_.find(CacheKey{qname, qtype});
   if (it == map_.end() || now >= slab_[it->second].servable_until) return std::nullopt;
   const Entry& e = slab_[it->second];
   CacheHit hit;
@@ -144,7 +144,7 @@ void DnsCache::purge_expired(SimTime now) {
 }
 
 void DnsCache::erase(const DomainName& qname, RrType qtype) {
-  const auto it = map_.find(KeyRef{&qname, qtype});
+  const auto it = map_.find(CacheKey{qname, qtype});
   if (it == map_.end()) return;
   remove_at(it->second);
 }

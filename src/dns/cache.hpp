@@ -22,6 +22,19 @@
 
 namespace dnsctx::dns {
 
+/// A (name, type) question: the key of the cache and of a stub's
+/// in-flight table.
+using CacheKey = std::pair<DomainName, RrType>;
+
+/// Packs both fields into one word, so each reaches the low bits
+/// util::FlatMap indexes with.
+struct CacheKeyHash {
+  [[nodiscard]] std::size_t operator()(const CacheKey& k) const noexcept {
+    return hash_combine(0, static_cast<std::uint64_t>(k.first.id()) << 16 |
+                               static_cast<std::uint64_t>(k.second));
+  }
+};
+
 /// Cache configuration knobs.
 struct CacheConfig {
   std::size_t capacity = 10'000;       ///< max entries before LRU eviction
@@ -133,34 +146,12 @@ class DnsCache {
   }
 
  private:
-  using Key = std::pair<DomainName, RrType>;
-  /// Borrowed-key view for hash probes without materializing a Key.
-  struct KeyRef {
-    const DomainName* name;
-    RrType type;
-  };
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
-      return DomainNameHash{}(k.first) * 31 ^ static_cast<std::size_t>(k.second);
-    }
-    [[nodiscard]] std::size_t operator()(const KeyRef& k) const noexcept {
-      return DomainNameHash{}(*k.name) * 31 ^ static_cast<std::size_t>(k.type);
-    }
-  };
-  struct KeyEq {
-    [[nodiscard]] bool operator()(const Key& a, const Key& b) const noexcept {
-      return a == b;
-    }
-    [[nodiscard]] bool operator()(const Key& a, const KeyRef& b) const noexcept {
-      return a.second == b.type && a.first == *b.name;
-    }
-  };
   static constexpr std::uint32_t kNil = 0xffffffff;
   /// Entries live in a recycled slab so the LRU chain is intrusive
   /// (index links, no per-touch list-node allocation) and survives map
   /// rehashes, which move only (key, index) pairs.
   struct Entry {
-    Key key;
+    CacheKey key;
     std::vector<ResourceRecord> answers;
     Rcode rcode = Rcode::kNoError;
     SimTime inserted_at;
@@ -180,7 +171,7 @@ class DnsCache {
   void remove_at(std::uint32_t idx);
 
   CacheConfig cfg_;
-  util::FlatMap<Key, std::uint32_t, KeyHash, KeyEq> map_;
+  util::FlatMap<CacheKey, std::uint32_t, CacheKeyHash> map_;
   std::vector<Entry> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t lru_head_ = kNil;  ///< most recently used

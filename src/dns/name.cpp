@@ -22,15 +22,21 @@ namespace {
 
 }  // namespace
 
+constinit const std::string DomainName::kRootText;
+
+DomainName::DomainName(std::string_view normalized) {
+  const auto stored = util::NameTable::global().intern_stored(normalized);
+  id_ = stored.id;
+  text_ = stored.text;
+}
+
 std::optional<DomainName> DomainName::parse(std::string_view presentation) {
   if (!presentation.empty() && presentation.back() == '.') {
     presentation.remove_suffix(1);  // accept FQDN spelling
   }
-  if (presentation.empty()) return DomainName{""};  // the root
+  if (presentation.empty()) return DomainName{};  // the root
   if (presentation.size() > kMaxNameLen) return std::nullopt;
 
-  std::string normalized;
-  normalized.reserve(presentation.size());
   std::size_t label_start = 0;
   for (std::size_t i = 0; i <= presentation.size(); ++i) {
     if (i == presentation.size() || presentation[i] == '.') {
@@ -38,16 +44,18 @@ std::optional<DomainName> DomainName::parse(std::string_view presentation) {
       label_start = i + 1;
     }
   }
-  for (char c : presentation) {
-    normalized.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  char normalized[kMaxNameLen];
+  for (std::size_t i = 0; i < presentation.size(); ++i) {
+    normalized[i] =
+        static_cast<char>(std::tolower(static_cast<unsigned char>(presentation[i])));
   }
-  return DomainName{std::move(normalized)};
+  return DomainName{std::string_view{normalized, presentation.size()}};
 }
 
 DomainName DomainName::must(std::string_view presentation) {
   auto n = parse(presentation);
   if (!n) throw std::invalid_argument{"invalid domain name: " + std::string{presentation}};
-  return *std::move(n);
+  return *n;
 }
 
 std::optional<DomainName> DomainName::from_labels(std::span<const std::string_view> labels) {
@@ -60,9 +68,9 @@ std::optional<DomainName> DomainName::from_labels(std::span<const std::string_vi
 }
 
 std::size_t DomainName::label_count() const {
-  if (text_.empty()) return 0;
+  if (is_root()) return 0;
   std::size_t n = 1;
-  for (char c : text_) {
+  for (char c : text()) {
     if (c == '.') ++n;
   }
   return n;
@@ -70,8 +78,8 @@ std::size_t DomainName::label_count() const {
 
 std::vector<std::string_view> DomainName::labels() const {
   std::vector<std::string_view> out;
-  if (text_.empty()) return out;
-  std::string_view sv{text_};
+  if (is_root()) return out;
+  const std::string_view sv{text()};
   std::size_t start = 0;
   for (std::size_t i = 0; i <= sv.size(); ++i) {
     if (i == sv.size() || sv[i] == '.') {
@@ -83,27 +91,28 @@ std::vector<std::string_view> DomainName::labels() const {
 }
 
 DomainName DomainName::parent() const {
-  const auto dot = text_.find('.');
-  if (dot == std::string::npos) return DomainName{""};
-  return DomainName{text_.substr(dot + 1)};
+  const std::string_view sv{text()};
+  const auto dot = sv.find('.');
+  if (dot == std::string_view::npos) return DomainName{};
+  return DomainName{sv.substr(dot + 1)};  // a suffix of a valid name is valid
 }
 
 bool DomainName::is_within(const DomainName& zone) const {
-  if (zone.is_root()) return true;
-  if (text_.size() < zone.text_.size()) return false;
-  if (text_.size() == zone.text_.size()) return text_ == zone.text_;
-  if (text_.compare(text_.size() - zone.text_.size(), zone.text_.size(), zone.text_) != 0) {
-    return false;
-  }
-  return text_[text_.size() - zone.text_.size() - 1] == '.';
+  if (zone.is_root() || zone == *this) return true;
+  const std::string& t = text();
+  const std::string& z = zone.text();
+  if (t.size() <= z.size()) return false;
+  if (t.compare(t.size() - z.size(), z.size(), z) != 0) return false;
+  return t[t.size() - z.size() - 1] == '.';
 }
 
 DomainName DomainName::registrable() const {
-  const auto n = label_count();
-  if (n <= 2) return *this;
-  DomainName cur = *this;
-  for (std::size_t i = 0; i < n - 2; ++i) cur = cur.parent();
-  return cur;
+  const std::string_view sv{text()};
+  const auto last = sv.rfind('.');
+  if (last == std::string_view::npos) return *this;
+  const auto second = sv.rfind('.', last - 1);
+  if (second == std::string_view::npos) return *this;
+  return DomainName{sv.substr(second + 1)};
 }
 
 }  // namespace dnsctx::dns

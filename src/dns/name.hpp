@@ -3,6 +3,13 @@
 // Names are stored normalised to ASCII lowercase since DNS name matching
 // is case-insensitive; the original spelling is not preserved (Bro logs
 // normalise the same way).
+//
+// A DomainName is a 16-byte handle: its id in util::NameTable::global()
+// and a pointer to the table's stored text, which never moves. Equality
+// and hashing use the id (one integer each); ordering and text() use the
+// text, so sorted outputs never depend on id values (see
+// util/names.hpp). Every constructor validates first and interns after:
+// a rejected name never enters the table.
 #pragma once
 
 #include <compare>
@@ -13,12 +20,16 @@
 #include <string_view>
 #include <vector>
 
+#include "util/ip.hpp"
+#include "util/names.hpp"
+
 namespace dnsctx::dns {
 
 /// A fully-qualified domain name without the trailing root dot
 /// ("www.example.com"). The empty name represents the DNS root.
 class DomainName {
  public:
+  /// The root: id 0, without touching the table.
   DomainName() = default;
 
   /// Parse from presentation format. Enforces RFC limits: labels 1..63
@@ -30,13 +41,18 @@ class DomainName {
   /// Parse or throw std::invalid_argument — for literals known valid.
   [[nodiscard]] static DomainName must(std::string_view presentation);
 
-  /// Build from already-validated labels (used by the wire decoder).
+  /// Build from labels; validated like parse().
   [[nodiscard]] static std::optional<DomainName> from_labels(
       std::span<const std::string_view> labels);
 
-  [[nodiscard]] bool is_root() const { return text_.empty(); }
+  [[nodiscard]] bool is_root() const { return id_ == 0; }
   [[nodiscard]] std::size_t label_count() const;
-  [[nodiscard]] const std::string& text() const { return text_; }
+  /// The interned text; reading it takes no lock.
+  [[nodiscard]] const std::string& text() const { return *text_; }
+  /// The name's id in util::NameTable::global(). Ids are handed out
+  /// first-come, so their values may place entries in hash tables but
+  /// must never decide behaviour or output order.
+  [[nodiscard]] util::NameId id() const { return id_; }
 
   /// Labels left-to-right ("www", "example", "com").
   [[nodiscard]] std::vector<std::string_view> labels() const;
@@ -51,16 +67,27 @@ class DomainName {
   /// universe only uses two-label public suffixes like ".com", ".net").
   [[nodiscard]] DomainName registrable() const;
 
-  auto operator<=>(const DomainName&) const = default;
+  [[nodiscard]] friend bool operator==(const DomainName& a, const DomainName& b) {
+    return a.id_ == b.id_;
+  }
+  [[nodiscard]] friend std::strong_ordering operator<=>(const DomainName& a,
+                                                        const DomainName& b) {
+    return a.text() <=> b.text();
+  }
 
  private:
-  explicit DomainName(std::string normalized) : text_{std::move(normalized)} {}
-  std::string text_;  // normalized lowercase, no trailing dot
+  /// Intern an already validated, lowercased, non-empty name.
+  explicit DomainName(std::string_view normalized);
+
+  static constinit const std::string kRootText;
+
+  util::NameId id_ = 0;
+  const std::string* text_ = &kRootText;
 };
 
 struct DomainNameHash {
   [[nodiscard]] std::size_t operator()(const DomainName& n) const noexcept {
-    return std::hash<std::string>{}(n.text());
+    return hash_combine(0, n.id());
   }
 };
 

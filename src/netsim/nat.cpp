@@ -16,13 +16,13 @@ void HouseGateway::attach_device(Ipv4Addr internal_ip, Host* device) {
   devices_[internal_ip] = device;
 }
 
-void HouseGateway::release_mapping(std::uint32_t idx, const ExternalKey& ext) {
+void HouseGateway::release_mapping(std::uint32_t idx, const NatExternalKey& ext) {
   by_internal_.erase(slab_[idx].internal);
   by_external_.erase(ext);
   free_slots_.push_back(idx);
 }
 
-std::uint16_t HouseGateway::map_outbound(const InternalKey& key) {
+std::uint16_t HouseGateway::map_outbound(const NatInternalKey& key) {
   if (const auto it = by_internal_.find(key); it != by_internal_.end()) {
     Mapping& m = slab_[it->second];
     m.last_used = sim_.now();
@@ -33,7 +33,7 @@ std::uint16_t HouseGateway::map_outbound(const InternalKey& key) {
   for (std::uint32_t attempts = 0; attempts < 64'512; ++attempts) {
     const std::uint16_t candidate = next_port_;
     next_port_ = next_port_ == 65'535 ? std::uint16_t{1024} : static_cast<std::uint16_t>(next_port_ + 1);
-    const ExternalKey ext{candidate, key.proto};
+    const NatExternalKey ext{candidate, key.proto};
     const auto it = by_external_.find(ext);
     if (it != by_external_.end()) {
       if (sim_.now() - slab_[it->second].last_used < kMappingIdleLimit) continue;
@@ -65,7 +65,7 @@ void HouseGateway::sweep_stale() {
   // threshold as the allocator's lazy reclaim, so port allocation is
   // unaffected: a mapping idle past the limit behaves exactly like an
   // absent one there.
-  std::vector<std::pair<ExternalKey, std::uint32_t>> dead;
+  std::vector<std::pair<NatExternalKey, std::uint32_t>> dead;
   for (const auto& [ext, idx] : by_external_) {
     if (sim_.now() - slab_[idx].last_used >= kMappingIdleLimit) dead.emplace_back(ext, idx);
   }
@@ -83,7 +83,7 @@ void HouseGateway::from_device(Packet p) {
   if (dns_intercept_ && p.proto == Proto::kUdp && p.dst_port == 53) {
     if (dns_intercept_(p)) return;
   }
-  const InternalKey key{p.src_ip, p.src_port, p.proto};
+  const NatInternalKey key{p.src_ip, p.src_port, p.proto};
   const std::uint16_t ext_port = map_outbound(key);
   // Translate now (the values are already fixed), adopt into the WAN's
   // packet arena, and let the LAN-hop closure carry only the handle.
@@ -105,11 +105,11 @@ void HouseGateway::deliver_to_device(Packet p) {
 }
 
 void HouseGateway::receive(const Packet& p) {
-  const auto it = by_external_.find(ExternalKey{p.dst_port, p.proto});
+  const auto it = by_external_.find(NatExternalKey{p.dst_port, p.proto});
   if (it == by_external_.end()) return;  // unsolicited inbound: dropped, like real NAT
   Mapping& m = slab_[it->second];
   m.last_used = sim_.now();
-  const InternalKey target = m.internal;
+  const NatInternalKey target = m.internal;
   const auto dev = devices_.find(target.ip);
   if (dev == devices_.end()) return;
   Packet translated = p;

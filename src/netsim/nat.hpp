@@ -20,6 +20,38 @@
 
 namespace dnsctx::netsim {
 
+/// A NAT mapping's inside end: device address, source port, protocol.
+struct NatInternalKey {
+  Ipv4Addr ip;
+  std::uint16_t port = 0;
+  Proto proto = Proto::kTcp;
+  bool operator==(const NatInternalKey&) const = default;
+};
+
+/// A NAT mapping's outside end (the house's one external address is
+/// implied): external port, protocol.
+struct NatExternalKey {
+  std::uint16_t port = 0;
+  Proto proto = Proto::kTcp;
+  bool operator==(const NatExternalKey&) const = default;
+};
+
+/// Both hashes pack every field into one word before mixing, so the
+/// port and the protocol reach the low bits util::FlatMap indexes with.
+struct NatInternalKeyHash {
+  [[nodiscard]] std::size_t operator()(const NatInternalKey& k) const noexcept {
+    return hash_combine(0, static_cast<std::uint64_t>(k.ip.to_u32()) << 32 |
+                               static_cast<std::uint64_t>(k.port) << 8 |
+                               static_cast<std::uint64_t>(k.proto));
+  }
+};
+struct NatExternalKeyHash {
+  [[nodiscard]] std::size_t operator()(const NatExternalKey& k) const noexcept {
+    return hash_combine(0, static_cast<std::uint64_t>(k.port) << 8 |
+                               static_cast<std::uint64_t>(k.proto));
+  }
+};
+
 /// NAT + in-home LAN for one house.
 class HouseGateway : public Host {
  public:
@@ -51,37 +83,15 @@ class HouseGateway : public Host {
   [[nodiscard]] std::size_t active_mappings() const { return by_external_.size(); }
 
  private:
-  struct InternalKey {
-    Ipv4Addr ip;
-    std::uint16_t port;
-    Proto proto;
-    bool operator==(const InternalKey&) const = default;
-  };
-  struct InternalKeyHash {
-    [[nodiscard]] std::size_t operator()(const InternalKey& k) const noexcept {
-      return Ipv4Hash{}(k.ip) ^ (static_cast<std::size_t>(k.port) << 8) ^
-             static_cast<std::size_t>(k.proto);
-    }
-  };
-  struct ExternalKey {
-    std::uint16_t port;
-    Proto proto;
-    bool operator==(const ExternalKey&) const = default;
-  };
-  struct ExternalKeyHash {
-    [[nodiscard]] std::size_t operator()(const ExternalKey& k) const noexcept {
-      return (static_cast<std::size_t>(k.port) << 1) ^ static_cast<std::size_t>(k.proto);
-    }
-  };
   struct Mapping {
-    InternalKey internal;
+    NatInternalKey internal;
     std::uint16_t external_port;
     SimTime last_used;
   };
 
-  [[nodiscard]] std::uint16_t map_outbound(const InternalKey& key);
+  [[nodiscard]] std::uint16_t map_outbound(const NatInternalKey& key);
   void sweep_stale();
-  void release_mapping(std::uint32_t idx, const ExternalKey& ext);
+  void release_mapping(std::uint32_t idx, const NatExternalKey& ext);
 
   Simulator& sim_;
   Network& wan_;
@@ -96,8 +106,8 @@ class HouseGateway : public Host {
   // slot) and refreshes last_used in place.
   std::vector<Mapping> slab_;
   std::vector<std::uint32_t> free_slots_;
-  util::FlatMap<InternalKey, std::uint32_t, InternalKeyHash> by_internal_;
-  util::FlatMap<ExternalKey, std::uint32_t, ExternalKeyHash> by_external_;
+  util::FlatMap<NatInternalKey, std::uint32_t, NatInternalKeyHash> by_internal_;
+  util::FlatMap<NatExternalKey, std::uint32_t, NatExternalKeyHash> by_external_;
   std::uint16_t next_port_ = 1024;
   bool sweep_armed_ = false;
 

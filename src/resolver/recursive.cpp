@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "netsim/transport.hpp"
 
@@ -101,7 +103,9 @@ std::size_t RecursiveResolverPlatform::shard_for(const dns::DomainName& qname,
     return 0;
   }
   if (cfg_.shard_by_name) {
-    return dns::DomainNameHash{}(qname) % shards_.size();
+    // The text, never the id: NameIds depend on thread interleaving,
+    // and the shard decides which cache answers.
+    return std::hash<std::string>{}(qname.text()) % shards_.size();
   }
   // Random load balancing: repeated queries land on arbitrary shards,
   // fragmenting the cache exactly as large multi-frontend PoPs do.
@@ -220,16 +224,15 @@ void RecursiveResolverPlatform::respond(const netsim::Packet& query,
   if (resp.answers.empty() && rcode != dns::Rcode::kServFail) {
     // RFC 2308: negative responses carry the zone SOA in the authority
     // section; its MINIMUM bounds the negative-caching time.
-    dns::SoaData soa;
-    soa.mname = dns::DomainName::must("a.auth-servers.net");
-    soa.rname = dns::DomainName::must("hostmaster.auth-servers.net");
-    soa.serial = 2019'02'06;
-    soa.refresh = 7'200;
-    soa.retry = 900;
-    soa.expire = 1'209'600;
-    soa.minimum = 300;
+    static const dns::SoaData kSoa{.mname = dns::DomainName::must("a.auth-servers.net"),
+                                   .rname = dns::DomainName::must("hostmaster.auth-servers.net"),
+                                   .serial = 2019'02'06,
+                                   .refresh = 7'200,
+                                   .retry = 900,
+                                   .expire = 1'209'600,
+                                   .minimum = 300};
     resp.authorities.push_back(dns::ResourceRecord{q.qname.registrable(), dns::RrType::kSoa,
-                                                   dns::RrClass::kIn, 300, std::move(soa)});
+                                                   dns::RrClass::kIn, 300, kSoa});
   }
   // Classic UDP/53 responses must fit 512 bytes (no EDNS in this study):
   // oversized answers go out truncated and the client re-asks over TCP.

@@ -33,7 +33,7 @@ void StubResolver::resolve(const dns::DomainName& name, Callback cb, bool specul
   }
 
   // 2. Join an in-flight query for the same name.
-  if (const auto it = inflight_.find(InflightKeyRef{&name, dns::RrType::kA});
+  if (const auto it = inflight_.find(dns::CacheKey{name, dns::RrType::kA});
       it != inflight_.end()) {
     it->second->callbacks.push_back(std::move(cb));
     return;
@@ -52,7 +52,7 @@ void StubResolver::resolve(const dns::DomainName& name, Callback cb, bool specul
 
   // Happy eyeballs: dual-stack hosts race an AAAA query too.
   if (cfg_.aaaa_prob > 0.0 && rng_.bernoulli(cfg_.aaaa_prob) &&
-      !inflight_.contains(InflightKeyRef{&name, dns::RrType::kAaaa}) &&
+      !inflight_.contains(dns::CacheKey{name, dns::RrType::kAaaa}) &&
       !cache_.peek(name, dns::RrType::kAaaa, sim_.now())) {
     (void)start_query(name, dns::RrType::kAaaa, speculative);
   }
@@ -69,7 +69,7 @@ std::shared_ptr<StubResolver::Pending> StubResolver::start_query(const dns::Doma
   ++next_txid_;
   pending->src_port = alloc_port();
   pending->first_sent = sim_.now();
-  inflight_.try_emplace(InflightKey{name, qtype}, pending);
+  inflight_.try_emplace(dns::CacheKey{name, qtype}, pending);
   by_txid_.try_emplace(pending->txid, pending);
   send_query(pending);
   return pending;
@@ -464,7 +464,7 @@ void StubResolver::on_tcp(const netsim::Packet& p) {
 void StubResolver::finish(const std::shared_ptr<Pending>& pending, ResolveResult result) {
   pending->done = true;
   by_txid_.erase(pending->txid);
-  inflight_.erase(InflightKeyRef{&pending->name, pending->qtype});
+  inflight_.erase(dns::CacheKey{pending->name, pending->qtype});
   for (auto& cb : pending->callbacks) cb(result);
   pending->callbacks.clear();
 }

@@ -203,34 +203,7 @@ class StubResolver {
   SendFn send_;
   dns::DnsCache cache_;
   util::FlatMap<std::uint16_t, std::shared_ptr<Pending>> by_txid_;
-  struct InflightKey {
-    dns::DomainName name;
-    dns::RrType qtype;
-    bool operator==(const InflightKey&) const = default;
-  };
-  /// Borrowed-key view: probe the in-flight table without copying the
-  /// DomainName into a temporary key on every resolve().
-  struct InflightKeyRef {
-    const dns::DomainName* name;
-    dns::RrType qtype;
-  };
-  struct InflightKeyHash {
-    [[nodiscard]] std::size_t operator()(const InflightKey& k) const noexcept {
-      return dns::DomainNameHash{}(k.name) * 31 ^ static_cast<std::size_t>(k.qtype);
-    }
-    [[nodiscard]] std::size_t operator()(const InflightKeyRef& k) const noexcept {
-      return dns::DomainNameHash{}(*k.name) * 31 ^ static_cast<std::size_t>(k.qtype);
-    }
-  };
-  struct InflightKeyEq {
-    [[nodiscard]] bool operator()(const InflightKey& a, const InflightKey& b) const noexcept {
-      return a == b;
-    }
-    [[nodiscard]] bool operator()(const InflightKey& a, const InflightKeyRef& b) const noexcept {
-      return a.qtype == b.qtype && a.name == *b.name;
-    }
-  };
-  util::FlatMap<InflightKey, std::shared_ptr<Pending>, InflightKeyHash, InflightKeyEq> inflight_;
+  util::FlatMap<dns::CacheKey, std::shared_ptr<Pending>, dns::CacheKeyHash> inflight_;
   util::FlatMap<std::uint16_t, std::shared_ptr<Pending>> tcp_by_port_;
   util::FlatMap<Ipv4Addr, std::unique_ptr<Channel>> channels_;
   util::FlatMap<std::uint16_t, Channel*> secure_by_port_;

@@ -195,10 +195,9 @@ ZoneDb::ZoneDb(const ZoneDbConfig& cfg) {
 
 void ZoneDb::add_record(HostRecord rec) {
   const auto id = static_cast<NameId>(records_.size());
-  if (by_name_.contains(rec.name)) {
+  if (!by_name_.try_emplace(rec.name, id).second) {
     throw std::logic_error{"ZoneDb: duplicate name " + rec.name.text()};
   }
-  by_name_.emplace(rec.name, id);
   by_service_[static_cast<std::uint8_t>(rec.service)].push_back(id);
   records_.push_back(std::move(rec));
 }

@@ -20,6 +20,7 @@
 
 #include "dns/message.hpp"
 #include "dns/name.hpp"
+#include "util/flat_map.hpp"
 #include "util/ip.hpp"
 #include "util/rng.hpp"
 
@@ -125,7 +126,7 @@ class ZoneDb {
   [[nodiscard]] Ipv4Addr alloc_ip(std::uint8_t first_octet, Rng& rng);
 
   std::vector<HostRecord> records_;
-  std::unordered_map<dns::DomainName, NameId, dns::DomainNameHash> by_name_;
+  util::FlatMap<dns::DomainName, NameId, dns::DomainNameHash> by_name_;
   std::unordered_map<Ipv4Addr, double, Ipv4Hash> throughput_;
   std::unordered_map<std::uint8_t, std::vector<NameId>> by_service_;
   std::vector<NameId> web_site_ids_;

@@ -6,10 +6,18 @@
 // backward-shift deletion so the table never accumulates tombstones
 // (probe lengths depend only on the current load, not on history).
 // Growth doubles at 80% load. Keys are expected to be small trivially
-// copyable values (integers, Ipv4Addr, NameId); values must be
-// default-constructible and movable. Iteration order is an
-// implementation detail — anything user-visible must sort first, same
-// as with std::unordered_map.
+// copyable values (integers, Ipv4Addr, NameId, dns::DomainName handles,
+// small structs of these); values must be default-constructible and
+// movable. Iteration order is an implementation detail — anything
+// user-visible must sort first, same as with std::unordered_map.
+//
+// A key's home slot is `hash & (capacity - 1)`, so a key hash's LOW bits
+// must depend on every field of the key. A hash that shifts a field
+// upward (`port << 17`) or multiplies it in last (FNV) leaves keys that
+// differ only in that field on one home slot, and probes then grow with
+// the key count. Composite keys pack their fields into 64-bit words and
+// pass each word through hash_combine (util/ip.hpp), as FiveTupleHash,
+// the NAT keys and dns::CacheKeyHash do.
 //
 // Invariants (see docs/PERF.md):
 //   - capacity is 0 or a power of two; load factor ≤ 0.8,
@@ -127,27 +135,16 @@ class FlatMap {
     if (cap > slots_.size()) rehash(cap);
   }
 
-  /// Lookups are heterogeneous: any K2 that Hash and Eq accept works,
-  /// so callers with composite keys can probe with a reference view
-  /// instead of materializing a K.
-  template <class K2 = K>
-  [[nodiscard]] iterator find(const K2& key) {
+  [[nodiscard]] iterator find(const K& key) {
     const std::size_t idx = locate(key);
     return idx == npos ? end() : iterator{this, idx};
   }
-  template <class K2 = K>
-  [[nodiscard]] const_iterator find(const K2& key) const {
+  [[nodiscard]] const_iterator find(const K& key) const {
     const std::size_t idx = locate(key);
     return idx == npos ? end() : const_iterator{this, idx};
   }
-  template <class K2 = K>
-  [[nodiscard]] bool contains(const K2& key) const {
-    return locate(key) != npos;
-  }
-  template <class K2 = K>
-  [[nodiscard]] std::size_t count(const K2& key) const {
-    return locate(key) == npos ? 0 : 1;
-  }
+  [[nodiscard]] bool contains(const K& key) const { return locate(key) != npos; }
+  [[nodiscard]] std::size_t count(const K& key) const { return locate(key) == npos ? 0 : 1; }
 
   [[nodiscard]] V& operator[](const K& key) { return slots_[slot_for(key).first].second; }
 
@@ -172,11 +169,9 @@ class FlatMap {
     return try_emplace(kv.first, kv.second);
   }
 
-  /// Erase by key (heterogeneous, like find). Backward-shift: re-seat the
-  /// following probe run so no tombstone is left behind. Returns the
-  /// number of erased elements.
-  template <class K2 = K>
-  std::size_t erase(const K2& key) {
+  /// Erase by key. Backward-shift: re-seat the following probe run so no
+  /// tombstone is left behind. Returns the number of erased elements.
+  std::size_t erase(const K& key) {
     std::size_t idx = locate(key);
     if (idx == npos) return 0;
     const std::size_t mask = slots_.size() - 1;
@@ -222,8 +217,7 @@ class FlatMap {
  private:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  template <class K2>
-  [[nodiscard]] std::size_t locate(const K2& key) const {
+  [[nodiscard]] std::size_t locate(const K& key) const {
     if (slots_.empty()) return npos;
     const std::size_t mask = slots_.size() - 1;
     std::size_t idx = hash_(key) & mask;

@@ -82,19 +82,17 @@ inline constexpr std::uint16_t kReservedPortLimit = 1024;
   return static_cast<std::size_t>(x ^ (x >> 31));
 }
 
+/// Packs the tuple into two words and mixes both, so every field —
+/// ports included — reaches the low bits a power-of-two table indexes
+/// with.
 struct FiveTupleHash {
   [[nodiscard]] std::size_t operator()(const FiveTuple& t) const noexcept {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    };
-    mix(t.orig_ip.to_u32());
-    mix(t.resp_ip.to_u32());
-    mix(static_cast<std::uint64_t>(t.orig_port) << 17);
-    mix(static_cast<std::uint64_t>(t.resp_port) << 1);
-    mix(static_cast<std::uint64_t>(t.proto));
-    return static_cast<std::size_t>(h);
+    const std::uint64_t ips =
+        static_cast<std::uint64_t>(t.orig_ip.to_u32()) << 32 | t.resp_ip.to_u32();
+    const std::uint64_t rest = static_cast<std::uint64_t>(t.orig_port) << 24 |
+                               static_cast<std::uint64_t>(t.resp_port) << 8 |
+                               static_cast<std::uint64_t>(t.proto);
+    return hash_combine(hash_combine(0, ips), rest);
   }
 };
 

@@ -15,19 +15,18 @@ NameTable& NameTable::global() {
   return table;
 }
 
-NameId NameTable::intern(std::string_view s) {
-  if (s.empty()) return 0;
+NameTable::Stored NameTable::intern_stored(std::string_view s) {
   {
     std::shared_lock lock{mu_};
-    if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
+    if (const auto it = ids_.find(s); it != ids_.end()) return {it->second, &arena_[it->second]};
   }
   std::unique_lock lock{mu_};
   // Re-check: another thread may have interned `s` between the locks.
-  if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
+  if (const auto it = ids_.find(s); it != ids_.end()) return {it->second, &arena_[it->second]};
   const auto id = static_cast<NameId>(arena_.size());
   const std::string& stored = arena_.emplace_back(s);
   ids_.emplace(std::string_view{stored}, id);
-  return id;
+  return {id, &stored};
 }
 
 std::string_view NameTable::view(NameId id) const {

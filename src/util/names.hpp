@@ -1,20 +1,25 @@
 // dnsctx — global string interning for DNS names and platform labels.
 //
-// Every one of the millions of simulated DNS transactions used to carry
-// its qname as an owned std::string: one heap allocation per record at
-// capture time, re-hashed at every analysis stage that keys a map by
-// name. The corpus only contains a few thousand DISTINCT names, so the
-// pipeline interns each distinct string once into a process-wide
-// NameTable and passes a dense 32-bit NameId everywhere else. Equality
-// becomes an integer compare, map keys become POD (see
-// util/flat_map.hpp), and the string itself is materialized exactly
-// once per distinct name.
+// The corpus holds a few thousand DISTINCT hostnames but the simulation
+// and the analysis touch them millions of times. Each distinct string is
+// interned once into the process-wide NameTable and carried everywhere
+// else as a dense 32-bit NameId:
+//   * dns::DomainName (dns/name.hpp) is a 16-byte handle — the id plus a
+//     pointer to the table's stored string — so the simulation core
+//     compares, hashes and copies names as integers, and
+//   * InternedName is the bare 4-byte id the capture records and the
+//     analysis carry (DnsRecord::query).
+// Both use the same table, so a monitor turns a DomainName into an
+// InternedName by copying the id. Equality is an integer compare, map
+// keys become POD (see util/flat_map.hpp), and the string itself is
+// materialized exactly once per distinct name. The table never frees.
 //
 // NameIds are assigned first-come: with concurrent interners (sharded
-// simulation) the id VALUES may differ between runs. Nothing
-// user-visible may therefore depend on id order — ids are opaque
-// handles; reports and exports go through view() and sort by string or
-// by observable counters.
+// simulation) the id VALUES may differ between runs. Nothing may
+// therefore depend on id values — ids are opaque handles that may only
+// place entries in hash tables nothing iterates for output; behaviour
+// and reports go through the text and sort by string or by observable
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +48,17 @@ class NameTable {
   [[nodiscard]] static NameTable& global();
 
   /// Intern `s`, returning its dense id (existing id if already known).
-  [[nodiscard]] NameId intern(std::string_view s);
+  [[nodiscard]] NameId intern(std::string_view s) { return s.empty() ? 0 : intern_stored(s).id; }
+
+  /// An interned string's id and the table's own copy of its text. The
+  /// copy never moves or dies, so holders read it without a lock.
+  struct Stored {
+    NameId id = 0;
+    const std::string* text = nullptr;
+  };
+  /// intern(), also returning the stored string (what dns::DomainName
+  /// holds).
+  [[nodiscard]] Stored intern_stored(std::string_view s);
 
   /// Reverse lookup. The view stays valid for the table's lifetime.
   /// Throws std::out_of_range for an id never handed out.

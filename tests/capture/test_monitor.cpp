@@ -2,6 +2,8 @@
 // observations.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "capture/monitor.hpp"
 #include "dns/codec.hpp"
 
@@ -311,6 +313,60 @@ TEST_F(MonitorTest, TakeFinalizedKeepsFinalizationOrderPerKind) {
   const Dataset again = monitor.take_finalized();
   EXPECT_TRUE(again.conns.empty());
   EXPECT_TRUE(again.dns.empty());
+}
+
+TEST_F(MonitorTest, FlushFinalizesOpenStateInCreationOrder) {
+  // 64 flows and 64 queries opened at the same instant, in an order that
+  // is neither port order nor address order, all still open at harvest.
+  // Equal key times keep finalization order, which must be creation
+  // order rather than the flow table's hash order.
+  constexpr int kOpen = 64;
+  const SimTime t = at_ms(1'000);
+  std::vector<std::uint16_t> conn_ports;
+  std::vector<std::uint16_t> dns_ports;
+  for (int i = 0; i < kOpen; ++i) {
+    const auto k = static_cast<std::uint8_t>(i * 37 % kOpen);
+    const auto port = static_cast<std::uint16_t>(10'000 + k);
+    monitor.observe(t, tcp(kHouse, port, Ipv4Addr{34, 1, 1, static_cast<std::uint8_t>(k + 1)},
+                           443, {.syn = true}));
+    conn_ports.push_back(port);
+
+    const auto qport = static_cast<std::uint16_t>(40'000 + k);
+    auto qp = udp(kHouse, qport, kResolver, 53);
+    qp.dns = dns::DnsPayload::from_message(
+        dns::DnsMessage::query(static_cast<std::uint16_t>(k + 1),
+                               dns::DomainName::must("open.example.com")));
+    monitor.observe(t, qp);
+    dns_ports.push_back(qport);
+  }
+  const Dataset ds = monitor.harvest(at_ms(2'000));
+  ASSERT_EQ(ds.conns.size(), conn_ports.size());
+  ASSERT_EQ(ds.dns.size(), dns_ports.size());
+  for (std::size_t i = 0; i < conn_ports.size(); ++i) {
+    EXPECT_EQ(ds.conns[i].orig_port, conn_ports[i]) << "conn " << i;
+    EXPECT_EQ(ds.dns[i].client_port, dns_ports[i]) << "dns " << i;
+  }
+}
+
+TEST_F(MonitorTest, DnsQueryCopiesTheNameId) {
+  // Message-origin and wire-origin queries both record the interned
+  // qname without re-interning it.
+  const auto name = dns::DomainName::must("Copy.Example.COM");
+  const auto query = dns::DnsMessage::query(9, name);
+  auto from_msg = udp(kHouse, 40'001, kResolver, 53);
+  from_msg.dns = dns::DnsPayload::from_message(query);
+  monitor.observe(at_ms(0), from_msg);
+  auto from_wire = udp(kHouse, 40'002, kResolver, 53);
+  from_wire.dns = dns::DnsPayload::from_wire(dns::encode(query));
+  monitor.observe(at_ms(1), from_wire);
+
+  const Dataset ds = monitor.harvest(at_ms(60'000));
+  ASSERT_EQ(ds.dns.size(), 2u);
+  for (const DnsRecord& d : ds.dns) {
+    EXPECT_EQ(d.query, util::InternedName{name.text()});
+    EXPECT_EQ(d.query.id(), name.id());
+    EXPECT_EQ(d.query.view(), "copy.example.com");
+  }
 }
 
 TEST_F(MonitorTest, TakeFinalizedFiltersAndLeavesOpenStateAlone) {

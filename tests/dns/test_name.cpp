@@ -3,6 +3,11 @@
 
 #include "dns/name.hpp"
 
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace dnsctx::dns {
 namespace {
 
@@ -116,6 +121,107 @@ TEST(DomainName, Registrable) {
 TEST(DomainName, EqualityIsCaseInsensitiveViaNormalisation) {
   EXPECT_EQ(DomainName::must("A.B"), DomainName::must("a.b"));
   EXPECT_EQ(DomainNameHash{}(DomainName::must("A.B")), DomainNameHash{}(DomainName::must("a.b")));
+}
+
+TEST(DomainName, SameTextGivesEqualHandlesAndIds) {
+  const auto a = DomainName::must("Handle.Example.com");
+  const auto b = DomainName::must("handle.example.com.");
+  const auto c = DomainName::parse("handle.example.com");
+  ASSERT_TRUE(c);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, *c);
+  EXPECT_EQ(a.id(), b.id());
+  EXPECT_EQ(a.id(), c->id());
+  EXPECT_NE(a.id(), 0u);
+  EXPECT_EQ(&a.text(), &b.text());  // one stored copy per distinct name
+  EXPECT_EQ(a.text(), util::NameTable::global().view(a.id()));
+  EXPECT_NE(a, DomainName::must("other.example.com"));
+  EXPECT_EQ(sizeof(DomainName), 16u);
+}
+
+TEST(DomainName, SortsByTextNotById) {
+  // Intern in reverse text order so id order and text order disagree.
+  const std::vector<std::string> texts = {"zz.sort-order.test", "mm.sort-order.test",
+                                          "b.sort-order.test", "aa.sort-order.test",
+                                          "a.sort-order.test", "sort-order.test"};
+  std::vector<DomainName> names;
+  for (const auto& t : texts) names.push_back(DomainName::must(t));
+  std::sort(names.begin(), names.end());
+  std::vector<std::string> sorted_texts = texts;
+  std::sort(sorted_texts.begin(), sorted_texts.end());
+  ASSERT_EQ(names.size(), sorted_texts.size());
+  for (std::size_t i = 0; i < names.size(); ++i) EXPECT_EQ(names[i].text(), sorted_texts[i]);
+  EXPECT_LT(DomainName::must("a.sort-order.test"), DomainName::must("zz.sort-order.test"));
+  EXPECT_LT(DomainName{}, DomainName::must("a.sort-order.test"));
+}
+
+TEST(DomainName, RootIsIdZero) {
+  const auto empty = DomainName::parse("");
+  const auto dot = DomainName::parse(".");
+  ASSERT_TRUE(empty);
+  ASSERT_TRUE(dot);
+  for (const DomainName& root : {DomainName{}, *empty, *dot}) {
+    EXPECT_TRUE(root.is_root());
+    EXPECT_EQ(root.id(), 0u);
+    EXPECT_EQ(root.text(), "");
+    EXPECT_EQ(root, DomainName{});
+  }
+  EXPECT_EQ(DomainNameHash{}(*empty), DomainNameHash{}(DomainName{}));
+}
+
+TEST(DomainName, ParentAndRegistrableEqualFreshlyParsedNames) {
+  const auto n = DomainName::must("a.b.derived.example");
+  EXPECT_EQ(n.parent(), DomainName::must("b.derived.example"));
+  EXPECT_EQ(n.parent().parent(), DomainName::must("derived.example"));
+  EXPECT_EQ(n.registrable(), DomainName::must("derived.example"));
+  EXPECT_EQ(n.registrable().id(), DomainName::must("derived.example").id());
+  EXPECT_EQ(DomainName::must("example").registrable(), DomainName::must("example"));
+  EXPECT_EQ(DomainName::must("example").parent(), DomainName{});
+}
+
+TEST(DomainName, RejectedNamesNeverEnterTheTable) {
+  const std::size_t before = util::NameTable::global().size();
+  EXPECT_FALSE(DomainName::parse("rejected..never-interned.example"));
+  EXPECT_FALSE(DomainName::parse("bad label.never-interned.example"));
+  EXPECT_FALSE(DomainName::parse("never-interned$.example"));
+  EXPECT_FALSE(DomainName::parse(std::string(64, 'x') + ".never-interned.example"));
+  std::string overlong;
+  for (int i = 0; i < 60; ++i) overlong += "nvri.";
+  EXPECT_FALSE(DomainName::parse(overlong + "example"));
+  const std::string_view bad_labels[] = {"never-interned", "", "example"};
+  EXPECT_FALSE(DomainName::from_labels(bad_labels));
+  EXPECT_THROW((void)DomainName::must("never..interned"), std::invalid_argument);
+  EXPECT_EQ(util::NameTable::global().size(), before);
+}
+
+TEST(DomainName, ConcurrentParsesAgreeOnIdsAndTexts) {
+  constexpr int kThreads = 4;
+  constexpr int kNames = 1'000;
+  std::vector<std::vector<DomainName>> per_thread(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&per_thread, t] {
+      auto& out = per_thread[static_cast<std::size_t>(t)];
+      for (int i = 0; i < kNames; ++i) {
+        // Each thread walks the names from a different starting point,
+        // so first interning of a name races between threads.
+        const int k = (i + t * kNames / kThreads) % kNames;
+        out.push_back(DomainName::must("host" + std::to_string(k) + ".concurrent.example"));
+      }
+      std::rotate(out.begin(), out.end() - t * kNames / kThreads, out.end());
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int i = 0; i < kNames; ++i) {
+    const DomainName& ref = per_thread[0][static_cast<std::size_t>(i)];
+    EXPECT_EQ(ref.text(), "host" + std::to_string(i) + ".concurrent.example");
+    for (int t = 1; t < kThreads; ++t) {
+      const DomainName& n = per_thread[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+      EXPECT_EQ(n.id(), ref.id()) << "name " << i << " thread " << t;
+      EXPECT_EQ(&n.text(), &ref.text());
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // dnsctx — FlatMap / FlatSet unit tests: probe-length bounds across
-// growth, backward-shift deletion (no tombstones), and randomized
-// parity against std::unordered_map.
+// growth, backward-shift deletion (no tombstones), randomized parity
+// against std::unordered_map, and the probe lengths the simulation's
+// composite-key hashes give on realistic key streams.
 #include "util/flat_map.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "netsim/nat.hpp"
 #include "util/rng.hpp"
 
 namespace dnsctx::util {
@@ -181,6 +183,69 @@ TEST(FlatSet, InsertContainsEraseForEach) {
   std::uint64_t sum = 0;
   s.for_each([&](std::uint32_t k) { sum += k; });
   EXPECT_EQ(sum, 99u * 100u / 2u - 99u);
+}
+
+// A composite key's hash must let every field reach the low bits the
+// table indexes with; otherwise keys that differ only in a port share a
+// home slot and probes grow with the key count. These streams are the
+// shapes the simulation produces.
+constexpr std::size_t kMaxProbe = 32;
+
+template <class K, class Hash>
+[[nodiscard]] std::size_t max_probe_of(const std::vector<K>& keys) {
+  FlatMap<K, int, Hash> m;
+  for (const auto& k : keys) m[k] = 1;
+  EXPECT_EQ(m.size(), keys.size());
+  return m.max_probe_length();
+}
+
+TEST(HashQuality, FiveTupleSequentialPortsToOneServer) {
+  // One house opening 2 000 connections to one server on port 443.
+  std::vector<FiveTuple> keys;
+  for (std::uint16_t i = 0; i < 2'000; ++i) {
+    keys.push_back(FiveTuple{Ipv4Addr{100, 66, 0, 7}, Ipv4Addr{34, 1, 2, 3},
+                             static_cast<std::uint16_t>(1'024 + i), 443, Proto::kTcp});
+  }
+  EXPECT_LE((max_probe_of<FiveTuple, FiveTupleHash>(keys)), kMaxProbe);
+}
+
+TEST(HashQuality, FiveTupleHousesTimesServers) {
+  // 80 houses x 50 servers, two connections each, every house drawing
+  // its source ports from its own sequential counter.
+  std::vector<FiveTuple> keys;
+  for (std::uint8_t h = 1; h <= 80; ++h) {
+    std::uint16_t port = 1'024;
+    for (std::uint8_t srv = 1; srv <= 50; ++srv) {
+      for (int c = 0; c < 2; ++c) {
+        keys.push_back(FiveTuple{Ipv4Addr{100, 66, 0, h}, Ipv4Addr{34, 1, srv, 1}, port++,
+                                 443, Proto::kTcp});
+      }
+    }
+  }
+  EXPECT_LE((max_probe_of<FiveTuple, FiveTupleHash>(keys)), kMaxProbe);
+}
+
+TEST(HashQuality, NatInternalKeysSequentialPorts) {
+  // One device's 4 000 sequential source ports, over UDP and TCP.
+  std::vector<netsim::NatInternalKey> keys;
+  for (const Proto proto : {Proto::kUdp, Proto::kTcp}) {
+    for (std::uint16_t i = 0; i < 4'000; ++i) {
+      keys.push_back({Ipv4Addr{192, 168, 1, 10}, static_cast<std::uint16_t>(20'000 + i), proto});
+    }
+  }
+  EXPECT_LE((max_probe_of<netsim::NatInternalKey, netsim::NatInternalKeyHash>(keys)),
+            kMaxProbe);
+}
+
+TEST(HashQuality, NatExternalKeysSequentialPorts) {
+  std::vector<netsim::NatExternalKey> keys;
+  for (const Proto proto : {Proto::kUdp, Proto::kTcp}) {
+    for (std::uint16_t i = 0; i < 4'000; ++i) {
+      keys.push_back({static_cast<std::uint16_t>(1'024 + i), proto});
+    }
+  }
+  EXPECT_LE((max_probe_of<netsim::NatExternalKey, netsim::NatExternalKeyHash>(keys)),
+            kMaxProbe);
 }
 
 }  // namespace

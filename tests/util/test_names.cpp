@@ -121,6 +121,20 @@ TEST(NameTable, CollisionHeavyNamesStayDistinct) {
   EXPECT_EQ(ids.size(), 2000u);
 }
 
+TEST(NameTable, InternStoredReturnsTheIdAndOneStableCopy) {
+  NameTable table;
+  const NameTable::Stored a = table.intern_stored("stored.example.com");
+  EXPECT_EQ(a.id, table.intern("stored.example.com"));
+  ASSERT_NE(a.text, nullptr);
+  EXPECT_EQ(*a.text, "stored.example.com");
+  EXPECT_EQ(table.view(a.id).data(), a.text->data());
+  for (int i = 0; i < 10'000; ++i) (void)table.intern("grow" + std::to_string(i));
+  const NameTable::Stored again = table.intern_stored("stored.example.com");
+  EXPECT_EQ(again.id, a.id);
+  EXPECT_EQ(again.text, a.text);  // the same stored string, never moved
+  EXPECT_EQ(table.intern_stored("").id, 0u);
+}
+
 TEST(InternedName, DefaultIsEmpty) {
   InternedName name;
   EXPECT_TRUE(name.empty());
