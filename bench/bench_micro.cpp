@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // building blocks: DNS wire codec, cache operations, event dispatch,
 // NAT mapping, monitor packet handling, DN-Hunter pairing throughput,
-// and the live stream path (LiveFeed reordering, OnlineStudy ingest).
+// the live stream path (LiveFeed reordering, OnlineStudy ingest) and
+// the spool codec (lz, CRC-32, v2 segment encode/decode).
 #include <benchmark/benchmark.h>
 
 #include "analysis/classify.hpp"
@@ -17,6 +18,8 @@
 #include "scenario/scenario.hpp"
 #include "stream/feed.hpp"
 #include "stream/online_study.hpp"
+#include "stream/segment_v2.hpp"
+#include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
 #include "util/rng.hpp"
 
@@ -418,6 +421,126 @@ void BM_OnlineStudyIngest(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_OnlineStudyIngest)->Unit(benchmark::kMillisecond);
+
+// ---- spool codec -------------------------------------------------------------
+
+/// Records of a 40-house town (seed 1), simulated once per transport and
+/// shared by the codec benches. DoT gives the conn and enc records
+/// (perfbench `spool`'s mix), Do53 the dns records.
+capture::Dataset codec_town(netsim::Transport transport, int hours) {
+  scenario::ScenarioConfig cfg;
+  cfg.houses = 40;
+  cfg.duration = SimDuration::hours(hours);
+  cfg.seed = 1;
+  cfg.transport = transport;
+  scenario::Town town{cfg};
+  town.run();
+  return town.dataset();
+}
+const capture::Dataset& dot_dataset() {
+  static const capture::Dataset ds = codec_town(netsim::Transport::kDoT, 8);
+  return ds;
+}
+const capture::Dataset& do53_dataset() {
+  static const capture::Dataset ds = codec_town(netsim::Transport::kDo53, 4);
+  return ds;
+}
+
+/// The first `n` records (all of them when there are fewer).
+template <typename Rec>
+std::vector<Rec> first_records(const std::vector<Rec>& recs, std::size_t n) {
+  return {recs.begin(),
+          recs.begin() + static_cast<std::ptrdiff_t>(std::min(n, recs.size()))};
+}
+
+/// The uncompressed v2 body of the first `n` conn records: a codec-none
+/// segment minus its header and its 9-byte codec frame.
+std::string conn_body(std::size_t n) {
+  return stream::build_segment_v2(first_records(dot_dataset().conns, n),
+                                  stream::SegmentCodec::kNone)
+      .substr(stream::kSegmentHeaderBytes + 9);
+}
+
+void BM_LzCompress(benchmark::State& state) {
+  const std::string raw = conn_body(static_cast<std::size_t>(state.range(0)));
+  const auto& lz = stream::codec(stream::SegmentCodec::kLz);
+  std::string out;
+  for (auto _ : state) {
+    lz.compress(raw, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(raw.size()) * state.iterations());
+  state.counters["ratio"] = static_cast<double>(out.size()) / static_cast<double>(raw.size());
+}
+BENCHMARK(BM_LzCompress)->ArgName("records")->Arg(512)->Arg(65'536);
+
+void BM_LzDecompress(benchmark::State& state) {
+  const std::string raw = conn_body(static_cast<std::size_t>(state.range(0)));
+  const auto& lz = stream::codec(stream::SegmentCodec::kLz);
+  std::string comp;
+  lz.compress(raw, comp);
+  std::string out;
+  for (auto _ : state) {
+    if (!lz.decompress(comp, raw.size(), out)) state.SkipWithError("decompress failed");
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(raw.size()) * state.iterations());
+}
+BENCHMARK(BM_LzDecompress)->ArgName("records")->Arg(512)->Arg(65'536);
+
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(std::size_t{1} << 20, '\0');
+  Rng rng{5};
+  for (auto& c : bytes) c = static_cast<char>(rng.bounded(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stream::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) * state.iterations());
+}
+BENCHMARK(BM_Crc32);
+
+/// One spool-sized segment (up to 65 536 records) of each kind.
+constexpr std::size_t kSegmentBenchRecords = 65'536;
+template <typename Rec>
+using RecordsOf = const std::vector<Rec>& (*)();
+const std::vector<capture::ConnRecord>& conn_recs() { return dot_dataset().conns; }
+const std::vector<capture::DnsRecord>& dns_recs() { return do53_dataset().dns; }
+const std::vector<capture::EncFlowRecord>& enc_recs() { return dot_dataset().encflows; }
+
+template <typename Rec>
+void BM_SegmentV2Encode(benchmark::State& state, RecordsOf<Rec> source) {
+  const auto recs = first_records(source(), kSegmentBenchRecords);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string blob = stream::build_segment_v2(recs);
+    bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(recs.size()) * state.iterations());
+  state.counters["bytes_per_record"] =
+      static_cast<double>(bytes) / static_cast<double>(recs.size());
+}
+BENCHMARK_CAPTURE(BM_SegmentV2Encode, conn, &conn_recs)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SegmentV2Encode, dns, &dns_recs)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SegmentV2Encode, enc, &enc_recs)->Unit(benchmark::kMillisecond);
+
+template <typename Rec>
+void BM_SegmentV2Decode(benchmark::State& state, RecordsOf<Rec> source) {
+  const auto recs = first_records(source(), kSegmentBenchRecords);
+  const std::string blob = stream::build_segment_v2(recs);
+  for (auto _ : state) {
+    auto view = stream::SegmentView::parse(blob, "bench");
+    Rec rec;
+    while (view.next(rec)) benchmark::DoNotOptimize(&rec);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(recs.size()) * state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SegmentV2Decode, conn, &conn_recs)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SegmentV2Decode, dns, &dns_recs)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SegmentV2Decode, enc, &enc_recs)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   const ZipfSampler zipf{10'000, 0.95};

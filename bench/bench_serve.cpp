@@ -81,32 +81,17 @@ capture::Dataset simulate(const scenario::ScenarioConfig& cfg) {
   return town.dataset();
 }
 
-[[nodiscard]] SimTime key_time(const capture::ConnRecord& r) { return r.start; }
-[[nodiscard]] SimTime key_time(const capture::DnsRecord& r) { return r.ts; }
-
-/// Bytes each framing would put on the wire for the same records —
-/// v2 + lz is what a current tap sends; v1 is the reference the
-/// compression ratio is quoted against.
-struct WireStats {
-  std::uint64_t v2_bytes = 0;
-  std::uint64_t v1_bytes = 0;
-};
-
+/// Cut `recs` into v2 + lz segments of `per` records (what a current tap
+/// sends), appending them to `out` and their size to `wire_bytes`.
 template <typename Rec>
-void chunk_into(std::vector<std::string>& out, const std::vector<Rec>& recs,
-                stream::RecordKind kind, std::size_t per, WireStats& stats) {
+void chunk_into(std::vector<std::string>& out, const std::vector<Rec>& recs, std::size_t per,
+                std::uint64_t& wire_bytes) {
   for (std::size_t i = 0; i < recs.size(); i += per) {
     const std::size_t end = std::min(i + per, recs.size());
     const std::vector<Rec> slice{recs.begin() + static_cast<std::ptrdiff_t>(i),
                                  recs.begin() + static_cast<std::ptrdiff_t>(end)};
-    std::string payload;
-    for (const auto& rec : slice) stream::append_record(payload, rec);
-    stats.v1_bytes += stream::build_segment(kind, static_cast<std::uint32_t>(end - i),
-                                            key_time(recs[i]), key_time(recs[end - 1]),
-                                            payload)
-                          .size();
     out.push_back(stream::build_segment_v2(slice, stream::SegmentCodec::kLz));
-    stats.v2_bytes += out.back().size();
+    wire_bytes += out.back().size();
   }
 }
 
@@ -114,10 +99,10 @@ void chunk_into(std::vector<std::string>& out, const std::vector<Rec>& recs,
 /// would deliver them. Frames are v2 columnar (lz), matching what the
 /// current SpoolWriter and push tooling emit by default.
 std::vector<std::string> wire_segments(const capture::Dataset& ds, std::size_t per,
-                                       WireStats& stats) {
+                                       std::uint64_t& wire_bytes) {
   std::vector<std::string> conns, dns, out;
-  chunk_into(conns, ds.conns, stream::RecordKind::kConn, per, stats);
-  chunk_into(dns, ds.dns, stream::RecordKind::kDns, per, stats);
+  chunk_into(conns, ds.conns, per, wire_bytes);
+  chunk_into(dns, ds.dns, per, wire_bytes);
   for (std::size_t i = 0; i < std::max(conns.size(), dns.size()); ++i) {
     if (i < dns.size()) out.push_back(std::move(dns[i]));
     if (i < conns.size()) out.push_back(std::move(conns[i]));
@@ -229,13 +214,11 @@ int main(int argc, char** argv) {
   stream::replay_dataset(ds, offline);
   const std::string expected = serve::result_json(offline.finalize());
 
-  WireStats wire, scratch;
-  const auto segments = wire_segments(ds, scale.segment_records, wire);
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t scratch = 0;
+  const auto segments = wire_segments(ds, scale.segment_records, wire_bytes);
   const auto lat_segments = wire_segments(ds, scale.segment_records / 4, scratch);
   const auto faulty_segments = wire_segments(ds_faulty, scale.segment_records, scratch);
-  const double wire_ratio = wire.v2_bytes > 0 ? static_cast<double>(wire.v1_bytes) /
-                                                    static_cast<double>(wire.v2_bytes)
-                                              : 0.0;
 
   serve::EventLoop loop;
   serve::Server server{loop, serve::ServeConfig{}};
@@ -269,10 +252,10 @@ int main(int argc, char** argv) {
   std::printf("  impaired     %10.0f records/sec  (faults \"%s\", %llu records)\n",
               imp_rps, scale.faults.c_str(),
               static_cast<unsigned long long>(faulty_records));
-  std::printf("  wire         %.2f MiB in v2+lz frames (v1 equivalent %.2f MiB — "
-              "%.2fx smaller)\n",
-              static_cast<double>(wire.v2_bytes) / (1024.0 * 1024.0),
-              static_cast<double>(wire.v1_bytes) / (1024.0 * 1024.0), wire_ratio);
+  std::printf("  wire         %.2f MiB in v2+lz frames (%.1f bytes/record)\n",
+              static_cast<double>(wire_bytes) / (1024.0 * 1024.0),
+              records > 0 ? static_cast<double>(wire_bytes) / static_cast<double>(records)
+                          : 0.0);
   std::printf("  results match offline study: %s\n", match ? "yes" : "NO");
   std::printf("  fault plan survived:         %s\n", survived ? "yes" : "NO");
 
@@ -284,14 +267,11 @@ int main(int argc, char** argv) {
           "\"records\":%llu,\"push_sec\":%.3f,\"records_per_sec\":%.0f,"
           "\"ack_p50_us\":%.1f,\"ack_p99_us\":%.1f,"
           "\"impaired_records\":%llu,\"impaired_records_per_sec\":%.0f,"
-          "\"wire_bytes\":%llu,\"wire_v1_bytes\":%llu,\"compression_ratio\":%.3f,"
-          "\"match\":%s,\"survived_faults\":%s,\"peak_rss_bytes\":%llu}\n",
+          "\"wire_bytes\":%llu,\"match\":%s,\"survived_faults\":%s,\"peak_rss_bytes\":%llu}\n",
           cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
           static_cast<unsigned long long>(records), throughput.sec, rps, p50, p99,
           static_cast<unsigned long long>(faulty_records), imp_rps,
-          static_cast<unsigned long long>(wire.v2_bytes),
-          static_cast<unsigned long long>(wire.v1_bytes), wire_ratio,
-          match ? "true" : "false", survived ? "true" : "false",
+          static_cast<unsigned long long>(wire_bytes), match ? "true" : "false", survived ? "true" : "false",
           static_cast<unsigned long long>(bench::peak_rss_bytes()));
       std::fclose(f);
     }

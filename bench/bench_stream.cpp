@@ -193,22 +193,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(conns), static_cast<unsigned long long>(dns),
               gen_sec, peak_reorder);
 
-  // Spool footprint: v2 + lz on disk vs the same records re-encoded as
-  // v1 (interleaved, uncompressed) — the compression headline.
   const std::uint64_t spool_sz = stream::spool_bytes(scale.spool_dir);
-  const std::string v1_dir = scale.spool_dir + ".v1";
-  std::filesystem::remove_all(v1_dir);
-  stream::SpoolConfig v1_cfg;
-  v1_cfg.format = stream::kSegmentVersion;
-  v1_cfg.codec = stream::SegmentCodec::kNone;
-  (void)stream::convert_spool(scale.spool_dir, v1_dir, v1_cfg);
-  const std::uint64_t v1_sz = stream::spool_bytes(v1_dir);
-  std::filesystem::remove_all(v1_dir);
-  const double ratio =
-      spool_sz > 0 ? static_cast<double>(v1_sz) / static_cast<double>(spool_sz) : 0.0;
-  std::printf("spool: %.2f MiB on disk (v1 equivalent %.2f MiB — %.2fx smaller)\n",
+  std::printf("spool: %.2f MiB on disk (%.1f bytes/record)\n",
               static_cast<double>(spool_sz) / (1024.0 * 1024.0),
-              static_cast<double>(v1_sz) / (1024.0 * 1024.0), ratio);
+              total > 0 ? static_cast<double>(spool_sz) / static_cast<double>(total) : 0.0);
 
   // Import: the spool round-tripped through the text logs, timing the
   // text → spool direction (what `dnsctx stream --import` runs).
@@ -270,8 +258,7 @@ int main(int argc, char** argv) {
           "\"batch_records_per_sec\":%.0f,\"peak_rss_bytes\":%llu,"
           "\"stream_peak_rss_bytes\":%llu,\"batch_peak_rss_bytes\":%llu,"
           "\"peak_reorder_records\":%zu,\"active_candidates\":%llu,"
-          "\"active_records\":%llu,\"spool_bytes\":%llu,\"spool_v1_bytes\":%llu,"
-          "\"compression_ratio\":%.3f,\"import_sec\":%.3f,"
+          "\"active_records\":%llu,\"spool_bytes\":%llu,\"import_sec\":%.3f,"
           "\"import_records_per_sec\":%.0f,\"match\":%s}",
           cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
           cfg.shards, gen_sec, stream_r.sec, batch_r.sec,
@@ -283,8 +270,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(batch_r.rss), peak_reorder,
           static_cast<unsigned long long>(stream_r.active_candidates),
           static_cast<unsigned long long>(stream_r.active_records),
-          static_cast<unsigned long long>(spool_sz),
-          static_cast<unsigned long long>(v1_sz), ratio, import_sec, import_rps,
+          static_cast<unsigned long long>(spool_sz), import_sec, import_rps,
           match ? "true" : "false");
       os << buf << '\n';
     } else {

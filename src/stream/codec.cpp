@@ -1,5 +1,6 @@
 #include "stream/codec.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -36,16 +37,18 @@ std::optional<std::uint64_t> get_varint(const char** p, const char* end) {
 namespace {
 
 constexpr std::size_t kMinMatch = 4;
-constexpr std::size_t kMaxHashBits = 17;
-constexpr std::size_t kMinHashBits = 6;
-constexpr std::size_t kHashWays = 32;
-constexpr std::size_t kLazySteps = 4;
+constexpr std::size_t kMaxHashBits = 16;
+constexpr std::size_t kMinHashBits = 8;
 constexpr std::size_t kMaxOffset = 65'535;
-// LZ4-style end-of-block rules: the last 5 bytes are always literals and
-// matches must not reach into them; inputs shorter than 13 bytes are
-// emitted as a single literal run.
+// LZ4-style end-of-block rules: the last 5 bytes are always literals,
+// no match starts in the last 12 bytes, and inputs shorter than 13
+// bytes are emitted as a single literal run.
 constexpr std::size_t kEndLiterals = 5;
+constexpr std::size_t kMatchStartLimit = 12;
 constexpr std::size_t kMinCompressInput = 13;
+// After 2^kSkipTrigger consecutive misses the scan advances two bytes
+// per probe, then three, ... so incompressible stretches cost little.
+constexpr unsigned kSkipTrigger = 6;
 
 [[nodiscard]] std::uint32_t load32(const char* p) {
   std::uint32_t v;
@@ -53,8 +56,42 @@ constexpr std::size_t kMinCompressInput = 13;
   return v;
 }
 
-[[nodiscard]] std::uint32_t hash32(std::uint32_t v, std::size_t bits) {
-  return (v * 2654435761u) >> (32 - bits);
+[[nodiscard]] std::uint64_t load64(const char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+/// Hash of the five bytes at `p`, as LZ4 hashes for large tables. On
+/// spool bodies it finds fewer, longer matches than a four-byte key,
+/// which speeds up both directions (docs/PERF.md §12).
+[[nodiscard]] std::uint32_t hash5(const char* p, std::size_t bits) {
+  const std::uint64_t v = load64(p);
+  const std::uint64_t key = std::endian::native == std::endian::little
+                                ? (v << 24) * 889'523'592'379ull
+                                : (v >> 24) * 11'400'714'785'074'694'791ull;
+  return static_cast<std::uint32_t>(key >> (64 - bits));
+}
+
+/// Length of the common prefix of `a` and `b` (b < a), stopping at
+/// `limit` on a's side.
+[[nodiscard]] std::size_t match_length(const char* a, const char* b, const char* limit) {
+  const char* const start = a;
+  while (a + 8 <= limit) {
+    const std::uint64_t diff = load64(a) ^ load64(b);
+    if (diff != 0) {
+      const int bits = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                                   : std::countl_zero(diff);
+      return static_cast<std::size_t>(a - start) + static_cast<std::size_t>(bits / 8);
+    }
+    a += 8;
+    b += 8;
+  }
+  while (a < limit && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<std::size_t>(a - start);
 }
 
 class NoneCodec final : public BlockCodec {
@@ -83,6 +120,7 @@ class LzCodec final : public BlockCodec {
     out.clear();
     const char* src = raw.data();
     const std::size_t n = raw.size();
+    out.reserve(n + n / 255 + 16);
 
     auto emit_run = [&out](std::size_t extra) {
       while (extra >= 255) {
@@ -109,83 +147,66 @@ class LzCodec final : public BlockCodec {
 
     std::size_t anchor = 0;
     if (n >= kMinCompressInput) {
-      // Hash table sized to the input (≈2 slots per position, capped)
-      // so small blocks don't pay for — or zero — a table built for
-      // megabyte bodies. kHashWays candidates per bucket, replaced
-      // round-robin and stored +1 so 0 means "empty slot": probing a
-      // deep bucket and keeping the longest match beats the classic
-      // single-slot table noticeably on the repetitive varint columns
-      // this codec exists for.
+      // One slot per hash, holding the last position that hashed there.
+      // The table is sized to the input (a slot per two bytes, at most
+      // 2^16 slots) so small blocks don't pay to zero one built for
+      // megabyte bodies. A 32-way bucket with lazy matching found
+      // 2-9 % fewer bytes on spool bodies at 15-60x the time
+      // (docs/PERF.md §12).
       std::size_t hash_bits = kMinHashBits;
-      while (hash_bits < kMaxHashBits && (kHashWays << hash_bits) < 2 * n) ++hash_bits;
-      std::vector<std::uint32_t> table(kHashWays << hash_bits, 0);
-      std::vector<std::uint8_t> next_way(std::size_t{1} << hash_bits, 0);
-      const std::size_t scan_end = n - (kMinCompressInput - 1);
-
-      auto insert = [&](std::size_t pos) {
-        const std::uint32_t h = hash32(load32(src + pos), hash_bits);
-        table[h * kHashWays + next_way[h]] = static_cast<std::uint32_t>(pos + 1);
-        next_way[h] = static_cast<std::uint8_t>((next_way[h] + 1) % kHashWays);
-      };
-      // Longest match at `pos` over the bucket's candidates; {0, 0} if none.
-      auto best_match = [&](std::size_t pos) -> std::pair<std::size_t, std::size_t> {
-        const std::size_t max_len = n - kEndLiterals - pos;
-        if (max_len < kMinMatch) return {0, 0};
-        const std::uint32_t h = hash32(load32(src + pos), hash_bits);
-        std::size_t best_len = 0;
-        std::size_t best_off = 0;
-        for (std::size_t w = 0; w < kHashWays; ++w) {
-          const std::size_t cand = table[h * kHashWays + w];
-          if (cand == 0) continue;
-          const std::size_t c = cand - 1;
-          if (c >= pos || pos - c > kMaxOffset) continue;
-          // A candidate that differs at best_len can't beat best_len;
-          // skipping it avoids the full compare on most probes.
-          if (best_len != 0 && src[c + best_len] != src[pos + best_len]) continue;
-          if (load32(src + c) != load32(src + pos)) continue;
-          std::size_t len = kMinMatch;
-          while (len < max_len && src[c + len] == src[pos + len]) ++len;
-          if (len > best_len) {
-            best_len = len;
-            best_off = pos - c;
-          }
-        }
-        return {best_len, best_off};
+      while (hash_bits < kMaxHashBits && (std::size_t{1} << hash_bits) < n / 2) ++hash_bits;
+      std::vector<std::uint32_t> table(std::size_t{1} << hash_bits, 0);
+      const std::size_t scan_end = n - kMatchStartLimit;
+      const char* const match_limit = src + n - kEndLiterals;
+      // Every hashed position is below scan_end, so its 8-byte load
+      // stays inside the input.
+      auto slot = [&](std::size_t pos) -> std::uint32_t& {
+        return table[hash5(src + pos, hash_bits)];
       };
 
-      std::size_t i = 0;
+      // The zeroed table points every slot at position 0, a real
+      // candidate like any other: the 4-byte compare decides.
+      std::size_t i = 1;
       while (i < scan_end) {
-        auto [len, offset] = best_match(i);
-        if (len == 0) {
-          insert(i);
-          ++i;
-          continue;
+        // Probe one slot per position; stride forward after runs of misses.
+        std::size_t cand = 0;
+        std::size_t misses = std::size_t{1} << kSkipTrigger;
+        bool found = false;
+        while (i < scan_end) {
+          std::uint32_t& s = slot(i);
+          cand = s;
+          s = static_cast<std::uint32_t>(i);
+          if (i - cand <= kMaxOffset && load32(src + cand) == load32(src + i)) {
+            found = true;
+            break;
+          }
+          i += misses++ >> kSkipTrigger;
         }
-        // Lazy matching: a match that starts one byte later and is
-        // more than one byte longer is worth the literal it costs.
-        for (std::size_t step = 0; step < kLazySteps && i + 1 < scan_end; ++step) {
-          insert(i);
-          const auto [next_len, next_offset] = best_match(i + 1);
-          if (next_len <= len + 1) break;
-          ++i;
-          len = next_len;
-          offset = next_offset;
-        }
-        // Extend the match backward into pending literals — the match
-        // finder only sees hashed starting positions, so it routinely
-        // lands a few bytes late.
-        while (i > anchor && i > offset && src[i - 1] == src[i - offset - 1]) {
+        if (!found) break;
+        // Extend the match backward into pending literals: the probe only
+        // sees hashed starting positions, so it routinely lands late.
+        while (i > anchor && cand > 0 && src[i - 1] == src[cand - 1]) {
           --i;
-          ++len;
+          --cand;
         }
-        emit_sequence(i - anchor, src + anchor, len, offset);
-        // Seed positions inside the match so later data can reference
-        // it; stride through long matches to bound the cost.
-        const std::size_t seed_end = std::min(i + len, scan_end);
-        const std::size_t stride = len >= 64 ? 7 : 1;
-        for (std::size_t j = i + 1; j < seed_end; j += stride) insert(j);
-        i += len;
-        anchor = i;
+        // A match can follow another directly; emit each with the
+        // literals pending before it.
+        for (;;) {
+          const std::size_t len =
+              kMinMatch + match_length(src + i + kMinMatch, src + cand + kMinMatch, match_limit);
+          emit_sequence(i - anchor, src + anchor, len, i - cand);
+          i += len;
+          anchor = i;
+          if (i >= scan_end) break;
+          // Seed the table just behind the match end, then try the
+          // current position before resuming the scan.
+          slot(i - 2) = static_cast<std::uint32_t>(i - 2);
+          std::uint32_t& s = slot(i);
+          cand = s;
+          s = static_cast<std::uint32_t>(i);
+          if (i - cand > kMaxOffset || load32(src + cand) != load32(src + i)) break;
+        }
+        ++i;
       }
     }
     emit_sequence(n - anchor, src + anchor, 0, 0);

@@ -12,9 +12,10 @@
 // bump; readers reject unknown ids loudly. The built-in `lz` codec is a
 // dependency-free LZ77 byte compressor (LZ4-style block layout: token
 // byte, literal run, 16-bit offset, match run) chosen because columnar
-// segment data is dominated by small repeating integers. Its
-// decompressor is strictly bounds-checked — it is a fuzz target, and
-// serve feeds it bytes straight off the network.
+// segment data is dominated by small repeating integers. Its encoder is
+// a greedy single-probe match finder (one hash slot per 5-byte prefix,
+// as in LZ4's fast mode); its decompressor is strictly bounds-checked —
+// it is a fuzz target, and serve feeds it bytes straight off the network.
 #pragma once
 
 #include <cstdint>

@@ -14,14 +14,31 @@ namespace {
 
 // ---- CRC-32 ----------------------------------------------------------------
 
-[[nodiscard]] std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][b]
+/// is the CRC register after byte b and then k zero bytes, so one step
+/// folds eight input bytes with eight lookups.
+[[nodiscard]] constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+[[nodiscard]] std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
@@ -36,73 +53,19 @@ std::string_view to_string(RecordKind k) {
 }
 
 std::uint32_t crc32(std::string_view bytes, std::uint32_t seed) {
-  static const auto table = make_crc_table();
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    c = table[(c ^ static_cast<std::uint8_t>(ch)) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
-}
-
-void append_record(std::string& payload, const capture::ConnRecord& rec) {
-  std::string body;
-  body.reserve(46);
-  wire::put_i64(body, rec.start.count_us());
-  wire::put_i64(body, rec.duration.count_us());
-  wire::put_u32(body, rec.orig_ip.to_u32());
-  wire::put_u32(body, rec.resp_ip.to_u32());
-  wire::put_u16(body, rec.orig_port);
-  wire::put_u16(body, rec.resp_port);
-  wire::put_u8(body, rec.proto == Proto::kUdp ? 1 : 0);
-  wire::put_u8(body, static_cast<std::uint8_t>(rec.state));
-  wire::put_u64(body, rec.orig_bytes);
-  wire::put_u64(body, rec.resp_bytes);
-  wire::put_u32(payload, static_cast<std::uint32_t>(body.size()));
-  payload += body;
-}
-
-void append_record(std::string& payload, const capture::DnsRecord& rec) {
-  const std::string_view query = rec.query.view();
-  std::string body;
-  body.reserve(34 + query.size() + rec.answers.size() * 8);
-  wire::put_i64(body, rec.ts.count_us());
-  wire::put_i64(body, rec.duration.count_us());
-  wire::put_u32(body, rec.client_ip.to_u32());
-  wire::put_u16(body, rec.client_port);
-  wire::put_u32(body, rec.resolver_ip.to_u32());
-  wire::put_u16(body, static_cast<std::uint16_t>(rec.qtype));
-  wire::put_u8(body, static_cast<std::uint8_t>(rec.rcode));
-  wire::put_u8(body, rec.answered ? 1 : 0);
-  wire::put_u16(body, static_cast<std::uint16_t>(query.size()));
-  body += query;
-  wire::put_u16(body, static_cast<std::uint16_t>(rec.answers.size()));
-  for (const auto& a : rec.answers) {
-    wire::put_u32(body, a.addr.to_u32());
-    wire::put_u32(body, a.ttl);
-  }
-  wire::put_u32(payload, static_cast<std::uint32_t>(body.size()));
-  payload += body;
-}
-
-void append_record(std::string& payload, const capture::EncFlowRecord& rec) {
-  std::string body;
-  body.reserve(76);
-  wire::put_i64(body, rec.start.count_us());
-  wire::put_i64(body, rec.duration.count_us());
-  wire::put_u32(body, rec.client_ip.to_u32());
-  wire::put_u32(body, rec.server_ip.to_u32());
-  wire::put_u16(body, rec.client_port);
-  wire::put_u16(body, rec.server_port);
-  wire::put_u32(body, rec.up_msgs);
-  wire::put_u32(body, rec.down_msgs);
-  wire::put_u64(body, rec.up_bytes);
-  wire::put_u64(body, rec.down_bytes);
-  wire::put_u64(body, rec.first_up_bytes);
-  wire::put_u64(body, rec.first_down_bytes);
-  wire::put_u32(body, rec.pad_aligned_up);
-  wire::put_u32(body, rec.pad_aligned_down);
-  wire::put_u32(payload, static_cast<std::uint32_t>(body.size()));
-  payload += body;
 }
 
 void append_segment_header(std::string& out, std::uint16_t version, RecordKind kind,
@@ -117,16 +80,6 @@ void append_segment_header(std::string& out, std::uint16_t version, RecordKind k
   wire::put_i64(out, record_count ? last.count_us() : 0);
   wire::put_u64(out, payload_bytes);
   wire::put_u32(out, payload_crc);
-}
-
-std::string build_segment(RecordKind kind, std::uint32_t record_count, SimTime first,
-                          SimTime last, std::string_view payload) {
-  std::string out;
-  out.reserve(kSegmentHeaderBytes + payload.size());
-  append_segment_header(out, kSegmentVersion, kind, record_count, first, last,
-                        payload.size(), crc32(payload));
-  out += payload;
-  return out;
 }
 
 SegmentHeader parse_segment_header(std::string_view bytes, const std::string& source) {
@@ -150,11 +103,6 @@ SegmentHeader parse_segment_header(std::string_view bytes, const std::string& so
     throw std::runtime_error{strfmt("%s: bad record kind %u", source.c_str(), kind)};
   }
   h.kind = static_cast<RecordKind>(kind);
-  if (h.kind == RecordKind::kEncFlow && h.version != kSegmentVersion) {
-    throw std::runtime_error{strfmt(
-        "%s: enc segments are v1-only (v2 has no enc column set), got version %u",
-        source.c_str(), h.version)};
-  }
   (void)c.u8();  // reserved
   h.record_count = c.u32();
   h.first_ts = SimTime::from_us(c.i64());

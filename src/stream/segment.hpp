@@ -1,32 +1,30 @@
 // dnsctx — segmented binary record format for streaming ingestion.
 //
-// A segment is a self-describing blob holding a run of ConnRecord or
-// DnsRecord entries in nondecreasing timestamp order:
+// A segment is a self-describing blob holding a run of ConnRecord,
+// DnsRecord or EncFlowRecord entries in nondecreasing timestamp order:
 //
 //   header (40 bytes, little-endian)
 //     u32  magic          "DCSG"
-//     u16  version        kSegmentVersion
+//     u16  version        kSegmentVersion (v1) or kSegmentVersionV2
 //     u8   kind           0 = conn, 1 = dns, 2 = enc (encrypted-flow
-//                         metadata; v1 payloads only — the columnar v2
-//                         format has no enc column set and readers
-//                         reject v2 enc segments)
+//                         metadata)
 //     u8   reserved       0
 //     u32  record_count
 //     i64  first_ts_us    timestamp of the first record (0 when empty)
 //     i64  last_ts_us     timestamp of the last record (0 when empty)
 //     u64  payload_bytes
 //     u32  payload_crc32  IEEE CRC-32 over the payload bytes
-//   payload
+//   payload (v1)
 //     record_count × (u32 body_len | body)
 //
-// Every record body is length-prefixed so future versions can append
-// fields without breaking older readers, and every multi-byte integer is
-// little-endian regardless of host order. See docs/FORMAT.md for the
+// Every v1 record body is length-prefixed, and every multi-byte integer
+// is little-endian regardless of host order. See docs/FORMAT.md for the
 // field-by-field body layouts.
 //
 // Format v2 (stream/segment_v2.hpp) keeps the same 40-byte header with
-// version = 2 but stores a columnar, optionally compressed payload.
-// Readers here auto-detect the version: parse_segment materializes both
+// version = 2 but stores a columnar, optionally compressed payload. It
+// is the only format the writers produce; v1 stays readable. Readers
+// here auto-detect the version: parse_segment materializes both
 // formats, and stream/segment_view.hpp iterates either without
 // materializing.
 //
@@ -68,21 +66,9 @@ struct SegmentHeader {
 /// crc32(a+b).
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);
 
-/// Append one length-prefixed record body to a segment payload buffer.
-void append_record(std::string& payload, const capture::ConnRecord& rec);
-void append_record(std::string& payload, const capture::DnsRecord& rec);
-void append_record(std::string& payload, const capture::EncFlowRecord& rec);
-
-/// Assemble a complete segment blob (header + payload). `first`/`last`
-/// are the payload's timestamp range; ignored (written as 0) when
-/// `record_count` is 0.
-[[nodiscard]] std::string build_segment(RecordKind kind, std::uint32_t record_count,
-                                        SimTime first, SimTime last,
-                                        std::string_view payload);
-
-/// Append a 40-byte segment header to `out`. Shared by the v1 and v2
-/// builders; `version` selects the format tag, everything else is
-/// layout-identical across versions.
+/// Append a 40-byte segment header to `out`. `version` selects the
+/// format tag, everything else is layout-identical across versions.
+/// `first`/`last` are written as 0 when `record_count` is 0.
 void append_segment_header(std::string& out, std::uint16_t version, RecordKind kind,
                            std::uint32_t record_count, SimTime first, SimTime last,
                            std::uint64_t payload_bytes, std::uint32_t payload_crc);

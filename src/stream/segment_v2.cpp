@@ -9,17 +9,9 @@
 
 namespace dnsctx::stream {
 
-namespace {
+using namespace v2col;
 
-// Column indices — must match kConnColumns / kDnsColumns.
-enum ConnCol : std::size_t {
-  kCTs = 0, kCDur, kCOrigIp, kCRespIp, kCOrigPort,
-  kCRespPort, kCProto, kCState, kCOrigBytes, kCRespBytes,
-};
-enum DnsCol : std::size_t {
-  kDTs = 0, kDDur, kDClientIp, kDClientPort, kDResolverIp, kDQtype,
-  kDRcode, kDAnswered, kDNameIdx, kDAnswerCount, kDAnsAddr, kDAnsTtl,
-};
+namespace {
 
 /// Dictionary storage order: the kDictHead most-referenced entries
 /// first (hot values get 1-byte indices), then the rest in `tail_less`
@@ -57,10 +49,14 @@ void remap_index_column(std::string& col, const std::vector<std::uint32_t>& new_
 
 SegmentBuilderV2::SegmentBuilderV2(RecordKind kind, SegmentCodec codec)
     : kind_{kind}, codec_{codec} {
-  cols_.resize(kind_ == RecordKind::kConn ? kConnColumns.size() : kDnsColumns.size());
+  cols_.resize(column_names(kind_).size());
 }
 
-void SegmentBuilderV2::start_record(std::int64_t ts_us) {
+void SegmentBuilderV2::start_record(RecordKind kind, std::int64_t ts_us) {
+  if (kind != kind_) {
+    throw std::logic_error{strfmt("SegmentBuilderV2: %s record added to a %s builder",
+                                  to_string(kind).data(), to_string(kind_).data())};
+  }
   if (count_ == 0) {
     first_ts_ = ts_us;
     prev_ts_ = ts_us;
@@ -88,10 +84,7 @@ std::uint32_t SegmentBuilderV2::addr_index(Ipv4Addr ip) {
 }
 
 void SegmentBuilderV2::add(const capture::ConnRecord& rec) {
-  if (kind_ != RecordKind::kConn) {
-    throw std::logic_error{"SegmentBuilderV2: conn record added to a dns builder"};
-  }
-  start_record(rec.start.count_us());
+  start_record(RecordKind::kConn, rec.start.count_us());
   put_varint(cols_[kCDur], zigzag_encode(rec.duration.count_us()));
   put_varint(cols_[kCOrigIp], addr_index(rec.orig_ip));
   put_varint(cols_[kCRespIp], addr_index(rec.resp_ip));
@@ -104,10 +97,7 @@ void SegmentBuilderV2::add(const capture::ConnRecord& rec) {
 }
 
 void SegmentBuilderV2::add(const capture::DnsRecord& rec) {
-  if (kind_ != RecordKind::kDns) {
-    throw std::logic_error{"SegmentBuilderV2: dns record added to a conn builder"};
-  }
-  start_record(rec.ts.count_us());
+  start_record(RecordKind::kDns, rec.ts.count_us());
   put_varint(cols_[kDDur], zigzag_encode(rec.duration.count_us()));
   put_varint(cols_[kDClientIp], addr_index(rec.client_ip));
   wire::put_u16(cols_[kDClientPort], rec.client_port);
@@ -128,6 +118,23 @@ void SegmentBuilderV2::add(const capture::DnsRecord& rec) {
     put_varint(cols_[kDAnsAddr], addr_index(a.addr));
     put_varint(cols_[kDAnsTtl], a.ttl);
   }
+}
+
+void SegmentBuilderV2::add(const capture::EncFlowRecord& rec) {
+  start_record(RecordKind::kEncFlow, rec.start.count_us());
+  put_varint(cols_[kEDur], zigzag_encode(rec.duration.count_us()));
+  put_varint(cols_[kEClientIp], addr_index(rec.client_ip));
+  put_varint(cols_[kEServerIp], addr_index(rec.server_ip));
+  wire::put_u16(cols_[kEClientPort], rec.client_port);
+  wire::put_u16(cols_[kEServerPort], rec.server_port);
+  put_varint(cols_[kEUpMsgs], rec.up_msgs);
+  put_varint(cols_[kEDownMsgs], rec.down_msgs);
+  put_varint(cols_[kEUpBytes], rec.up_bytes);
+  put_varint(cols_[kEDownBytes], rec.down_bytes);
+  put_varint(cols_[kEFirstUp], rec.first_up_bytes);
+  put_varint(cols_[kEFirstDown], rec.first_down_bytes);
+  put_varint(cols_[kEPadUp], rec.pad_aligned_up);
+  put_varint(cols_[kEPadDown], rec.pad_aligned_down);
 }
 
 std::uint64_t SegmentBuilderV2::raw_bytes() const {
@@ -155,6 +162,9 @@ std::string SegmentBuilderV2::build() {
   if (kind_ == RecordKind::kConn) {
     remap_index_column(cols_[kCOrigIp], new_of_old);
     remap_index_column(cols_[kCRespIp], new_of_old);
+  } else if (kind_ == RecordKind::kEncFlow) {
+    remap_index_column(cols_[kEClientIp], new_of_old);
+    remap_index_column(cols_[kEServerIp], new_of_old);
   } else {
     remap_index_column(cols_[kDClientIp], new_of_old);
     remap_index_column(cols_[kDResolverIp], new_of_old);
@@ -225,18 +235,30 @@ void SegmentBuilderV2::reset() {
   addr_idx_.clear();
 }
 
-std::string build_segment_v2(const std::vector<capture::ConnRecord>& recs,
-                             SegmentCodec codec) {
-  SegmentBuilderV2 b{RecordKind::kConn, codec};
+namespace {
+
+template <typename Rec>
+std::string build_one(RecordKind kind, const std::vector<Rec>& recs, SegmentCodec codec) {
+  SegmentBuilderV2 b{kind, codec};
   for (const auto& r : recs) b.add(r);
   return b.build();
 }
 
+}  // namespace
+
+std::string build_segment_v2(const std::vector<capture::ConnRecord>& recs,
+                             SegmentCodec codec) {
+  return build_one(RecordKind::kConn, recs, codec);
+}
+
 std::string build_segment_v2(const std::vector<capture::DnsRecord>& recs,
                              SegmentCodec codec) {
-  SegmentBuilderV2 b{RecordKind::kDns, codec};
-  for (const auto& r : recs) b.add(r);
-  return b.build();
+  return build_one(RecordKind::kDns, recs, codec);
+}
+
+std::string build_segment_v2(const std::vector<capture::EncFlowRecord>& recs,
+                             SegmentCodec codec) {
+  return build_one(RecordKind::kEncFlow, recs, codec);
 }
 
 }  // namespace dnsctx::stream

@@ -17,22 +17,23 @@
 //                remaining × varint value-delta          (tail)
 //   column := varint byte_len | byte_len bytes
 //
-// Columns appear in a fixed order per kind (kConnColumns /
-// kDnsColumns). Timestamps are stored as unsigned varint deltas from
+// Columns appear in a fixed order per kind (kConnColumns / kDnsColumns /
+// kEncColumns). Timestamps are stored as unsigned varint deltas from
 // the previous record (the first record's delta is 0 relative to
 // header.first_ts), so nondecreasing order is inherent to the encoding;
-// durations are zigzag varints; ports are fixed-width little-endian.
-// IPv4 addresses and qnames are varint indices into the per-segment
-// address/name dictionaries, which store each distinct value once — a
-// segment sees few distinct hosts, so indices run 1-2 bytes where raw
-// addresses cost 4. Readers accept dictionary entries in any order;
-// the writer places the kDictHead most-referenced values first (small
-// indices go to hot values), then the rest sorted ascending so the
-// addr-dict tail delta-codes tightly (each tail entry is its u32 value
-// minus the previous tail value, first relative to 0) and the name-dict
-// tail groups shared suffixes for the block codec. DNS answer sets are
-// flattened: a per-record answer_count column, then one ans_addr /
-// ans_ttl entry per answer across the whole segment.
+// durations are zigzag varints; ports are fixed-width little-endian;
+// byte and message counters are varints. IPv4 addresses and qnames are
+// varint indices into the per-segment address/name dictionaries, which
+// store each distinct value once — a segment sees few distinct hosts,
+// so indices run 1-2 bytes where raw addresses cost 4. Readers accept
+// dictionary entries in any order; the writer places the kDictHead
+// most-referenced values first (small indices go to hot values), then
+// the rest sorted ascending so the addr-dict tail delta-codes tightly
+// (each tail entry is its u32 value minus the previous tail value, first
+// relative to 0) and the name-dict tail groups shared suffixes for the
+// block codec. DNS answer sets are flattened: a per-record answer_count
+// column, then one ans_addr / ans_ttl entry per answer across the whole
+// segment. Enc segments have no name dictionary.
 //
 // The encoding is lossless: decoding reproduces every record field
 // bit-for-bit, so study results over a v2 spool are byte-identical to
@@ -42,6 +43,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -73,12 +75,48 @@ inline constexpr std::array<const char*, 10> kConnColumns = {
 inline constexpr std::array<const char*, 12> kDnsColumns = {
     "ts_delta", "duration", "client_ip", "client_port",  "resolver_ip", "qtype",
     "rcode",    "answered", "name_idx",  "answer_count", "ans_addr",    "ans_ttl"};
+inline constexpr std::array<const char*, 14> kEncColumns = {
+    "ts_delta",       "duration",         "client_ip",      "server_ip",
+    "client_port",    "server_port",      "up_msgs",        "down_msgs",
+    "up_bytes",       "down_bytes",       "first_up_bytes", "first_down_bytes",
+    "pad_aligned_up", "pad_aligned_down"};
+
+/// The column names of `kind`, in wire order.
+[[nodiscard]] constexpr std::span<const char* const> column_names(RecordKind kind) {
+  switch (kind) {
+    case RecordKind::kDns: return kDnsColumns;
+    case RecordKind::kEncFlow: return kEncColumns;
+    case RecordKind::kConn: break;
+  }
+  return kConnColumns;
+}
+
+/// Column indices into the arrays above, shared by the builder and the
+/// reader.
+namespace v2col {
+enum Conn : std::size_t {
+  kCTs = 0, kCDur, kCOrigIp, kCRespIp, kCOrigPort,
+  kCRespPort, kCProto, kCState, kCOrigBytes, kCRespBytes,
+};
+enum Dns : std::size_t {
+  kDTs = 0, kDDur, kDClientIp, kDClientPort, kDResolverIp, kDQtype,
+  kDRcode, kDAnswered, kDNameIdx, kDAnswerCount, kDAnsAddr, kDAnsTtl,
+};
+enum Enc : std::size_t {
+  kETs = 0, kEDur, kEClientIp, kEServerIp, kEClientPort, kEServerPort, kEUpMsgs,
+  kEDownMsgs, kEUpBytes, kEDownBytes, kEFirstUp, kEFirstDown, kEPadUp, kEPadDown,
+};
+static_assert(kCRespBytes + 1 == kConnColumns.size());
+static_assert(kDAnsTtl + 1 == kDnsColumns.size());
+static_assert(kEPadDown + 1 == kEncColumns.size());
+}  // namespace v2col
 
 /// Accumulates records into column buffers and assembles v2 segment
 /// blobs. One builder per open segment per kind; build() emits the blob
 /// and resets the builder for the next segment. Records must be added
-/// in nondecreasing timestamp order (throws otherwise — same contract
-/// as SpoolWriter).
+/// in nondecreasing timestamp order (throws std::runtime_error otherwise
+/// — same contract as SpoolWriter); a record of another kind throws
+/// std::logic_error.
 ///
 /// When the requested codec expands a particular body (incompressible
 /// data), build() stores that segment uncompressed: the codec id is
@@ -89,6 +127,7 @@ class SegmentBuilderV2 {
 
   void add(const capture::ConnRecord& rec);
   void add(const capture::DnsRecord& rec);
+  void add(const capture::EncFlowRecord& rec);
 
   [[nodiscard]] RecordKind kind() const { return kind_; }
   [[nodiscard]] std::uint32_t count() const { return count_; }
@@ -102,7 +141,7 @@ class SegmentBuilderV2 {
   void reset();
 
  private:
-  void start_record(std::int64_t ts_us);
+  void start_record(RecordKind kind, std::int64_t ts_us);
   [[nodiscard]] std::uint32_t addr_index(Ipv4Addr ip);
 
   RecordKind kind_;
@@ -123,6 +162,8 @@ class SegmentBuilderV2 {
 [[nodiscard]] std::string build_segment_v2(const std::vector<capture::ConnRecord>& recs,
                                            SegmentCodec codec = SegmentCodec::kLz);
 [[nodiscard]] std::string build_segment_v2(const std::vector<capture::DnsRecord>& recs,
+                                           SegmentCodec codec = SegmentCodec::kLz);
+[[nodiscard]] std::string build_segment_v2(const std::vector<capture::EncFlowRecord>& recs,
                                            SegmentCodec codec = SegmentCodec::kLz);
 
 }  // namespace dnsctx::stream

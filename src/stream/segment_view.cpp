@@ -79,7 +79,7 @@ struct SegmentView::Impl {
   }
 
   [[nodiscard]] const char* col_name(std::size_t ci) const {
-    return header.kind == RecordKind::kConn ? kConnColumns[ci] : kDnsColumns[ci];
+    return column_names(header.kind)[ci];
   }
 
   [[noreturn]] void col_fail(std::size_t ci, const char* what) const {
@@ -108,6 +108,12 @@ struct SegmentView::Impl {
     const auto lo = col_u8(ci);
     return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(col_u8(ci)) << 8));
   }
+  /// A varint that must fit a u32 record field.
+  [[nodiscard]] std::uint32_t col_varint32(std::size_t ci) {
+    const std::uint64_t v = col_varint(ci);
+    if (v > 0xffff'ffffull) col_fail(ci, "value out of range");
+    return static_cast<std::uint32_t>(v);
+  }
   /// Resolve a varint index through the segment's address dictionary.
   [[nodiscard]] std::uint32_t col_addr(std::size_t ci) {
     const std::uint64_t idx = col_varint(ci);
@@ -117,6 +123,28 @@ struct SegmentView::Impl {
           source.c_str(), rec_pos, static_cast<unsigned long long>(idx), addrs.size())};
     }
     return addrs[idx];
+  }
+
+  /// Open the next v1 record body (u32 length prefix | body), checking
+  /// that it fits the payload.
+  [[nodiscard]] wire::Cursor v1_record() {
+    const std::string_view b = body();
+    wire::Cursor c{b, v1_pos, &source, "segment payload"};
+    const std::uint32_t len = c.u32();
+    if (c.pos + len > b.size()) {
+      throw std::runtime_error{
+          strfmt("%s: record %u overruns segment payload", source.c_str(), rec_pos)};
+    }
+    v1_pos = c.pos + len;
+    return wire::Cursor{b.substr(c.pos, len), 0, &source, "record body"};
+  }
+  /// v1 records carry absolute timestamps: enforce their order.
+  void v1_order(std::int64_t ts) {
+    if (ts < prev_ts) {
+      throw std::runtime_error{
+          strfmt("%s: record %u timestamps out of order", source.c_str(), rec_pos)};
+    }
+    prev_ts = ts;
   }
 
   /// Advance prev_ts by a delta, rejecting i64 overflow.
@@ -141,18 +169,7 @@ struct SegmentView::Impl {
   bool next_enc(capture::EncFlowRecord& out);
 };
 
-// Column indices — must match kConnColumns / kDnsColumns (and the
-// builder in segment_v2.cpp).
-namespace {
-enum ConnCol : std::size_t {
-  kCTs = 0, kCDur, kCOrigIp, kCRespIp, kCOrigPort,
-  kCRespPort, kCProto, kCState, kCOrigBytes, kCRespBytes,
-};
-enum DnsCol : std::size_t {
-  kDTs = 0, kDDur, kDClientIp, kDClientPort, kDResolverIp, kDQtype,
-  kDRcode, kDAnswered, kDNameIdx, kDAnswerCount, kDAnsAddr, kDAnsTtl,
-};
-}  // namespace
+using namespace v2col;
 
 void SegmentView::Impl::init() {
   const std::string_view bytes = blob();
@@ -228,12 +245,25 @@ void SegmentView::Impl::index_v2() {
     return *v;
   };
 
+  // Dictionary counts are checked against the bytes left before any
+  // reserve(): every name costs at least its length byte, every address
+  // at least one byte (four in the head).
+  auto truncated_dict = [&](const char* what, std::uint64_t count) {
+    return std::runtime_error{
+        strfmt("%s: truncated %s: %llu entries, %zu bytes left (byte offset %zu)",
+               source.c_str(), what, static_cast<unsigned long long>(count),
+               static_cast<std::size_t>(end - p), offset())};
+  };
+
   if (header.kind == RecordKind::kDns) {
     const std::uint64_t dict_count = rd_varint("name dictionary");
     if (dict_count > header.record_count) {
       throw std::runtime_error{
           strfmt("%s: dictionary holds %llu names for %u records", source.c_str(),
                  static_cast<unsigned long long>(dict_count), header.record_count)};
+    }
+    if (dict_count > static_cast<std::uint64_t>(end - p)) {
+      throw truncated_dict("name dictionary", dict_count);
     }
     dict.reserve(dict_count);
     for (std::uint64_t i = 0; i < dict_count; ++i) {
@@ -257,9 +287,9 @@ void SegmentView::Impl::index_v2() {
   // varint value-deltas (first relative to 0).
   const std::uint64_t addr_count = rd_varint("address dictionary");
   const std::uint64_t head_count = std::min<std::uint64_t>(addr_count, kDictHead);
-  if (head_count > static_cast<std::uint64_t>(end - p) / 4) {
-    throw std::runtime_error{strfmt("%s: truncated address dictionary at byte offset %zu",
-                                    source.c_str(), offset())};
+  const auto left = static_cast<std::uint64_t>(end - p);
+  if (head_count > left / 4 || addr_count - head_count > left - 4 * head_count) {
+    throw truncated_dict("address dictionary", addr_count);
   }
   addrs.reserve(addr_count);
   for (std::uint64_t i = 0; i < head_count; ++i) {
@@ -284,8 +314,7 @@ void SegmentView::Impl::index_v2() {
     prev_addr = value;
   }
 
-  const std::size_t ncols =
-      header.kind == RecordKind::kConn ? kConnColumns.size() : kDnsColumns.size();
+  const std::size_t ncols = column_names(header.kind).size();
   cols.reserve(ncols);
   for (std::size_t ci = 0; ci < ncols; ++ci) {
     const std::uint64_t len = rd_varint("column table");
@@ -311,34 +340,24 @@ void SegmentView::Impl::index_v2() {
 /// timestamps for v2).
 void SegmentView::Impl::validate() {
   rewind();
+  const bool v2 = header.version != kSegmentVersion;
+  auto check_first = [&](SimTime ts) {
+    if (v2 && rec_pos == 1 && ts != header.first_ts) {
+      throw std::runtime_error{strfmt(
+          "%s: first record timestamp disagrees with header first_ts", source.c_str())};
+    }
+  };
   if (header.kind == RecordKind::kConn) {
     capture::ConnRecord scratch;
-    while (next_conn(scratch)) {
-      if (rec_pos == 1 && header.version != kSegmentVersion &&
-          scratch.start != header.first_ts) {
-        throw std::runtime_error{
-            strfmt("%s: first record timestamp disagrees with header first_ts",
-                   source.c_str())};
-      }
-    }
+    while (next_conn(scratch)) check_first(scratch.start);
   } else if (header.kind == RecordKind::kEncFlow) {
-    // Always v1 (the header parser rejects v2 enc), so only the trailing-
-    // bytes check below applies.
     capture::EncFlowRecord scratch;
-    while (next_enc(scratch)) {
-    }
+    while (next_enc(scratch)) check_first(scratch.start);
   } else {
     capture::DnsRecord scratch;
-    while (next_dns(scratch, /*materialize_name=*/false)) {
-      if (rec_pos == 1 && header.version != kSegmentVersion &&
-          scratch.ts != header.first_ts) {
-        throw std::runtime_error{
-            strfmt("%s: first record timestamp disagrees with header first_ts",
-                   source.c_str())};
-      }
-    }
+    while (next_dns(scratch, /*materialize_name=*/false)) check_first(scratch.ts);
   }
-  if (header.version == kSegmentVersion) {
+  if (!v2) {
     const std::string_view b = body();
     if (v1_pos != b.size()) {
       throw std::runtime_error{strfmt("%s: %zu trailing bytes after %u records",
@@ -374,14 +393,7 @@ void SegmentView::Impl::rewind() {
 bool SegmentView::Impl::next_conn(capture::ConnRecord& out) {
   if (rec_pos == header.record_count) return false;
   if (header.version == kSegmentVersion) {
-    const std::string_view b = body();
-    wire::Cursor c{b, v1_pos, &source, "segment payload"};
-    const std::uint32_t len = c.u32();
-    if (c.pos + len > b.size()) {
-      throw std::runtime_error{
-          strfmt("%s: record %u overruns segment payload", source.c_str(), rec_pos)};
-    }
-    wire::Cursor rb{b.substr(c.pos, len), 0, &source, "record body"};
+    wire::Cursor rb = v1_record();
     out.start = SimTime::from_us(rb.i64());
     out.duration = SimDuration::us(rb.i64());
     out.orig_ip = Ipv4Addr::from_u32(rb.u32());
@@ -392,12 +404,7 @@ bool SegmentView::Impl::next_conn(capture::ConnRecord& out) {
     out.state = static_cast<capture::ConnState>(rb.u8());
     out.orig_bytes = rb.u64();
     out.resp_bytes = rb.u64();
-    if (out.start.count_us() < prev_ts) {
-      throw std::runtime_error{
-          strfmt("%s: record %u timestamps out of order", source.c_str(), rec_pos)};
-    }
-    prev_ts = out.start.count_us();
-    v1_pos = c.pos + len;
+    v1_order(out.start.count_us());
   } else {
     out.start = SimTime::from_us(advance_ts(col_varint(kCTs)));
     out.duration = SimDuration::us(zigzag_decode(col_varint(kCDur)));
@@ -417,14 +424,7 @@ bool SegmentView::Impl::next_conn(capture::ConnRecord& out) {
 bool SegmentView::Impl::next_dns(capture::DnsRecord& out, bool materialize_name) {
   if (rec_pos == header.record_count) return false;
   if (header.version == kSegmentVersion) {
-    const std::string_view b = body();
-    wire::Cursor c{b, v1_pos, &source, "segment payload"};
-    const std::uint32_t len = c.u32();
-    if (c.pos + len > b.size()) {
-      throw std::runtime_error{
-          strfmt("%s: record %u overruns segment payload", source.c_str(), rec_pos)};
-    }
-    wire::Cursor rb{b.substr(c.pos, len), 0, &source, "record body"};
+    wire::Cursor rb = v1_record();
     out.ts = SimTime::from_us(rb.i64());
     out.duration = SimDuration::us(rb.i64());
     out.client_ip = Ipv4Addr::from_u32(rb.u32());
@@ -451,12 +451,7 @@ bool SegmentView::Impl::next_dns(capture::DnsRecord& out, bool materialize_name)
       a.ttl = rb.u32();
       out.answers.push_back(a);
     }
-    if (out.ts.count_us() < prev_ts) {
-      throw std::runtime_error{
-          strfmt("%s: record %u timestamps out of order", source.c_str(), rec_pos)};
-    }
-    prev_ts = out.ts.count_us();
-    v1_pos = c.pos + len;
+    v1_order(out.ts.count_us());
   } else {
     out.ts = SimTime::from_us(advance_ts(col_varint(kDTs)));
     out.duration = SimDuration::us(zigzag_decode(col_varint(kDDur)));
@@ -493,34 +488,39 @@ bool SegmentView::Impl::next_dns(capture::DnsRecord& out, bool materialize_name)
 
 bool SegmentView::Impl::next_enc(capture::EncFlowRecord& out) {
   if (rec_pos == header.record_count) return false;
-  const std::string_view b = body();
-  wire::Cursor c{b, v1_pos, &source, "segment payload"};
-  const std::uint32_t len = c.u32();
-  if (c.pos + len > b.size()) {
-    throw std::runtime_error{
-        strfmt("%s: record %u overruns segment payload", source.c_str(), rec_pos)};
+  if (header.version == kSegmentVersion) {
+    wire::Cursor rb = v1_record();
+    out.start = SimTime::from_us(rb.i64());
+    out.duration = SimDuration::us(rb.i64());
+    out.client_ip = Ipv4Addr::from_u32(rb.u32());
+    out.server_ip = Ipv4Addr::from_u32(rb.u32());
+    out.client_port = rb.u16();
+    out.server_port = rb.u16();
+    out.up_msgs = rb.u32();
+    out.down_msgs = rb.u32();
+    out.up_bytes = rb.u64();
+    out.down_bytes = rb.u64();
+    out.first_up_bytes = rb.u64();
+    out.first_down_bytes = rb.u64();
+    out.pad_aligned_up = rb.u32();
+    out.pad_aligned_down = rb.u32();
+    v1_order(out.start.count_us());
+  } else {
+    out.start = SimTime::from_us(advance_ts(col_varint(kETs)));
+    out.duration = SimDuration::us(zigzag_decode(col_varint(kEDur)));
+    out.client_ip = Ipv4Addr::from_u32(col_addr(kEClientIp));
+    out.server_ip = Ipv4Addr::from_u32(col_addr(kEServerIp));
+    out.client_port = col_u16(kEClientPort);
+    out.server_port = col_u16(kEServerPort);
+    out.up_msgs = col_varint32(kEUpMsgs);
+    out.down_msgs = col_varint32(kEDownMsgs);
+    out.up_bytes = col_varint(kEUpBytes);
+    out.down_bytes = col_varint(kEDownBytes);
+    out.first_up_bytes = col_varint(kEFirstUp);
+    out.first_down_bytes = col_varint(kEFirstDown);
+    out.pad_aligned_up = col_varint32(kEPadUp);
+    out.pad_aligned_down = col_varint32(kEPadDown);
   }
-  wire::Cursor rb{b.substr(c.pos, len), 0, &source, "record body"};
-  out.start = SimTime::from_us(rb.i64());
-  out.duration = SimDuration::us(rb.i64());
-  out.client_ip = Ipv4Addr::from_u32(rb.u32());
-  out.server_ip = Ipv4Addr::from_u32(rb.u32());
-  out.client_port = rb.u16();
-  out.server_port = rb.u16();
-  out.up_msgs = rb.u32();
-  out.down_msgs = rb.u32();
-  out.up_bytes = rb.u64();
-  out.down_bytes = rb.u64();
-  out.first_up_bytes = rb.u64();
-  out.first_down_bytes = rb.u64();
-  out.pad_aligned_up = rb.u32();
-  out.pad_aligned_down = rb.u32();
-  if (out.start.count_us() < prev_ts) {
-    throw std::runtime_error{
-        strfmt("%s: record %u timestamps out of order", source.c_str(), rec_pos)};
-  }
-  prev_ts = out.start.count_us();
-  v1_pos = c.pos + len;
   ++rec_pos;
   return true;
 }

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #include "capture/logio.hpp"
 #include "obs/metrics.hpp"
@@ -178,18 +177,13 @@ class VectorStream {
 // ---- SpoolWriter -----------------------------------------------------------
 
 SpoolWriter::SpoolWriter(std::string dir, SpoolConfig cfg)
-    : dir_{std::move(dir)}, cfg_{cfg} {
+    : dir_{std::move(dir)},
+      cfg_{cfg},
+      conn_{RecordKind::kConn, cfg.codec},
+      dns_{RecordKind::kDns, cfg.codec},
+      enc_{RecordKind::kEncFlow, cfg.codec} {
   if (cfg_.max_records_per_segment == 0) {
     throw std::invalid_argument{"SpoolConfig::max_records_per_segment must be > 0"};
-  }
-  if (cfg_.format != kSegmentVersion && cfg_.format != kSegmentVersionV2) {
-    throw std::invalid_argument{
-        strfmt("SpoolConfig::format must be %u or %u (got %u)", kSegmentVersion,
-               kSegmentVersionV2, cfg_.format)};
-  }
-  if (cfg_.format == kSegmentVersionV2) {
-    conn_.v2 = std::make_unique<SegmentBuilderV2>(RecordKind::kConn, cfg_.codec);
-    dns_.v2 = std::make_unique<SegmentBuilderV2>(RecordKind::kDns, cfg_.codec);
   }
   fs::create_directories(dir_);
 }
@@ -203,47 +197,33 @@ SpoolWriter::~SpoolWriter() {
 }
 
 template <typename Rec>
-void SpoolWriter::add(OpenSegment& seg, RecordKind kind, const Rec& rec, SimTime ts) {
+void SpoolWriter::add(OpenSegment& seg, const Rec& rec, SimTime ts) {
   if (seg.any && ts < seg.last) {
     throw std::runtime_error{
         strfmt("spool %s: %s record at %lld us arrived after %lld us; spool input must be "
                "time-sorted",
-               dir_.c_str(), to_string(kind).data(), static_cast<long long>(ts.count_us()),
+               dir_.c_str(), to_string(seg.builder.kind()).data(),
+               static_cast<long long>(ts.count_us()),
                static_cast<long long>(seg.last.count_us()))};
   }
-  const bool rotate_now =
-      seg.count > 0 && (seg.count >= cfg_.max_records_per_segment ||
-                        ts - seg.first >= cfg_.max_segment_span);
-  if (rotate_now) rotate(seg, kind);
-  if (seg.count == 0) seg.first = ts;
-  if constexpr (std::is_same_v<Rec, capture::EncFlowRecord>) {
-    // Enc segments have no columnar layout: always the v1 body codec.
-    append_record(seg.payload, rec);
-  } else {
-    if (seg.v2) {
-      seg.v2->add(rec);
-    } else {
-      append_record(seg.payload, rec);
-    }
+  const std::uint32_t count = seg.builder.count();
+  if (count > 0 &&
+      (count >= cfg_.max_records_per_segment || ts - seg.first >= cfg_.max_segment_span)) {
+    rotate(seg);
   }
-  ++seg.count;
+  if (seg.builder.count() == 0) seg.first = ts;
+  seg.builder.add(rec);
   seg.last = ts;
   seg.any = true;
   ++seg.records_total;
 }
 
-void SpoolWriter::rotate(OpenSegment& seg, RecordKind kind) {
-  if (seg.count == 0) return;
-  std::uint64_t raw_bytes;
-  std::string blob;
-  if (seg.v2) {
-    raw_bytes = seg.v2->raw_bytes();
-    blob = seg.v2->build();  // resets the builder for the next segment
-  } else {
-    raw_bytes = seg.payload.size();
-    blob = build_segment(kind, seg.count, seg.first, seg.last, seg.payload);
-    seg.payload.clear();
-  }
+void SpoolWriter::rotate(OpenSegment& seg) {
+  const std::uint32_t count = seg.builder.count();
+  if (count == 0) return;
+  const RecordKind kind = seg.builder.kind();
+  const std::uint64_t raw_bytes = seg.builder.raw_bytes();
+  const std::string blob = seg.builder.build();  // resets the builder
   write_segment_file((fs::path{dir_} / segment_name(kind, seg.next_seq)).string(), blob);
   ++seg.next_seq;
   ++segments_written_;
@@ -254,27 +234,22 @@ void SpoolWriter::rotate(OpenSegment& seg, RecordKind kind) {
     // Pre-compression payload bytes: spool_raw_bytes_total /
     // spool_bytes_written_total approximates the compression ratio.
     reg.counter("spool_raw_bytes_total").add(raw_bytes);
-    reg.counter("spool_records_written_total").add(seg.count);
+    reg.counter("spool_records_written_total").add(count);
   }
-  seg.count = 0;
 }
 
-void SpoolWriter::on_conn(const capture::ConnRecord& rec) {
-  add(conn_, RecordKind::kConn, rec, rec.start);
-}
+void SpoolWriter::on_conn(const capture::ConnRecord& rec) { add(conn_, rec, rec.start); }
 
-void SpoolWriter::on_dns(const capture::DnsRecord& rec) {
-  add(dns_, RecordKind::kDns, rec, rec.ts);
-}
+void SpoolWriter::on_dns(const capture::DnsRecord& rec) { add(dns_, rec, rec.ts); }
 
 void SpoolWriter::on_encflow(const capture::EncFlowRecord& rec) {
-  add(enc_, RecordKind::kEncFlow, rec, rec.start);
+  add(enc_, rec, rec.start);
 }
 
 void SpoolWriter::flush() {
-  rotate(conn_, RecordKind::kConn);
-  rotate(dns_, RecordKind::kDns);
-  rotate(enc_, RecordKind::kEncFlow);
+  rotate(conn_);
+  rotate(dns_);
+  rotate(enc_);
 }
 
 // ---- reading ---------------------------------------------------------------

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,17 +38,13 @@ struct SpoolConfig {
   std::uint32_t max_records_per_segment = 65'536;
   /// ...or spans this much simulated time, whichever comes first.
   SimDuration max_segment_span = SimDuration::hours(1);
-  /// Segment format to WRITE: kSegmentVersion (1, interleaved bodies) or
-  /// kSegmentVersionV2 (2, columnar + compressed — the default). Readers
-  /// auto-detect per segment regardless of this setting. Enc segments are
-  /// always written v1 — the columnar format has no enc column set.
-  std::uint16_t format = kSegmentVersionV2;
-  /// Block codec for v2 segments (ignored for v1).
+  /// Block codec for the segments' columnar bodies.
   SegmentCodec codec = SegmentCodec::kLz;
 };
 
-/// Writes records into a spool directory, rotating segments per config.
-/// Implements RecordSink so a time-sorted feed can drive it directly.
+/// Writes records into a spool directory as v2 segments, rotating them
+/// per config. Implements RecordSink so a time-sorted feed can drive it
+/// directly.
 class SpoolWriter : public capture::RecordSink {
  public:
   SpoolWriter(std::string dir, SpoolConfig cfg = {});
@@ -71,9 +66,9 @@ class SpoolWriter : public capture::RecordSink {
 
  private:
   struct OpenSegment {
-    std::string payload;                    ///< v1: interleaved record bodies
-    std::unique_ptr<SegmentBuilderV2> v2;   ///< v2: columnar builder (null for v1)
-    std::uint32_t count = 0;
+    OpenSegment(RecordKind kind, SegmentCodec codec) : builder{kind, codec} {}
+
+    SegmentBuilderV2 builder;
     SimTime first;
     SimTime last;
     std::uint32_t next_seq = 0;
@@ -82,14 +77,14 @@ class SpoolWriter : public capture::RecordSink {
   };
 
   template <typename Rec>
-  void add(OpenSegment& seg, RecordKind kind, const Rec& rec, SimTime ts);
-  void rotate(OpenSegment& seg, RecordKind kind);
+  void add(OpenSegment& seg, const Rec& rec, SimTime ts);
+  void rotate(OpenSegment& seg);
 
   std::string dir_;
   SpoolConfig cfg_;
   OpenSegment conn_;
   OpenSegment dns_;
-  OpenSegment enc_;  ///< no v2 builder ever: enc segments are v1-only
+  OpenSegment enc_;
   std::size_t segments_written_ = 0;
 };
 
@@ -135,10 +130,10 @@ ReplayCounts text_to_spool(const std::string& text_dir, const std::string& spool
                            SpoolConfig cfg = {});
 ReplayCounts spool_to_text(const std::string& spool_dir, const std::string& text_dir);
 
-/// Re-encode a spool into `dst_dir` using cfg's format/codec (v1 ↔ v2
-/// in either direction — the reader auto-detects the source format per
-/// segment). Record values and delivery order are preserved exactly, so
-/// study results across a conversion are byte-identical; segment
+/// Re-encode a spool into `dst_dir` as v2 segments with cfg's codec (the
+/// reader auto-detects the source format per segment, so this upgrades
+/// v1 spools). Record values and delivery order are preserved exactly,
+/// so study results across a conversion are byte-identical; segment
 /// boundaries follow cfg's rotation limits, not the source's.
 ReplayCounts convert_spool(const std::string& src_dir, const std::string& dst_dir,
                            SpoolConfig cfg = {});

@@ -72,7 +72,7 @@ TEST(DomainName, RejectsOverlongName) {
 }
 
 TEST(DomainName, MustThrowsOnInvalid) {
-  EXPECT_THROW(DomainName::must("bad..name"), std::invalid_argument);
+  EXPECT_THROW((void)DomainName::must("bad..name"), std::invalid_argument);
 }
 
 TEST(DomainName, Labels) {

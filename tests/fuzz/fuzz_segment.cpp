@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 
+#include "segment_v1.hpp"
 #include "stream/segment.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
@@ -31,12 +32,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   std::string payload;
   for (const auto& rec : parsed.conns) stream::append_record(payload, rec);
   for (const auto& rec : parsed.dns) stream::append_record(payload, rec);
+  for (const auto& rec : parsed.encflows) stream::append_record(payload, rec);
   const std::string blob =
       stream::build_segment(parsed.header.kind, parsed.header.record_count,
                             parsed.header.first_ts, parsed.header.last_ts, payload);
   const stream::SegmentData again = stream::parse_segment(blob, "fuzz-roundtrip");
   if (again.header.record_count != parsed.header.record_count ||
-      again.conns.size() != parsed.conns.size() || again.dns.size() != parsed.dns.size()) {
+      again.conns.size() != parsed.conns.size() || again.dns.size() != parsed.dns.size() ||
+      again.encflows.size() != parsed.encflows.size()) {
     std::abort();
   }
   return 0;

@@ -11,8 +11,7 @@
 //
 // Regenerate (only when an INTENTIONAL output change is made) with:
 //
-//   DNSCTX_GOLDEN_UPDATE=1 ./build/tests/test_integration \
-//       --gtest_filter='Golden*'
+//   DNSCTX_GOLDEN_UPDATE=1 ./build/tests/test_integration --gtest_filter='Golden*'
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -202,10 +201,11 @@ TEST_P(Golden, BatchReportExportsAndStream) {
 INSTANTIATE_TEST_SUITE_P(SeedsAndShards, Golden,
                          testing::Combine(testing::Values(1ull, 7ull),
                                           testing::Values(std::size_t{1}, std::size_t{4})),
-                         [](const auto& info) {
-                           return strfmt("seed%llu_shards%zu",
-                                         static_cast<unsigned long long>(std::get<0>(info.param)),
-                                         std::get<1>(info.param));
+                         [](const auto& param_info) {
+                           return strfmt(
+                               "seed%llu_shards%zu",
+                               static_cast<unsigned long long>(std::get<0>(param_info.param)),
+                               std::get<1>(param_info.param));
                          });
 
 }  // namespace

@@ -92,10 +92,10 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndShards, PackGolden,
     testing::Combine(testing::Values(1ull, 7ull),
                      testing::Values(std::size_t{1}, std::size_t{4})),
-    [](const auto& info) {
+    [](const auto& param_info) {
       return strfmt("seed%llu_shards%zu",
-                    static_cast<unsigned long long>(std::get<0>(info.param)),
-                    std::get<1>(info.param));
+                    static_cast<unsigned long long>(std::get<0>(param_info.param)),
+                    std::get<1>(param_info.param));
     });
 
 // --- contract 2: the shipped packs parse, run, and shift composition -----

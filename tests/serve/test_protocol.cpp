@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "capture/records.hpp"
+#include "segment_v1.hpp"
 #include "serve/http.hpp"
 #include "serve/ingest.hpp"
 #include "stream/segment.hpp"

@@ -23,6 +23,7 @@
 
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
+#include "segment_v1.hpp"
 #include "serve/push.hpp"
 #include "serve/server.hpp"
 #include "serve/sockets.hpp"

@@ -1,6 +1,6 @@
 // dnsctx — enc-segment tests: EncFlowRecord round-trips through the v1
-// segment codec, the zero-copy view, spool rotation/replay with the
-// three-way merge, the v2 rejection rule, and the text converters.
+// and v2 segment codecs, the zero-copy view, spool rotation/replay with
+// the three-way merge, and the text converters.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "capture/logio.hpp"
+#include "segment_v1.hpp"
 #include "stream/segment.hpp"
+#include "stream/segment_v2.hpp"
 #include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
 #include "temp_dir.hpp"
@@ -59,6 +61,47 @@ struct CollectSink : capture::RecordSink {
     order += 'e';
   }
 };
+
+void expect_enc_eq(const capture::EncFlowRecord& e, const capture::EncFlowRecord& orig) {
+  EXPECT_EQ(e.start, orig.start);
+  EXPECT_EQ(e.duration, orig.duration);
+  EXPECT_EQ(e.client_ip, orig.client_ip);
+  EXPECT_EQ(e.server_ip, orig.server_ip);
+  EXPECT_EQ(e.client_port, orig.client_port);
+  EXPECT_EQ(e.server_port, orig.server_port);
+  EXPECT_EQ(e.up_msgs, orig.up_msgs);
+  EXPECT_EQ(e.down_msgs, orig.down_msgs);
+  EXPECT_EQ(e.up_bytes, orig.up_bytes);
+  EXPECT_EQ(e.down_bytes, orig.down_bytes);
+  EXPECT_EQ(e.first_up_bytes, orig.first_up_bytes);
+  EXPECT_EQ(e.first_down_bytes, orig.first_down_bytes);
+  EXPECT_EQ(e.pad_aligned_up, orig.pad_aligned_up);
+  EXPECT_EQ(e.pad_aligned_down, orig.pad_aligned_down);
+}
+
+/// Varied enc flows: a few clients and servers, extreme counter values
+/// and a negative duration, so every column's range gets exercised.
+std::vector<capture::EncFlowRecord> varied_encs(int n) {
+  std::vector<capture::EncFlowRecord> out;
+  for (int i = 0; i < n; ++i) {
+    capture::EncFlowRecord e = sample_enc(1'000'000 + 37'000 * i);
+    e.duration = SimDuration::us(i % 7 == 0 ? -5 : 1'000 * i);
+    e.client_ip = Ipv4Addr{100, 66, 3, static_cast<std::uint8_t>(i % 5)};
+    e.server_ip = Ipv4Addr{100, 66, 250, static_cast<std::uint8_t>(1 + i % 2)};
+    e.client_port = static_cast<std::uint16_t>(30'000 + i);
+    e.server_port = i % 2 == 0 ? 853 : 443;
+    e.up_msgs = static_cast<std::uint32_t>(i);
+    e.down_msgs = i == 3 ? 0xffff'ffffu : static_cast<std::uint32_t>(i + 1);
+    e.up_bytes = 925u * static_cast<std::uint64_t>(i);
+    e.down_bytes = i == 5 ? ~std::uint64_t{0} : 13'370u * static_cast<std::uint64_t>(i);
+    e.first_up_bytes = 289;
+    e.first_down_bytes = 3'295u + static_cast<std::uint64_t>(i);
+    e.pad_aligned_up = static_cast<std::uint32_t>(i / 2);
+    e.pad_aligned_down = i == 4 ? 0xffff'ffffu : static_cast<std::uint32_t>(i / 3);
+    out.push_back(e);
+  }
+  return out;
+}
 
 using testutil::TempDir;
 
@@ -131,19 +174,56 @@ TEST(EncSegment, TimestampDisorderRejected) {
   EXPECT_THROW((void)SegmentView::parse(blob, "test"), std::runtime_error);
 }
 
-TEST(EncSegment, V2EncSegmentsAreRejected) {
-  // The columnar v2 format has no enc column set; a header claiming
-  // version 2 + kind enc must fail loudly at the single choke point.
-  std::string blob;
-  append_segment_header(blob, kSegmentVersionV2, RecordKind::kEncFlow, 0,
-                        SimTime::from_us(0), SimTime::from_us(0), 0, crc32(""));
-  try {
-    (void)parse_segment_header(blob, "evil.seg");
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("v1-only"), std::string::npos) << what;
+TEST(EncSegment, V2RoundTripsEveryFieldUnderBothCodecs) {
+  const auto recs = varied_encs(300);
+  for (const auto codec : {SegmentCodec::kNone, SegmentCodec::kLz}) {
+    const std::string blob = build_segment_v2(recs, codec);
+    SegmentView view = SegmentView::parse(blob, "enc_v2.seg");
+    EXPECT_EQ(view.header().version, kSegmentVersionV2);
+    EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
+    EXPECT_EQ(view.stored_codec(), codec);
+    EXPECT_EQ(view.header().first_ts, recs.front().start);
+    EXPECT_EQ(view.header().last_ts, recs.back().start);
+    ASSERT_EQ(view.size(), recs.size());
+    capture::EncFlowRecord out;
+    for (const auto& orig : recs) {
+      ASSERT_TRUE(view.next(out));
+      expect_enc_eq(out, orig);
+    }
+    EXPECT_FALSE(view.next(out));
+    // The materializing parser sees the same records.
+    const auto data = parse_segment(blob, "enc_v2.seg");
+    ASSERT_EQ(data.encflows.size(), recs.size());
+    expect_enc_eq(data.encflows.back(), recs.back());
   }
+}
+
+TEST(EncSegment, V2IsAFractionOfV1) {
+  const auto recs = varied_encs(1'000);
+  std::string payload;
+  for (const auto& r : recs) append_record(payload, r);
+  const std::string v1 = build_segment(RecordKind::kEncFlow, 1'000, recs.front().start,
+                                       recs.back().start, payload);
+  const std::string v2 = build_segment_v2(recs);
+  EXPECT_LT(v2.size() * 3, v1.size());
+}
+
+TEST(EncSegment, V2BuilderRejectsOtherKindsAndDisorder) {
+  SegmentBuilderV2 enc{RecordKind::kEncFlow};
+  capture::ConnRecord c;
+  EXPECT_THROW(enc.add(c), std::logic_error);
+  enc.add(sample_enc(2'000'000));
+  EXPECT_THROW(enc.add(sample_enc(1'000'000)), std::runtime_error);
+  SegmentBuilderV2 conn{RecordKind::kConn};
+  EXPECT_THROW(conn.add(sample_enc()), std::logic_error);
+}
+
+TEST(EncSegment, V2EmptySegmentRoundTrips) {
+  SegmentBuilderV2 b{RecordKind::kEncFlow};
+  const std::string blob = b.build();
+  SegmentView view = SegmentView::parse(blob, "empty.seg");
+  EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
+  EXPECT_EQ(view.size(), 0u);
 }
 
 TEST(EncSpool, WriterRotatesAndListsEncSegments) {
@@ -160,12 +240,27 @@ TEST(EncSpool, WriterRotatesAndListsEncSegments) {
   EXPECT_TRUE(listing.conn_segments.empty());
   EXPECT_TRUE(listing.dns_segments.empty());
   ASSERT_EQ(listing.enc_segments.size(), 3u);  // 2 + 2 + 1
-  // Enc segments are v1 regardless of the configured (default v2) format.
+  // Enc segments are v2, like every other kind.
   for (const auto& path : listing.enc_segments) {
     SegmentView view = SegmentView::map_file(path);
-    EXPECT_EQ(view.header().version, kSegmentVersion);
+    EXPECT_EQ(view.header().version, kSegmentVersionV2);
     EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
   }
+}
+
+TEST(EncSpool, V1EncSegmentsStillReplay) {
+  TempDir dir{"dnsctx_enc_v1_spool"};
+  const auto recs = varied_encs(10);
+  std::string payload;
+  for (const auto& r : recs) append_record(payload, r);
+  write_segment_file(dir.file("enc-00000000.seg"),
+                     build_segment(RecordKind::kEncFlow, 10, recs.front().start,
+                                   recs.back().start, payload));
+  CollectSink sink;
+  const auto counts = replay_spool(dir.path().string(), sink);
+  EXPECT_EQ(counts.encflows, 10u);
+  ASSERT_EQ(sink.encflows.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) expect_enc_eq(sink.encflows[i], recs[i]);
 }
 
 TEST(EncSpool, ReplayMergesThreeKindsWithTieOrder) {

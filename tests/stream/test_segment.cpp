@@ -1,6 +1,10 @@
 // dnsctx — segment codec tests: CRC, record round-trips, blob assembly.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
+#include "segment_v1.hpp"
 #include "stream/segment.hpp"
 
 namespace dnsctx::stream {
@@ -41,6 +45,35 @@ TEST(Crc32, KnownVectorAndChaining) {
   EXPECT_EQ(crc32(""), 0u);
   const std::string whole = "hello, segment world";
   EXPECT_EQ(crc32(whole.substr(5), crc32(whole.substr(0, 5))), crc32(whole));
+}
+
+/// The plain bitwise CRC-32 definition (reflected, poly 0xEDB88320).
+std::uint32_t reference_crc32(std::string_view bytes, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const char ch : bytes) {
+    c ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseDefinitionAtEveryLengthAndAlignment) {
+  // The eight-bytes-per-step loop must agree with the definition for
+  // every tail length and start alignment, and when chained.
+  std::string buf(4'097 + 8, '\0');
+  std::uint32_t x = 0x12345678u;
+  for (auto& c : buf) {
+    x = x * 1'103'515'245u + 12'345u;
+    c = static_cast<char>(x >> 24);
+  }
+  for (std::size_t align = 0; align <= 8; ++align) {
+    for (std::size_t len = 0; align + len <= 4'097 + 8 && len <= 4'097; ++len) {
+      const std::string_view bytes{buf.data() + align, len};
+      ASSERT_EQ(crc32(bytes), reference_crc32(bytes)) << "len " << len << " align " << align;
+    }
+  }
+  const std::string_view all{buf};
+  EXPECT_EQ(crc32(all.substr(13), crc32(all.substr(0, 13))), reference_crc32(all));
 }
 
 TEST(Segment, ConnRoundTrip) {

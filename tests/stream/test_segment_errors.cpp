@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "capture/logio.hpp"
+#include "segment_v1.hpp"
 #include "stream/segment.hpp"
 #include "stream/spool.hpp"
 #include "temp_dir.hpp"

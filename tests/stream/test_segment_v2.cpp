@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "segment_v1.hpp"
 #include "stream/codec.hpp"
 #include "stream/segment.hpp"
 #include "stream/segment_v2.hpp"
@@ -307,6 +308,62 @@ TEST(SegmentV2, CompressionBeatsV1OnRepetitiveRecords) {
   SegmentView view = SegmentView::parse(v2_lz, "big.seg");
   EXPECT_EQ(view.stored_codec(), SegmentCodec::kLz);
   EXPECT_EQ(view.size(), 500u);
+}
+
+TEST(SegmentV2, SegmentsFromTheBucketedEncoderStillDecode) {
+  // A 64-record lz conn segment written by the 32-way bucketed, lazily
+  // matching encoder that preceded the single-probe one. The block format
+  // and the decompressor are unchanged, so it must still decode.
+  static constexpr char kBlob[] =
+      "\x44\x43\x53\x47\x02\x00\x00\x00\x40\x00\x00\x00\xe8\x03\x00\x00"
+      "\x00\x00\x00\x00\x6e\x41\x00\x00\x00\x00\x00\x00\x76\x00\x00\x00"
+      "\x00\x00\x00\x00\x04\x65\x11\xbf\x01\x9b\x04\x00\x00\x00\x00\x00"
+      "\x00\xff\x02\x03\x22\xd8\xb8\x5d\x01\x00\x00\x0a\x02\x00\x00\x0a"
+      "\x7f\x00\xfa\x01\x02\x00\x69\xaf\xc0\x01\xa0\x9c\x01\xf0\xab\x01"
+      "\xc0\xbb\x09\x00\xa5\x3f\x40\x01\x02\x02\x00\x2b\x2f\x40\x00\x01"
+      "\x00\x2c\xaf\x80\x01\x40\x9c\x41\x9c\x42\x9c\x43\x9c\x08\x00\x65"
+      "\x3f\x80\x01\xbb\x02\x00\x6c\x0f\x45\x01\x2e\x2f\x40\x01\x01\x00"
+      "\x2c\x4f\x80\x01\xd2\x09\x02\x00\x6b\xbf\xc0\x01\xd5\xbb\x03\xdf"
+      "\xbb\x03\xe9\xbb\x03\x09\x00\x9f\x50\xbb\x03\xd5\xbb\x03";
+  SegmentView view = SegmentView::parse({kBlob, sizeof kBlob - 1}, "bucketed_lz.seg");
+  EXPECT_EQ(view.stored_codec(), SegmentCodec::kLz);
+  ASSERT_EQ(view.size(), 64u);
+  capture::ConnRecord back;
+  for (int i = 0; i < 64; ++i) {
+    capture::ConnRecord c = conn_at(1000 + 250 * i);
+    c.duration = SimDuration::ms(10 + i % 3);
+    c.orig_ip = Ipv4Addr{10, 0, 0, static_cast<std::uint8_t>(1 + i % 2)};
+    c.orig_port = static_cast<std::uint16_t>(40000 + i % 4);
+    c.resp_bytes = 56789 + static_cast<std::uint64_t>(i % 3) * 10;
+    ASSERT_TRUE(view.next(back));
+    expect_conn_eq(back, c);
+  }
+  EXPECT_FALSE(view.next(back));
+}
+
+TEST(LzCodec, OutputStaysWithinTheBlockBound) {
+  // |compress(x)| <= |x| + |x|/255 + 16 for any input, and the encoder is
+  // deterministic.
+  const auto& lz = codec(SegmentCodec::kLz);
+  std::uint32_t x = 7;
+  for (const std::size_t n : {0u, 1u, 12u, 13u, 100u, 255u, 4'096u, 70'000u}) {
+    for (int mode = 0; mode < 3; ++mode) {
+      std::string raw(n, '\0');
+      for (std::size_t i = 0; i < n; ++i) {
+        x = x * 1'103'515'245u + 12'345u;
+        raw[i] = static_cast<char>(mode == 0 ? x >> 24 : mode == 1 ? i % 7 : (i / 300) & 1);
+      }
+      std::string comp;
+      lz.compress(raw, comp);
+      EXPECT_LE(comp.size(), n + n / 255 + 16) << "n " << n << " mode " << mode;
+      std::string again;
+      lz.compress(raw, again);
+      EXPECT_EQ(comp, again);
+      std::string back;
+      ASSERT_TRUE(lz.decompress(comp, n, back));
+      EXPECT_EQ(back, raw);
+    }
+  }
 }
 
 TEST(SegmentV2, EmptySegmentsRoundTrip) {

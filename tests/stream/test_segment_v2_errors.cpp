@@ -345,6 +345,108 @@ TEST(SegmentV2Errors, TimestampDeltaOverflowRejected) {
                   {"bad.seg", "timestamp delta overflows"});
 }
 
+TEST(SegmentV2Errors, HugeAddressDictionaryCountRejectedBeforeAllocating) {
+  // A CRC-valid body claiming 2^62 addresses with a full 128-entry head:
+  // the tail count must be bounded by the bytes left (one per entry) before
+  // anything is reserved, so the reader throws its documented
+  // std::runtime_error, not std::length_error from reserve().
+  std::string body;
+  put_varint(body, std::uint64_t{1} << 62);
+  for (std::uint32_t i = 0; i < kDictHead; ++i) wire::put_u32(body, 0x0a000000u + i);
+  for (const auto kind : {RecordKind::kConn, RecordKind::kDns, RecordKind::kEncFlow}) {
+    const std::string with_names = kind == RecordKind::kDns ? dict_of({}) + body : body;
+    expect_rejected(make_v2_blob(kind, 1, 1000, 1000, with_names),
+                    {"bad.seg", "truncated address dictionary", "4611686018427387904 entries",
+                     "512 bytes left"});
+  }
+}
+
+TEST(SegmentV2Errors, NameDictionaryCountBoundedByBytesLeft) {
+  std::string body;
+  put_varint(body, 3);  // three names, but only two bytes follow
+  body += std::string(2, '\0');
+  expect_rejected(make_v2_blob(RecordKind::kDns, 5, 1000, 1000, body),
+                  {"bad.seg", "truncated name dictionary: 3 entries, 2 bytes left"});
+}
+
+/// A valid single-record enc column set; client_ip / server_ip are
+/// indexes 0 / 1 into the address dictionary. The parameters are the
+/// knobs the tests below turn.
+std::string one_enc_columns(std::uint64_t up_msgs = 4, int pad_down_values = 1,
+                            std::uint64_t server_idx = 1, std::uint64_t first_delta = 0) {
+  std::string body;
+  std::string col;
+  auto flush = [&] {
+    put_col(body, col);
+    col.clear();
+  };
+  put_varint(col, first_delta), flush();  // ts_delta
+  put_varint(col, 0), flush();            // duration
+  put_varint(col, 0), flush();            // client_ip (addr index)
+  put_varint(col, server_idx), flush();   // server_ip (addr index)
+  wire::put_u16(col, 30000), flush();     // client_port
+  wire::put_u16(col, 853), flush();       // server_port
+  put_varint(col, up_msgs), flush();      // up_msgs
+  put_varint(col, 5), flush();            // down_msgs
+  put_varint(col, 925), flush();          // up_bytes
+  put_varint(col, 13370), flush();        // down_bytes
+  put_varint(col, 289), flush();          // first_up_bytes
+  put_varint(col, 3295), flush();         // first_down_bytes
+  put_varint(col, 3), flush();            // pad_aligned_up
+  for (int i = 0; i < pad_down_values; ++i) put_varint(col, 4);
+  flush();                                // pad_aligned_down
+  return body;
+}
+
+TEST(SegmentV2Errors, WellFormedEncBodyAccepted) {
+  // The harness for the enc cases below is itself valid.
+  const std::string body = addrs_of({0x64420307u, 0x6442fa01u}) + one_enc_columns();
+  const std::string blob = make_v2_blob(RecordKind::kEncFlow, 1, 1000, 1000, body);
+  SegmentView view = SegmentView::parse(blob, "good.seg");  // borrows blob
+  capture::EncFlowRecord e;
+  ASSERT_TRUE(view.next(e));
+  EXPECT_EQ(e.server_port, 853);
+  EXPECT_EQ(e.pad_aligned_down, 4u);
+}
+
+TEST(SegmentV2Errors, EncCounterOutOfRangeRejected) {
+  const std::string body =
+      addrs_of({0x64420307u, 0x6442fa01u}) + one_enc_columns(/*up_msgs=*/0x1'0000'0000ull);
+  expect_rejected(make_v2_blob(RecordKind::kEncFlow, 1, 1000, 1000, body),
+                  {"bad.seg", "enc column 'up_msgs'", "value out of range", "record 0"});
+}
+
+TEST(SegmentV2Errors, EncTrailingColumnBytesRejected) {
+  const std::string body =
+      addrs_of({0x64420307u, 0x6442fa01u}) + one_enc_columns(4, /*pad_down_values=*/2);
+  expect_rejected(make_v2_blob(RecordKind::kEncFlow, 1, 1000, 1000, body),
+                  {"bad.seg", "column 'pad_aligned_down'", "trailing bytes after final record"});
+}
+
+TEST(SegmentV2Errors, EncAddressIndexOutOfRangeRejected) {
+  const std::string body =
+      addrs_of({0x64420307u, 0x6442fa01u}) + one_enc_columns(4, 1, /*server_idx=*/2);
+  expect_rejected(make_v2_blob(RecordKind::kEncFlow, 1, 1000, 1000, body),
+                  {"bad.seg", "record 0 address index 2 out of dictionary range (2 addresses)"});
+}
+
+TEST(SegmentV2Errors, EncMissingColumnRejected) {
+  // Thirteen columns where the enc layout has fourteen.
+  std::string body = addrs_of({0x64420307u, 0x6442fa01u});
+  for (int i = 0; i < 13; ++i) put_col(body, "");
+  expect_rejected(make_v2_blob(RecordKind::kEncFlow, 0, 0, 0, body),
+                  {"bad.seg", "truncated column table"});
+}
+
+TEST(SegmentV2Errors, EncHeaderTimestampsMustMatchRecords) {
+  const std::string addrs = addrs_of({0x64420307u, 0x6442fa01u});
+  expect_rejected(make_v2_blob(RecordKind::kEncFlow, 1, 1000, 1007,
+                               addrs + one_enc_columns(4, 1, 1, /*first_delta=*/7)),
+                  {"bad.seg", "first record timestamp disagrees with header first_ts"});
+  expect_rejected(make_v2_blob(RecordKind::kEncFlow, 1, 1000, 5000, addrs + one_enc_columns()),
+                  {"bad.seg", "disagrees with header last_ts"});
+}
+
 TEST(SegmentV2Errors, TruncatedPayloadStillNamesSource) {
   const std::string blob = build_segment_v2({conn_at(1000)});
   expect_rejected(blob.substr(0, blob.size() - 2),

@@ -176,34 +176,34 @@ TEST(Diurnal, OfficePeaksMiddayNotEvening) {
 TEST(Diurnal, CustomValidatesTheTable) {
   std::array<double, 24> hours{};
   hours.fill(1.0);
-  EXPECT_NO_THROW(DiurnalProfile::custom(hours));
+  EXPECT_NO_THROW((void)DiurnalProfile::custom(hours));
 
   // Zero-weight hours are legitimate (quiet periods) as long as some
   // hour carries load...
   hours[3] = 0.0;
   hours[4] = 0.0;
-  EXPECT_NO_THROW(DiurnalProfile::custom(hours));
+  EXPECT_NO_THROW((void)DiurnalProfile::custom(hours));
   const auto prof = DiurnalProfile::custom(hours);
   EXPECT_DOUBLE_EQ(prof.factor(SimTime::origin() + SimDuration::hours(3)), 0.0);
 
   // ...but an all-zero table would stall every app forever.
   std::array<double, 24> dead{};
-  EXPECT_THROW(DiurnalProfile::custom(dead), std::invalid_argument);
+  EXPECT_THROW((void)DiurnalProfile::custom(dead), std::invalid_argument);
 
   std::array<double, 24> negative{};
   negative.fill(1.0);
   negative[7] = -0.1;
-  EXPECT_THROW(DiurnalProfile::custom(negative), std::invalid_argument);
+  EXPECT_THROW((void)DiurnalProfile::custom(negative), std::invalid_argument);
 
   std::array<double, 24> infinite{};
   infinite.fill(1.0);
   infinite[12] = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(DiurnalProfile::custom(infinite), std::invalid_argument);
+  EXPECT_THROW((void)DiurnalProfile::custom(infinite), std::invalid_argument);
 
   std::array<double, 24> notanumber{};
   notanumber.fill(1.0);
   notanumber[0] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(DiurnalProfile::custom(notanumber), std::invalid_argument);
+  EXPECT_THROW((void)DiurnalProfile::custom(notanumber), std::invalid_argument);
 }
 
 TEST(WebModel, CustomFanoutBoundsAreRespected) {

@@ -130,7 +130,9 @@ TEST(FlatMap, RandomizedParityWithUnorderedMap) {
         const auto fit = flat.find(key);
         const auto rit = ref.find(key);
         ASSERT_EQ(fit == flat.end(), rit == ref.end());
-        if (rit != ref.end()) ASSERT_EQ(fit->second, rit->second);
+        if (rit != ref.end()) {
+          ASSERT_EQ(fit->second, rit->second);
+        }
         break;
       }
     }

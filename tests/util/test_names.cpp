@@ -62,7 +62,7 @@ TEST(NameTable, ViewsStayStableAcrossGrowth) {
   const std::string_view early = table.view(first);
   const char* data = early.data();
   for (int i = 0; i < 10000; ++i) {
-    table.intern("filler" + std::to_string(i) + ".example.com");
+    (void)table.intern("filler" + std::to_string(i) + ".example.com");
   }
   EXPECT_EQ(table.view(first).data(), data);
   EXPECT_EQ(table.view(first), "pinned.example.com");

@@ -33,10 +33,10 @@
 //                 | --spool DIR --push HOST:PORT --tenant NAME [--acks]
 //       Streaming ingestion: run the bounded-memory online study over a
 //       binary spool (optionally following a live writer), convert
-//       between text logs and spools or between spool formats
-//       (--convert re-encodes v1↔v2; --format/--codec pick the output
-//       encoding for any spool-writing mode), or push the spool's
-//       segments to a running `dnsctx serve` over TCP.
+//       between text logs and spools, re-encode a spool (--convert
+//       rewrites any v1 or v2 spool as v2; --codec picks the block codec
+//       for any spool-writing mode), or push the spool's segments to a
+//       running `dnsctx serve` over TCP.
 //
 //   dnsctx serve --listen HOST:PORT --http HOST:PORT [--max-tenants N]
 //                [--idle-evict SECS] [--max-frame-mib N]
@@ -198,54 +198,29 @@ void print_fault_stats(const scenario::Town& town) {
               static_cast<unsigned long long>(fs.outage_dropped));
 }
 
-/// Parse --format v1|v2 and --codec none|lz into `cfg`. The flags only
-/// make sense for modes that WRITE a spool; when `writes_spool` is
-/// false any occurrence is a hard error (exit 2), so a stray flag never
-/// silently changes nothing.
+/// Parse --codec none|lz into `cfg`. The flag only makes sense for modes
+/// that WRITE a spool; when `writes_spool` is false any occurrence is a
+/// hard error (exit 2), so a stray flag never silently changes nothing.
 [[nodiscard]] bool spool_config_from_args(const CliArgs& args, const char* cmd,
                                           bool writes_spool, stream::SpoolConfig* cfg) {
-  const auto format = args.option("format");
   const auto codec = args.option("codec");
+  if (!codec) return true;
   if (!writes_spool) {
-    if (format || codec) {
-      std::fprintf(stderr, "%s: --format/--codec only apply when writing a spool\n", cmd);
-      return false;
-    }
-    return true;
+    std::fprintf(stderr, "%s: --codec only applies when writing a spool\n", cmd);
+    return false;
   }
-  if (format) {
-    if (*format == "v1" || *format == "1") {
-      cfg->format = stream::kSegmentVersion;
-      cfg->codec = stream::SegmentCodec::kNone;
-    } else if (*format == "v2" || *format == "2") {
-      cfg->format = stream::kSegmentVersionV2;
-    } else {
-      std::fprintf(stderr, "%s: --format expects v1 or v2, got '%s'\n", cmd,
-                   format->c_str());
-      return false;
-    }
+  const auto parsed = stream::codec_by_name(*codec);
+  if (!parsed) {
+    std::fprintf(stderr, "%s: --codec expects none or lz, got '%s'\n", cmd, codec->c_str());
+    return false;
   }
-  if (codec) {
-    const auto parsed = stream::codec_by_name(*codec);
-    if (!parsed) {
-      std::fprintf(stderr, "%s: --codec expects none or lz, got '%s'\n", cmd,
-                   codec->c_str());
-      return false;
-    }
-    if (cfg->format == stream::kSegmentVersion &&
-        *parsed != stream::SegmentCodec::kNone) {
-      std::fprintf(stderr, "%s: --codec %s requires --format v2 (v1 is uncompressed)\n",
-                   cmd, codec->c_str());
-      return false;
-    }
-    cfg->codec = *parsed;
-  }
+  cfg->codec = *parsed;
   return true;
 }
 
 int cmd_simulate(const CliArgs& args) {
   if (reject_unknown(args, "simulate",
-                     with_sim_options({"out", "binary-logs", "format", "codec"}))) {
+                     with_sim_options({"out", "binary-logs", "codec"}))) {
     return 2;
   }
   stream::SpoolConfig spool_cfg;
@@ -561,7 +536,7 @@ void print_online_result(const stream::OnlineStudyResult& r, const stream::Onlin
 
 int cmd_stream(const CliArgs& args) {
   if (reject_unknown(args, "stream",
-                     {"spool", "import", "export", "convert", "format", "codec",
+                     {"spool", "import", "export", "convert", "codec",
                       "follow", "idle-exit", "poll-ms", "push", "tenant", "acks",
                       "metrics-out", "progress"})) {
     return 2;
@@ -576,18 +551,18 @@ int cmd_stream(const CliArgs& args) {
   stream::SpoolConfig spool_cfg;
   if (!spool_config_from_args(args, "stream", writes_spool, &spool_cfg)) return 2;
   if (const auto src = args.option("convert")) {
-    // Re-encode an existing spool (v1→v2 or back): replay src through a
-    // fresh SpoolWriter in the requested format. Record order and study
+    // Re-encode an existing spool (v1 or v2) as v2: replay src through a
+    // fresh SpoolWriter with the requested codec. Record order and study
     // results are invariant under conversion — only the bytes change.
     const std::uint64_t src_bytes = stream::spool_bytes(*src);
     std::filesystem::create_directories(*spool);
     const auto counts = stream::convert_spool(*src, *spool, spool_cfg);
     const std::uint64_t dst_bytes = stream::spool_bytes(*spool);
-    std::printf("converted %llu conns + %llu DNS transactions: %s → %s (format v%u, "
+    std::printf("converted %llu conns + %llu DNS transactions: %s → %s (v2, codec %s, "
                 "%llu → %llu bytes)\n",
                 static_cast<unsigned long long>(counts.conns),
                 static_cast<unsigned long long>(counts.dns), src->c_str(),
-                spool->c_str(), spool_cfg.format,
+                spool->c_str(), stream::codec(spool_cfg.codec).name().data(),
                 static_cast<unsigned long long>(src_bytes),
                 static_cast<unsigned long long>(dst_bytes));
     return 0;
@@ -799,8 +774,8 @@ void usage() {
                "           | --import TEXTDIR --spool DIR | --export TEXTDIR --spool DIR\n"
                "           | --convert SRCSPOOL --spool DSTDIR\n"
                "           | --spool DIR --push HOST:PORT --tenant NAME [--acks]\n"
-               "           [--format v1|v2] [--codec none|lz]  (spool-writing modes:\n"
-               "           --import/--convert; also simulate --binary-logs)\n"
+               "           [--codec none|lz]  (spool-writing modes: --import/--convert;\n"
+               "           also simulate --binary-logs)\n"
                "  serve    --listen HOST:PORT --http HOST:PORT [--max-tenants N]\n"
                "           [--idle-evict SECS] [--max-frame-mib N] [--queue-segments N]\n"
                "           [--results-out DIR]\n"
