@@ -5,6 +5,9 @@
 // the spool codec (lz, CRC-32, v2 segment encode/decode).
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <tuple>
+
 #include "analysis/classify.hpp"
 #include "analysis/pairing.hpp"
 #include "resolver/zonedb.hpp"
@@ -22,6 +25,7 @@
 #include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -266,7 +270,7 @@ void BM_PairingThroughput(benchmark::State& state) {
     d.duration = SimDuration::ms(2);
     d.client_ip = house;
     d.resolver_ip = Ipv4Addr{100, 66, 250, 1};
-    d.query = "h" + std::to_string(i % 500) + ".com";
+    d.query = strfmt("h%zu.com", i % 500);
     d.answered = true;
     d.answers = {{server, 300}};
     ds.dns.push_back(d);
@@ -312,7 +316,7 @@ void BM_ClassifyThroughput(benchmark::State& state) {
     d.duration = SimDuration::from_ms(rng.uniform(1.0, 60.0));
     d.client_ip = house;
     d.resolver_ip = Ipv4Addr{100, 66, 250, 1};
-    d.query = "h" + std::to_string(i % 500) + ".com";
+    d.query = strfmt("h%zu.com", i % 500);
     d.answered = true;
     d.answers = {{server, 300}};
     ds.dns.push_back(d);
@@ -403,15 +407,30 @@ BENCHMARK(BM_LiveFeedReorder)
     ->Args({512, 1})
     ->Unit(benchmark::kMillisecond);
 
+/// A town's records (seed 1), simulated once per (houses, minutes, shards).
+const capture::Dataset& ingest_town(std::size_t houses, int minutes, std::size_t shards) {
+  static std::map<std::tuple<std::size_t, int, std::size_t>, capture::Dataset> towns;
+  const auto [it, fresh] = towns.try_emplace({houses, minutes, shards});
+  if (fresh) {
+    scenario::ScenarioConfig cfg;
+    cfg.houses = houses;
+    cfg.duration = SimDuration::min(minutes);
+    cfg.seed = 1;
+    cfg.shards = shards;
+    cfg.threads = static_cast<unsigned>(shards);
+    scenario::Town town{cfg};
+    town.run();
+    it->second = town.dataset();
+  }
+  return it->second;
+}
+
 void BM_OnlineStudyIngest(benchmark::State& state) {
-  // One fixed simulated neighborhood, replayed into a fresh engine.
-  scenario::ScenarioConfig cfg;
-  cfg.houses = 20;
-  cfg.duration = SimDuration::hours(1);
-  cfg.seed = 1;
-  scenario::Town town{cfg};
-  town.run();
-  const capture::Dataset& ds = town.dataset();
+  // A simulated town replayed into a fresh engine: a small neighborhood
+  // over an hour, and perfbench city's shape (many houses, few minutes).
+  const capture::Dataset& ds =
+      ingest_town(static_cast<std::size_t>(state.range(0)), static_cast<int>(state.range(1)),
+                  static_cast<std::size_t>(state.range(2)));
   for (auto _ : state) {
     stream::OnlineStudy engine;
     (void)stream::replay_dataset(ds, engine);
@@ -420,7 +439,11 @@ void BM_OnlineStudyIngest(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ds.conns.size() + ds.dns.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_OnlineStudyIngest)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OnlineStudyIngest)
+    ->ArgNames({"houses", "minutes", "shards"})
+    ->Args({20, 60, 1})
+    ->Args({2000, 5, 4})
+    ->Unit(benchmark::kMillisecond);
 
 // ---- spool codec -------------------------------------------------------------
 

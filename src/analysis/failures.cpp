@@ -16,7 +16,15 @@ namespace {
          static_cast<std::uint16_t>(rec.qtype);
 }
 
+/// Heap order for std::push_heap/pop_heap: earliest due time on top.
+constexpr auto later_due = [](const auto& a, const auto& b) { return b.due_us < a.due_us; };
+
 }  // namespace
+
+void ChainTracker::schedule(Ipv4Addr house, std::uint64_t key, const Chain& chain) {
+  due_chains_.push_back(DueChain{chain.last_end_us + gap_.count_us(), house, key});
+  std::push_heap(due_chains_.begin(), due_chains_.end(), later_due);
+}
 
 void ChainTracker::close_recovered(const Chain& chain, std::int64_t answer_us) {
   // Only reachable by extending an existing chain, so len >= 2.
@@ -77,17 +85,19 @@ void ChainTracker::on_dns(const capture::DnsRecord& rec) {
   const std::int64_t end_us = rec.response_time().count_us();
   const std::uint64_t key = chain_key(rec);
   // Most lookups are definitive and open no chain: look the house up
-  // rather than create an entry the next sweep would only erase.
+  // rather than create an entry only to erase it again.
   if (const auto house_it = houses_.find(rec.client_ip); house_it != houses_.end()) {
     auto& chains = house_it->second.chains;
     if (const auto it = chains.find(key); it != chains.end()) {
       Chain& chain = it->second;
       if (ts_us <= chain.last_end_us + gap_.count_us()) {
         ++chain.len;
-        chain.last_end_us = std::max(chain.last_end_us, end_us);
         if (definitive) {
           close_recovered(chain, end_us);
           chains.erase(key);
+        } else if (end_us > chain.last_end_us) {
+          chain.last_end_us = end_us;
+          schedule(rec.client_ip, key, chain);
         }
         return;
       }
@@ -97,12 +107,15 @@ void ChainTracker::on_dns(const capture::DnsRecord& rec) {
         chains.erase(key);
       } else {
         chain = Chain{ts_us, end_us, 1};
+        schedule(rec.client_ip, key, chain);
       }
       return;
     }
   }
   if (!definitive) {
-    houses_[rec.client_ip].chains.try_emplace(key, Chain{ts_us, end_us, 1});
+    const Chain chain{ts_us, end_us, 1};
+    houses_[rec.client_ip].chains.try_emplace(key, chain);
+    schedule(rec.client_ip, key, chain);
   }
 }
 
@@ -112,22 +125,26 @@ void ChainTracker::on_conn(const capture::ConnRecord& rec) {
 }
 
 void ChainTracker::evict_before(SimTime dns_frontier) {
+  // A future record has ts >= frontier; extension requires
+  // ts <= last_end + gap, so anything strictly past that is closed.
   const std::int64_t frontier_us = dns_frontier.count_us();
-  std::vector<Ipv4Addr> dead_houses;
-  for (auto& [addr, house] : houses_) {
-    std::vector<std::uint64_t> dead;
-    for (const auto& [key, chain] : house.chains) {
-      // A future record has ts >= frontier; extension requires
-      // ts <= last_end + gap, so anything strictly past that is closed.
-      if (chain.last_end_us + gap_.count_us() < frontier_us) {
-        close_failed(chain);
-        dead.push_back(key);
-      }
+  while (!due_chains_.empty() && due_chains_.front().due_us < frontier_us) {
+    std::pop_heap(due_chains_.begin(), due_chains_.end(), later_due);
+    const DueChain entry = due_chains_.back();
+    due_chains_.pop_back();
+    const auto house_it = houses_.find(entry.house);
+    if (house_it == houses_.end()) continue;
+    auto& chains = house_it->second.chains;
+    // Skip a chain that closed since, or extended and falls due later.
+    if (const auto it = chains.find(entry.key);
+        it != chains.end() && it->second.last_end_us + gap_.count_us() == entry.due_us) {
+      close_failed(it->second);
+      chains.erase(entry.key);
     }
-    for (const std::uint64_t key : dead) house.chains.erase(key);
-    if (house.chains.empty()) dead_houses.push_back(addr);
+    // A chain that closed on an answer left its entry here, so an
+    // emptied house is always visited once more.
+    if (chains.empty()) houses_.erase(entry.house);
   }
-  for (const Ipv4Addr addr : dead_houses) houses_.erase(addr);
 }
 
 void ChainTracker::fold_into(FailureCounts& out) const {
@@ -145,6 +162,9 @@ void ChainTracker::absorb(ChainTracker&& other) {
     houses_.try_emplace(addr, std::move(house));
   }
   other.houses_.clear();
+  due_chains_.insert(due_chains_.end(), other.due_chains_.begin(), other.due_chains_.end());
+  std::make_heap(due_chains_.begin(), due_chains_.end(), later_due);
+  other.due_chains_.clear();
 
   const FailureCounts& o = other.counts_;
   counts_.lookups += o.lookups;

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "capture/records.hpp"
 #include "util/flat_map.hpp"
@@ -63,7 +64,9 @@ struct FailureCounts {
 /// Incremental retry-chain state machine. Feed records in canonical
 /// (timestamp, merge-order) order — the order both the batch dataset
 /// and the streaming feed deliver. Bounded memory: evict_before()
-/// closes chains the time frontier has passed (see OnlineStudy::sweep).
+/// closes the chains the DNS frontier has passed, taking them from a
+/// min-heap on each chain's due time last_end + gap, so a streaming
+/// caller may advance the frontier on every record.
 class ChainTracker {
  public:
   ChainTracker() = default;
@@ -78,6 +81,7 @@ class ChainTracker {
 
   /// Close every chain that can no longer extend: no record at or after
   /// `dns_frontier` can land within its gap. SimTime::max() closes all.
+  /// Costs O(log chains) per chain closed, nothing when none is due.
   void evict_before(SimTime dns_frontier);
 
   /// Copy accumulated counters into `out`, folding still-open chains in
@@ -101,7 +105,15 @@ class ChainTracker {
   struct House {
     util::FlatMap<std::uint64_t, Chain> chains;  ///< key: (NameId << 16) | qtype
   };
+  /// A chain's place in the due heap. Lazy: an entry whose chain has
+  /// closed or extended since (its last_end_us + gap moved) is skipped.
+  struct DueChain {
+    std::int64_t due_us;  ///< last_end_us + gap when pushed
+    Ipv4Addr house;
+    std::uint64_t key;
+  };
 
+  void schedule(Ipv4Addr house, std::uint64_t key, const Chain& chain);
   void close_recovered(const Chain& chain, std::int64_t answer_us);
   void close_failed(const Chain& chain);
   static void fold_failed(FailureCounts& out, const Chain& chain);
@@ -109,6 +121,7 @@ class ChainTracker {
   SimDuration gap_ = SimDuration::sec(15);
   bool keep_samples_ = false;
   util::FlatMap<Ipv4Addr, House> houses_;
+  std::vector<DueChain> due_chains_;  ///< min-heap on due_us
   FailureCounts counts_;
   Cdf recovered_ms_;
   Cdf failed_ms_;

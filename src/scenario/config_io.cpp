@@ -97,6 +97,14 @@ template <typename T>
              static_cast<int>(v.size()), v.data())};
 }
 
+/// A fault plan whose outage targets all name a service, so a typo fails
+/// here, with the flag or line named, rather than when the town is built.
+[[nodiscard]] faults::FaultPlan parse_faults(std::string_view v) {
+  faults::FaultPlan plan = faults::FaultPlan::parse(v);
+  for (const faults::Outage& o : plan.outages) (void)resolve_outage_target(o.target);
+  return plan;
+}
+
 [[nodiscard]] bool parse_switch(std::string_view v) { return parse_number<int>(v) != 0; }
 
 [[nodiscard]] std::string parse_text(std::string_view v) { return std::string{v}; }
@@ -137,7 +145,10 @@ template <typename T>
 [[nodiscard]] std::string to_text(const faults::FaultPlan& plan) { return plan.to_string(); }
 [[nodiscard]] std::string to_text(const std::array<double, 24>& hours) {
   std::string out;
-  for (const double h : hours) out += (out.empty() ? "" : ",") + to_text(h);
+  for (const double h : hours) {
+    if (!out.empty()) out += ',';
+    out += to_text(h);
+  }
   return out;
 }
 
@@ -187,7 +198,7 @@ constexpr Knob kKnobs[] = {
                                                       "scenario.encrypted_dns_device_frac"),
     knob<parse_prob, &Cfg::whole_house_cache_frac>("whole_house_cache_frac",
                                                    "scenario.whole_house_cache_frac"),
-    knob<faults::FaultPlan::parse, &Cfg::faults>("faults", "faults.plan", kIfChanged | kQuoted),
+    knob<parse_faults, &Cfg::faults>("faults", "faults.plan", kIfChanged | kQuoted),
     knob<parse_transport, &Cfg::transport>("transport", "transport.default",
                                            kIfChanged | kQuoted),
     knob<parse_switch, &Cfg::collect_truth>("collect_truth", {}, kIfChanged),

@@ -47,7 +47,6 @@ EventLoop::EventLoop() {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
     throw std::runtime_error{"serve: cannot register wakeup fd"};
   }
-  wheel_epoch_ = Clock::now();
 }
 
 EventLoop::~EventLoop() {
@@ -99,83 +98,34 @@ void EventLoop::remove(int fd) {
 
 EventLoop::TimerId EventLoop::add_timer(std::chrono::milliseconds delay,
                                         std::function<void()> fn) {
-  const auto deadline = Clock::now() + delay;
   const TimerId id = next_timer_id_++;
-  wheel_[slot_of(deadline)].push_back(Timer{id, deadline, std::move(fn)});
-  if (timer_count_ == 0 || deadline < soonest_deadline_) soonest_deadline_ = deadline;
-  ++timer_count_;
+  timers_.emplace(std::pair{Clock::now() + delay, id}, std::move(fn));
   return id;
 }
 
 void EventLoop::cancel_timer(TimerId id) {
-  for (auto& slot : wheel_) {
-    for (auto it = slot.begin(); it != slot.end(); ++it) {
-      if (it->id == id) {
-        slot.erase(it);
-        --timer_count_;
-        return;
-      }
-    }
-  }
+  const auto it = std::find_if(timers_.begin(), timers_.end(),
+                               [id](const auto& t) { return t.first.second == id; });
+  if (it != timers_.end()) timers_.erase(it);
 }
 
 void EventLoop::defer(std::function<void()> fn) { deferred_.push_back(std::move(fn)); }
 
-std::size_t EventLoop::slot_of(Clock::time_point deadline) const {
-  const auto since =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - wheel_epoch_);
-  const auto tick = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, since.count() / kTick.count()));
-  return static_cast<std::size_t>(tick & (kWheelSlots - 1));
-}
-
 void EventLoop::advance_timers() {
-  if (timer_count_ == 0) {
-    // Keep the clock from having to replay a long idle gap slot by slot.
-    const auto now = Clock::now();
-    const auto since = std::chrono::duration_cast<std::chrono::milliseconds>(now - wheel_epoch_);
-    next_tick_ = static_cast<std::uint64_t>(std::max<std::int64_t>(0, since.count() / kTick.count()));
-    return;
-  }
   const auto now = Clock::now();
-  const auto since = std::chrono::duration_cast<std::chrono::milliseconds>(now - wheel_epoch_);
-  const auto now_tick =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, since.count() / kTick.count()));
+  // Take the due timers out first: a callback may add or cancel timers.
   std::vector<std::function<void()>> fired;
-  // Visit at most one full revolution: beyond that the slots repeat, so
-  // a longer gap cannot expose new entries.
-  const std::uint64_t first = now_tick >= kWheelSlots && next_tick_ + kWheelSlots < now_tick
-                                  ? now_tick - kWheelSlots
-                                  : next_tick_;
-  for (std::uint64_t tick = first; tick <= now_tick; ++tick) {
-    auto& slot = wheel_[static_cast<std::size_t>(tick & (kWheelSlots - 1))];
-    if (slot.empty()) continue;
-    std::vector<Timer> keep;
-    keep.reserve(slot.size());
-    for (auto& t : slot) {
-      if (t.deadline <= now) {
-        fired.push_back(std::move(t.fn));
-        --timer_count_;
-      } else {
-        keep.push_back(std::move(t));
-      }
-    }
-    slot = std::move(keep);
+  while (!timers_.empty() && timers_.begin()->first.first <= now) {
+    fired.push_back(std::move(timers_.begin()->second));
+    timers_.erase(timers_.begin());
   }
-  next_tick_ = now_tick + 1;
   for (auto& fn : fired) fn();
 }
 
 int EventLoop::poll_timeout_ms() const {
   if (stopped() || !deferred_.empty() || idle_pending_) return 0;
-  if (timer_count_ == 0) return -1;
-  // Recompute the soonest deadline by scanning the wheel: the serve
-  // workload carries a handful of timers, so the scan is cheaper than
-  // maintaining a second ordered index.
-  auto soonest = Clock::time_point::max();
-  for (const auto& slot : wheel_) {
-    for (const auto& t : slot) soonest = std::min(soonest, t.deadline);
-  }
+  if (timers_.empty()) return -1;
+  const auto soonest = timers_.begin()->first.first;
   const auto now = Clock::now();
   if (soonest <= now) return 0;
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(soonest - now);

@@ -13,13 +13,10 @@
 // deferred to the end of the batch so the kernel cannot recycle the fd
 // number into a stale queued event.
 //
-// Timers use a hashed timing wheel — the same calendar-queue design as
-// netsim's EventQueue (src/netsim/event_queue.hpp), scaled down to
-// wall-clock coarseness: 1024 slots × 4 ms ≈ 4.1 s per revolution,
-// entries bucketed by deadline tick and lazily re-visited each
-// revolution (the wheel analogue of the calendar cascade). The serve
-// workload is timer-light (idle sweeps, shutdown grace), so one level
-// suffices where the simulator needed three.
+// Timers sit in an ordered map keyed by (deadline, id): each iteration
+// fires every timer whose deadline has passed, and the first key bounds
+// how long epoll_wait may block. The serve workload holds at most one
+// timer (idle-tenant eviction), so nothing cleverer pays for itself.
 #pragma once
 
 #include <atomic>
@@ -27,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 namespace dnsctx::serve {
@@ -95,16 +93,6 @@ class EventLoop {
   [[nodiscard]] bool stopped() const { return stop_requested_.load(std::memory_order_relaxed); }
 
  private:
-  struct Timer {
-    TimerId id;
-    Clock::time_point deadline;
-    std::function<void()> fn;
-  };
-
-  static constexpr std::size_t kWheelSlots = 1024;  // power of two
-  static constexpr std::chrono::milliseconds kTick{4};
-
-  [[nodiscard]] std::size_t slot_of(Clock::time_point deadline) const;
   void advance_timers();
   [[nodiscard]] int poll_timeout_ms() const;
   void drain_wakeup();
@@ -122,12 +110,8 @@ class EventLoop {
   std::vector<std::function<void()>> deferred_;
   std::function<bool()> idle_work_;
 
-  std::vector<std::vector<Timer>> wheel_{kWheelSlots};
-  Clock::time_point wheel_epoch_;   ///< tick 0 reference
-  std::uint64_t next_tick_ = 0;     ///< first not-yet-visited tick
-  std::size_t timer_count_ = 0;
+  std::map<std::pair<Clock::time_point, TimerId>, std::function<void()>> timers_;
   TimerId next_timer_id_ = 1;
-  Clock::time_point soonest_deadline_;  ///< valid while timer_count_ > 0
 
   bool running_ = false;
   bool idle_pending_ = false;

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -222,6 +223,9 @@ Server::Server(EventLoop& loop, ServeConfig cfg)
     : loop_{loop}, cfg_{std::move(cfg)}, tenants_{cfg_.tenant} {}
 
 Server::~Server() {
+  // The loop may outlive this server: leave no callback on it.
+  loop_.set_idle_work({});
+  if (idle_timer_ != 0) loop_.cancel_timer(idle_timer_);
   for (const auto& [fd, conn] : ingest_conns_) loop_.remove(fd);
   for (const auto& [fd, conn] : http_conns_) loop_.remove(fd);
   ingest_conns_.clear();
@@ -242,14 +246,16 @@ void Server::start() {
   loop_.add(http_listen_fd_, http_listener_.get(), /*read=*/true, /*write=*/false);
 
   loop_.set_idle_work([this] { return tenants_.pump(cfg_.pump_budget); });
-  if (cfg_.sweep_period.count() > 0) arm_sweep();
+  if (cfg_.tenant.idle_evict.count() > 0) arm_idle_evict();
 }
 
-void Server::arm_sweep() {
-  sweep_timer_ = loop_.add_timer(cfg_.sweep_period, [this] {
-    tenants_.sweep(Tenant::Clock::now());
+void Server::arm_idle_evict() {
+  // A tenant then goes at most one period after its idle_evict has passed.
+  const auto period = std::min(cfg_.tenant.idle_evict, std::chrono::milliseconds{1000});
+  idle_timer_ = loop_.add_timer(period, [this] {
+    tenants_.evict_idle(Tenant::Clock::now());
     publish_metrics();
-    arm_sweep();
+    arm_idle_evict();
   });
 }
 

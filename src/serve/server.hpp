@@ -44,9 +44,6 @@ struct ServeConfig {
   std::size_t max_frame_bytes = 16u << 20;
   /// Segments applied per event-loop iteration across all tenants.
   std::size_t pump_budget = 8;
-  /// Period of the idle-eviction / engine sweep timer (0 = no timer;
-  /// tests drive sweeps explicitly).
-  std::chrono::milliseconds sweep_period{1000};
   /// When nonzero, shrink SO_SNDBUF/SO_RCVBUF on accepted sockets —
   /// tests use a tiny value to force partial writes and backpressure.
   int sockbuf_bytes = 0;
@@ -104,7 +101,7 @@ class Server {
   void close_ingest(int fd);
   void close_http(int fd);
   void resume_ingest(int fd);
-  void arm_sweep();
+  void arm_idle_evict();
 
   EventLoop& loop_;
   ServeConfig cfg_;
@@ -121,7 +118,8 @@ class Server {
   std::map<int, std::unique_ptr<IngestConnection>> ingest_conns_;
   std::map<int, std::unique_ptr<HttpConnection>> http_conns_;
 
-  EventLoop::TimerId sweep_timer_ = 0;
+  /// The idle-eviction timer; 0 while none is armed (idle_evict == 0).
+  EventLoop::TimerId idle_timer_ = 0;
   bool finished_ = false;
 };
 

@@ -260,7 +260,7 @@ bool TenantRegistry::pump(std::size_t budget) {
   return pending;
 }
 
-void TenantRegistry::sweep(Tenant::Clock::time_point now) {
+void TenantRegistry::evict_idle(Tenant::Clock::time_point now) {
   for (auto it = tenants_.begin(); it != tenants_.end();) {
     Tenant& t = *it->second;
     const bool idle = cfg_.idle_evict.count() > 0 && t.attached() == 0 &&
@@ -275,9 +275,6 @@ void TenantRegistry::sweep(Tenant::Clock::time_point now) {
       ++it;
     }
   }
-  // Long-lived tenants: run the engine's shadow-eviction sweep so the
-  // active window stays bounded even between ingest-driven sweeps.
-  for (auto& [name, tenant] : tenants_) tenant->engine_.sweep();
   if (obs::enabled()) {
     auto& reg = obs::registry();
     reg.gauge("serve_tenants_active").set(static_cast<double>(tenants_.size()));

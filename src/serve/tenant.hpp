@@ -24,8 +24,8 @@
 //
 // Tenants are created by the handshake (capped at max_tenants) and
 // evicted after `idle_evict` with no frames and no attached
-// connections; the periodic sweep also runs each engine's shadow
-// eviction so long-lived tenants stay within their active window.
+// connections. Each engine evicts its own dead candidates as records
+// arrive, so a live tenant needs no timer to stay within its window.
 #pragma once
 
 #include <chrono>
@@ -104,8 +104,6 @@ class Tenant {
   void on_drained(std::function<void()> resume) { waiters_.push_back(std::move(resume)); }
 
  private:
-  friend class TenantRegistry;
-
   /// Counts records crossing into the engine, so acks and gauges never
   /// pay for a finalize().
   struct CountingSink : capture::RecordSink {
@@ -159,9 +157,10 @@ class TenantRegistry {
   /// robin). Returns true while segments remain queued.
   bool pump(std::size_t budget);
 
-  /// Idle eviction + per-engine shadow-eviction sweep. `now` is passed
-  /// in so tests can drive time explicitly.
-  void sweep(Tenant::Clock::time_point now);
+  /// Remove the tenants idle for `idle_evict` (no frames, nothing
+  /// queued, no attached connection). `now` is passed in so tests can
+  /// drive time explicitly.
+  void evict_idle(Tenant::Clock::time_point now);
 
   /// Flush every tenant's reorder window (graceful shutdown).
   void flush_all();

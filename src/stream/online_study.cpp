@@ -29,6 +29,15 @@ void add_checked(std::uint32_t& counter, std::uint64_t count) {
   counter += static_cast<std::uint32_t>(count);
 }
 
+/// Watermark at which the shadow rule evicts `c`, given its successor
+/// `next` in the list.
+[[nodiscard]] SimTime pair_due(const auto& c, const auto& next) {
+  return std::max(c.expires, next.response);
+}
+
+/// Heap order for std::push_heap/pop_heap: earliest due time on top.
+constexpr auto later_due = [](const auto& a, const auto& b) { return b.due < a.due; };
+
 /// `hi − lo` for `hi >= lo`; exact for any two durations, where the
 /// signed difference could overflow.
 [[nodiscard]] std::uint64_t distance_us(std::int64_t hi, std::int64_t lo) {
@@ -118,9 +127,6 @@ double OnlineStudy::ModeWindow::mode_ms() const {
 }
 
 OnlineStudy::OnlineStudy(OnlineStudyConfig cfg) : cfg_{std::move(cfg)} {
-  if (cfg_.sweep_interval == 0) {
-    throw std::invalid_argument{"OnlineStudyConfig::sweep_interval must be > 0"};
-  }
   conncheck_name_ = util::InternedName{cfg_.conncheck_name};
   chains_ = analysis::ChainTracker{cfg_.chain_gap};
   local_id_ = cfg_.directory.id_of_label("Local");
@@ -148,6 +154,7 @@ void OnlineStudy::on_dns(const capture::DnsRecord& rec) {
     watermark_ = std::max(watermark_, rec.ts);
   }
   ++dns_total_;
+  chains_.evict_before(last_dns_);
   chains_.on_dns(rec);
 
   // Table 1 DNS pass: every record counts, answered or not.
@@ -185,19 +192,26 @@ void OnlineStudy::on_dns(const capture::DnsRecord& rec) {
     active_records_ += 1;
     const SimTime response = rec.response_time();
     for (const auto& a : rec.answers) {
-      std::vector<Candidate>& cands = house.index[a.addr];
-      const Candidate cand{response, response + SimDuration::sec(a.ttl), seq};
+      CandidateList& list = house.index[a.addr];
+      std::vector<Candidate>& cands = list.cands;
       // Keep (response, seq) order: every stored candidate has a smaller
       // seq, so the slot is after all entries with an equal response.
-      const auto pos = std::upper_bound(
-          cands.begin(), cands.end(), response,
-          [](SimTime t, const Candidate& c) { return t < c.response; });
-      cands.insert(pos, cand);
+      const auto at = cands.insert(
+          std::upper_bound(cands.begin(), cands.end(), response,
+                           [](SimTime t, const Candidate& c) { return t < c.response; }),
+          Candidate{response, response + SimDuration::sec(a.ttl), seq});
       ++active_candidates_;
+      // The new pairs can only bring the list's due time forward: the
+      // pair they replace, (prev, next), fell due no earlier than
+      // (prev, new), because new.response <= next.response.
+      SimTime due = list.due;
+      if (at != cands.begin()) due = std::min(due, pair_due(*std::prev(at), *at));
+      if (std::next(at) != cands.end()) due = std::min(due, pair_due(*at, *std::next(at)));
+      if (due < list.due) schedule(list, due, rec.client_ip, a.addr);
     }
   }
 
-  maybe_sweep();
+  evict_due();
 }
 
 void OnlineStudy::on_conn(const capture::ConnRecord& rec) {
@@ -210,18 +224,20 @@ void OnlineStudy::on_conn(const capture::ConnRecord& rec) {
   }
   ++conns_total_;
   chains_.on_conn(rec);
+  // Nothing evicted at this watermark could pair with a connection
+  // starting at it.
+  evict_due();
 
   // ---- DN-Hunter pairing (mirrors pair_connections' inner loop) ----------
   const auto house_it = houses_.find(rec.orig_ip);
   const std::vector<Candidate>* cands = nullptr;
   if (house_it != houses_.end()) {
     const auto idx_it = house_it->second.index.find(rec.resp_ip);
-    if (idx_it != house_it->second.index.end()) cands = &idx_it->second;
+    if (idx_it != house_it->second.index.end()) cands = &idx_it->second.cands;
   }
   if (cands == nullptr) {
     ++pairing_.unpaired;
     ++n_;
-    maybe_sweep();
     return;
   }
   const auto upper = std::upper_bound(
@@ -230,7 +246,6 @@ void OnlineStudy::on_conn(const capture::ConnRecord& rec) {
   if (upper == cands->begin()) {
     ++pairing_.unpaired;  // the answer arrived only after this connection
     ++n_;
-    maybe_sweep();
     return;
   }
 
@@ -309,8 +324,6 @@ void OnlineStudy::on_conn(const capture::ConnRecord& rec) {
   PlatConns& pc = platform_conns_[pid];
   ++pc.total;
   if (ru.conncheck) ++pc.conncheck;
-
-  maybe_sweep();
 }
 
 void OnlineStudy::drop_candidate(House& house, const Candidate& cand) {
@@ -322,67 +335,52 @@ void OnlineStudy::drop_candidate(House& house, const Candidate& cand) {
   --active_candidates_;
 }
 
-void OnlineStudy::maybe_sweep() {
-  if (++ingests_since_sweep_ >= cfg_.sweep_interval) sweep();
+void OnlineStudy::schedule(CandidateList& list, SimTime due, Ipv4Addr house, Ipv4Addr addr) {
+  list.due = due;
+  due_lists_.push_back(DueList{due, house, addr});
+  std::push_heap(due_lists_.begin(), due_lists_.end(), later_due);
 }
 
-void OnlineStudy::sweep() {
-  ingests_since_sweep_ = 0;
+void OnlineStudy::evict_due() {
   const std::uint64_t candidates_before = active_candidates_;
-  // Retry chains: future DNS records arrive at or after last_dns_, so
-  // chains whose gap window the frontier has passed are closed for good.
-  if (any_dns_) chains_.evict_before(last_dns_);
-  const bool horizon_gc = cfg_.eviction_horizon != SimDuration::max();
-  const SimTime horizon_cut =
-      horizon_gc ? watermark_ - cfg_.eviction_horizon : SimTime::from_us(0);
+  while (!due_lists_.empty() && due_lists_.front().due <= watermark_) {
+    std::pop_heap(due_lists_.begin(), due_lists_.end(), later_due);
+    const DueList entry = due_lists_.back();
+    due_lists_.pop_back();
+    // Lists and houses are never erased: a list keeps its newest candidate.
+    House& house = houses_.at(entry.house);
+    CandidateList& list = house.index.at(entry.addr);
+    if (list.due != entry.due) continue;  // rescheduled earlier since
 
-  // FlatMap erase() backward-shifts (invalidating iteration), so empty
-  // keys are collected during the walk and erased after it.
-  std::vector<Ipv4Addr> dead_houses;
-  std::vector<Ipv4Addr> dead_addrs;
-  for (auto& [house_ip, house] : houses_) {
-    dead_addrs.clear();
-    for (auto& [addr, cands] : house.index) {
-      // j = one past the last candidate already visible at the watermark.
-      const auto visible_end = std::upper_bound(
-          cands.begin(), cands.end(), watermark_,
-          [](SimTime t, const Candidate& c) { return t < c.response; });
-
-      const auto dead = [&](const Candidate& c, bool is_last_visible) {
-        if (horizon_gc && c.response <= horizon_cut) return true;  // approximate
-        // Exact shadow rule: expired at the watermark AND not the newest
-        // visible candidate (the most-recent-expired fallback target).
-        return !is_last_visible && c.expires <= watermark_;
-      };
-
-      auto out = cands.begin();
-      for (auto in = cands.begin(); in != cands.end(); ++in) {
-        const bool is_last_visible =
-            visible_end != cands.begin() && in == std::prev(visible_end);
-        if (in >= visible_end || !dead(*in, is_last_visible)) {
-          if (out != in) *out = *in;
-          ++out;
-        } else {
-          drop_candidate(house, *in);
-        }
+    // Drop what the watermark has retired; the survivors' new pairs give
+    // the list's next due time.
+    std::vector<Candidate>& cands = list.cands;
+    std::size_t kept = 0;
+    SimTime due = SimTime::max();
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (i + 1 < cands.size() && pair_due(cands[i], cands[i + 1]) <= watermark_) {
+        drop_candidate(house, cands[i]);
+        continue;
       }
-      cands.erase(out, cands.end());
-
-      if (cands.empty()) dead_addrs.push_back(addr);
+      if (kept > 0) due = std::min(due, pair_due(cands[kept - 1], cands[i]));
+      cands[kept++] = cands[i];
     }
-    for (const Ipv4Addr addr : dead_addrs) house.index.erase(addr);
-    if (house.index.empty() && house.records.empty()) dead_houses.push_back(house_ip);
+    cands.resize(kept);
+    list.due = SimTime::max();
+    if (due != SimTime::max()) schedule(list, due, entry.house, entry.addr);
   }
-  for (const Ipv4Addr ip : dead_houses) houses_.erase(ip);
 
-  if (obs::enabled()) {
-    auto& reg = obs::registry();
-    reg.counter("stream_sweeps_total").add();
-    reg.counter("stream_evicted_candidates_total")
-        .add(candidates_before - active_candidates_);
-    reg.gauge("stream_active_candidates").set(static_cast<double>(active_candidates_));
-    reg.gauge("stream_active_records").set(static_cast<double>(active_records_));
-    reg.gauge("stream_tracked_houses").set(static_cast<double>(houses_.size()));
+  if (active_candidates_ != candidates_before && obs::enabled()) {
+    // Evictions can come every few records, so the handles, which live as
+    // long as the registry, are looked up once.
+    static auto& evicted = obs::registry().counter("stream_evicted_candidates_total");
+    static auto& candidates = obs::registry().gauge("stream_active_candidates");
+    static auto& records = obs::registry().gauge("stream_active_records");
+    static auto& houses = obs::registry().gauge("stream_tracked_houses");
+    evicted.add(candidates_before - active_candidates_);
+    candidates.set(static_cast<double>(active_candidates_));
+    records.set(static_cast<double>(active_records_));
+    houses.set(static_cast<double>(houses_.size()));
   }
 }
 
@@ -513,15 +511,17 @@ void OnlineStudy::absorb(OnlineStudy&& other) {
           "house-disjoint)"};
     }
     House& house = houses_[house_ip];
-    for (auto& [addr, cands] : other_house.index) {
-      for (Candidate& c : cands) c.seq += seq_offset;
-      house.index.try_emplace(addr, std::move(cands));
+    for (auto& [addr, list] : other_house.index) {
+      for (Candidate& c : list.cands) c.seq += seq_offset;
+      house.index.try_emplace(addr, std::move(list));
     }
     for (auto& [seq, ru] : other_house.records) {
       house.records.try_emplace(seq + seq_offset, std::move(ru));
     }
   }
   next_seq_ += other.next_seq_;
+  due_lists_.insert(due_lists_.end(), other.due_lists_.begin(), other.due_lists_.end());
+  std::make_heap(due_lists_.begin(), due_lists_.end(), later_due);
 
   last_conn_ = std::max(last_conn_, other.last_conn_);
   last_dns_ = std::max(last_dns_, other.last_dns_);
@@ -588,6 +588,8 @@ void OnlineStudy::absorb(OnlineStudy&& other) {
   }
 
   chains_.absorb(std::move(other.chains_));
+  // The other engine's lists may be due at this engine's watermark.
+  evict_due();
 }
 
 }  // namespace dnsctx::stream

@@ -21,13 +21,17 @@
 // Three mechanisms make bounded memory compatible with bit-exactness:
 //
 //  * Shadow eviction. Within one (house, address) candidate list sorted
-//    by response time, any candidate that is both expired at the
-//    watermark AND followed by a later candidate whose response precedes
-//    the watermark can never again be chosen: future connections start
-//    at/after the watermark, so the earlier candidate is dead for the
-//    live scan and shadowed for the most-recent-expired fallback. The
-//    newest candidate of a list is never evicted — the fallback may
-//    always reach it.
+//    by (response, seq), candidate cᵢ can never again be chosen once the
+//    watermark reaches max(cᵢ.expires, cᵢ₊₁.response): future
+//    connections start at/after the watermark, so cᵢ is dead for the
+//    live scan and shadowed by cᵢ₊₁ for the most-recent-expired
+//    fallback. The newest candidate of a list is never evicted — the
+//    fallback may always reach it. A list therefore falls due at the
+//    minimum of that time over its neighbour pairs; every list with a
+//    finite due time sits in one min-heap keyed by it, and each ingest
+//    compacts exactly the lists the watermark has reached. After every
+//    record the engine holds exactly the candidates the rule keeps.
+//    Retry chains (analysis::ChainTracker) close the same way.
 //
 //  * Deferred SC/R split. §5.3's per-resolver thresholds depend on the
 //    full run, so blocked connections bank their lookup duration into a
@@ -82,14 +86,6 @@ struct OnlineStudyConfig {
   double rel_significance_pct = 1.0;  ///< §6 relative criterion
   analysis::PlatformDirectory directory = analysis::PlatformDirectory::standard();
   std::string conncheck_name = "connectivitycheck.gstatic.com";
-  /// Approximate GC: candidates whose response is older than
-  /// watermark − horizon are dropped even when the exact shadow rule
-  /// would keep them (their connections then pair as the batch would
-  /// have WITHOUT those lookups). SimDuration::max() — the default —
-  /// disables it; the exact engine is already O(active window).
-  SimDuration eviction_horizon = SimDuration::max();
-  /// Ingests between eviction sweeps (amortizes the state walk).
-  std::uint64_t sweep_interval = 8192;
   /// Retry-chain gap for the failure counters (matches
   /// analysis::FailureReportConfig::chain_gap).
   SimDuration chain_gap = SimDuration::sec(15);
@@ -182,9 +178,6 @@ class OnlineStudy : public capture::RecordSink {
   [[nodiscard]] std::uint64_t active_records() const { return active_records_; }
   [[nodiscard]] std::size_t tracked_houses() const { return houses_.size(); }
   [[nodiscard]] SimTime watermark() const { return watermark_; }
-  /// Run an eviction sweep now (also runs automatically every
-  /// `sweep_interval` ingests).
-  void sweep();
 
  private:
   /// One DNS answer's candidacy for an address, ordered by
@@ -206,9 +199,25 @@ class OnlineStudy : public capture::RecordSink {
     bool conncheck = false;
   };
 
+  /// One (house, address) list's candidates, in (response, seq) order.
+  struct CandidateList {
+    std::vector<Candidate> cands;
+    /// Watermark at which the shadow rule first evicts a candidate;
+    /// SimTime::max() while none can go (fewer than two candidates).
+    SimTime due = SimTime::max();
+  };
+
   struct House {
-    util::FlatMap<Ipv4Addr, std::vector<Candidate>> index;
+    util::FlatMap<Ipv4Addr, CandidateList> index;
     util::FlatMap<std::uint64_t, RecordUse> records;
+  };
+
+  /// A list's place in the due heap. Lazy: an entry whose `due` no
+  /// longer equals its list's is stale and skipped when popped.
+  struct DueList {
+    SimTime due;
+    Ipv4Addr house;
+    Ipv4Addr addr;
   };
 
   /// One resolver's answered-lookup durations within §5.3's 40 ms mode
@@ -260,7 +269,9 @@ class OnlineStudy : public capture::RecordSink {
   };
 
   void note_time(SimTime& last, SimTime t, const char* kind);
-  void maybe_sweep();
+  void schedule(CandidateList& list, SimTime due, Ipv4Addr house, Ipv4Addr addr);
+  /// Compact every list the watermark has reached.
+  void evict_due();
   void drop_candidate(House& house, const Candidate& cand);
 
   OnlineStudyConfig cfg_;
@@ -282,7 +293,8 @@ class OnlineStudy : public capture::RecordSink {
   SimTime watermark_;
   bool any_conn_ = false;
   bool any_dns_ = false;
-  std::uint64_t ingests_since_sweep_ = 0;
+  /// Min-heap on `due` over the lists that can lose a candidate.
+  std::vector<DueList> due_lists_;
   std::uint64_t active_candidates_ = 0;
   std::uint64_t active_records_ = 0;
 
@@ -312,8 +324,8 @@ class OnlineStudy : public capture::RecordSink {
   // §7.
   std::vector<PlatConns> platform_conns_;
 
-  // Failure report counters (self-contained per-house chain state;
-  // evicted on the DNS frontier alongside the pairing sweep).
+  // Failure report counters (self-contained per-house chain state,
+  // closed as the DNS frontier passes each chain's gap).
   analysis::ChainTracker chains_;
 };
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/blocking.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::analysis {
 namespace {
@@ -24,7 +25,7 @@ constexpr Ipv4Addr kResolver{100, 66, 250, 1};
     d.duration = SimDuration::ms(2);
     d.client_ip = kHouse;
     d.resolver_ip = kResolver;
-    d.query = "h" + std::to_string(idx) + ".com";
+    d.query = strfmt("h%d.com", idx);
     d.answered = true;
     d.answers = {{server, 86'400}};
     ds.dns.push_back(d);

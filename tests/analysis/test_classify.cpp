@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/classify.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::analysis {
 namespace {
@@ -26,7 +27,7 @@ struct Builder {
     d.duration = SimDuration::from_ms(lookup_ms);
     d.client_ip = kHouse;
     d.resolver_ip = resolver;
-    d.query = "n" + std::to_string(next_server) + ".com";
+    d.query = strfmt("n%d.com", next_server);
     d.answered = true;
     d.answers = {{server, ttl}};
     ds.dns.push_back(d);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "analysis/pairing.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::analysis {
 namespace {
@@ -167,7 +168,7 @@ TEST(Pairing, RandomPolicyIsSeedDeterministic) {
   capture::Dataset ds;
   for (int i = 0; i < 4; ++i) {
     ds.dns.push_back(dns_at(i * 100, kHouse, kServer, 3'600,
-                            ("n" + std::to_string(i) + ".com").c_str()));
+                            strfmt("n%d.com", i).c_str()));
   }
   for (int i = 0; i < 50; ++i) ds.conns.push_back(conn_at(1'000 + i, kHouse, kServer));
   const auto a = pair_connections(ds, PairingPolicy::kRandom, 5);

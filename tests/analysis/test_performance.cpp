@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/performance.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::analysis {
 namespace {
@@ -28,7 +29,7 @@ struct Case {
     d.duration = SimDuration::from_ms(c.lookup_ms);
     d.client_ip = kHouse;
     d.resolver_ip = kResolver;
-    d.query = "q" + std::to_string(idx) + ".com";
+    d.query = strfmt("q%d.com", idx);
     d.answered = true;
     d.answers = {{server, 86'400}};
     ds.dns.push_back(d);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/study.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::analysis {
 namespace {
@@ -18,7 +19,7 @@ constexpr Ipv4Addr kResolver{100, 66, 250, 1};
     d.duration = SimDuration::from_ms(i % 2 ? 2.0 : 50.0);
     d.client_ip = kHouse;
     d.resolver_ip = kResolver;
-    d.query = "n" + std::to_string(i) + ".com";
+    d.query = strfmt("n%d.com", i);
     d.answered = true;
     d.answers = {{server, 600}};
     ds.dns.push_back(d);

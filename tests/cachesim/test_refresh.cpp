@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cachesim/refresh.hpp"
+#include "util/strings.hpp"
 
 namespace dnsctx::cachesim {
 namespace {
@@ -110,7 +111,7 @@ TEST(Refresh, RefreshBeatsStandardHitRate) {
   Builder b;
   Rng rng{5};
   for (int i = 0; i < 400; ++i) {
-    const auto name = "n" + std::to_string(rng.bounded(30)) + ".com";
+    const auto name = strfmt("n%llu.com", static_cast<unsigned long long>(rng.bounded(30)));
     b.demand(name.c_str(), i * 30, 120);
   }
   Builder b2;
@@ -208,7 +209,7 @@ TEST(RefreshPolicies, CostOrderingHolds) {
   Builder b;
   Rng rng{9};
   for (int i = 0; i < 300; ++i) {
-    const auto name = "n" + std::to_string(rng.bounded(40)) + ".com";
+    const auto name = strfmt("n%llu.com", static_cast<unsigned long long>(rng.bounded(40)));
     b.demand(name.c_str(), i * 40, 120);
   }
   std::sort(b.ds.dns.begin(), b.ds.dns.end(),

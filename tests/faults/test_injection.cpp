@@ -108,9 +108,8 @@ TEST(FaultInjection, StreamFailureCountersMatchBatchUnderEveryPlan) {
       stream::replay_dataset(run.ds, engine);
       EXPECT_EQ(engine.finalize().failures, batch);
 
-      // Aggressive sweeping must not change a single counter.
+      // Eviction on every record must not change a single counter.
       stream::OnlineStudyConfig aggressive;
-      aggressive.sweep_interval = 64;
       stream::OnlineStudy swept{aggressive};
       stream::replay_dataset(run.ds, swept);
       EXPECT_EQ(swept.finalize().failures, batch);

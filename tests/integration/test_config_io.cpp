@@ -136,6 +136,8 @@ TEST(ConfigIo, NumericRejectionTable) {
       {"mix.isp_only = 0.95", "mix.isp_only", "exceeds 1.0"},
       {"tuning.diurnal_hours = 0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
        "tuning.diurnal_hours", "must be > 0"},
+      // Outage targets resolve when parsed, not when the town is built.
+      {"faults = loss=0.01,outage=nosuch:0-10", "faults", "unknown outage target 'nosuch'"},
   };
   for (const Row& row : rows) {
     std::stringstream ss{std::string{row.line} + "\n"};

@@ -335,7 +335,6 @@ TEST(Serve, MaxTenantsRejectsHandshake) {
 TEST(Serve, IdleTenantIsEvicted) {
   ServeConfig cfg;
   cfg.tenant.idle_evict = std::chrono::milliseconds{100};
-  cfg.sweep_period = std::chrono::milliseconds{25};
   TestServer ts{cfg};
 
   const auto ds = simulate(4, 1, 2);
@@ -362,6 +361,20 @@ TEST(Serve, IdleTenantIsEvicted) {
 
   ts.stop();
   EXPECT_EQ(ts.server->tenants().evicted(), 1u);
+}
+
+TEST(Serve, DestroyedServerLeavesNothingOnItsLoop) {
+  // The loop outlives the server: neither the idle-work hook nor the
+  // idle-eviction timer may call into the destroyed server.
+  EventLoop loop;
+  ServeConfig cfg;
+  cfg.tenant.idle_evict = std::chrono::milliseconds{1};
+  auto server = std::make_unique<Server>(loop, cfg);
+  server->start();
+  server.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds{5});  // the timer is due
+  loop.run_once(0);
+  loop.run_once(0);
 }
 
 TEST(Serve, BackpressureTinyQueueLosesNothing) {

@@ -3,10 +3,16 @@
 // The determinism contract (online_study.hpp) promises bit-identical
 // results to the batch pipeline for streams in canonical order. These
 // tests enforce it with EXPECT_EQ on doubles — not near-equality — over
-// full simulated neighborhoods across seeds, shard counts, aggressive
-// eviction sweeps, live (Monitor → LiveFeed) delivery, and absorb()
-// merges of house-disjoint partitions.
+// full simulated neighborhoods across seeds, shard counts, live
+// (Monitor → LiveFeed) delivery, and absorb() merges of house-disjoint
+// partitions; and they check after every record that eviction keeps
+// exactly what the shadow rule needs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "analysis/study.hpp"
 #include "scenario/scenario.hpp"
@@ -114,13 +120,12 @@ TEST(OnlineStudy, MatchesBatchWithDerivedResolverThresholds) {
 }
 
 TEST(OnlineStudy, MatchesBatchUnderAggressiveEviction) {
-  // Sweeping after every ingest maximizes shadow-eviction opportunities;
+  // The engine evicts every candidate as soon as the watermark lets it;
   // results must not move, and the active window must shrink below the
   // stream totals (the bounded-memory claim, observable).
   const auto ds = simulate(10, 2, 7);
   const auto batch = analysis::run_study(ds);
   OnlineStudyConfig cfg;
-  cfg.sweep_interval = 1;
   OnlineStudy engine{cfg};
   replay_dataset(ds, engine);
   expect_equivalent(engine.finalize(), batch, ds);
@@ -208,21 +213,207 @@ TEST(OnlineStudy, RejectsTimestampRegressions) {
   EXPECT_THROW(engine.on_conn(c), std::runtime_error);
 }
 
-TEST(OnlineStudy, EvictionHorizonTrimsHarder) {
-  const auto ds = simulate(8, 2, 1);
-  OnlineStudy exact;
-  replay_dataset(ds, exact);
+// ---- due-driven shadow eviction --------------------------------------------
+//
+// After every record the engine must hold exactly the candidates (and
+// the DNS records they point at) that the shadow rule keeps. The oracle
+// keeps every candidate ever inserted and applies the rule from scratch,
+// in its original form: a candidate goes once it has expired at the
+// watermark and a later candidate of its list has already answered.
 
-  OnlineStudyConfig cfg;
-  cfg.eviction_horizon = SimDuration::min(5);
-  cfg.sweep_interval = 64;
-  OnlineStudy trimmed{cfg};
-  replay_dataset(ds, trimmed);
-  EXPECT_LE(trimmed.active_candidates(), exact.active_candidates());
-  // Approximate mode still finalizes into a coherent result.
-  const auto result = trimmed.finalize();
-  EXPECT_EQ(result.conns, ds.conns.size());
-  EXPECT_EQ(result.classes.total(), ds.conns.size());
+class ShadowOracle : public capture::RecordSink {
+ public:
+  void on_dns(const capture::DnsRecord& rec) override {
+    watermark_ = std::max(watermark_, rec.ts);
+    if (!rec.answered || rec.answers.empty()) return;
+    const std::size_t record = records_++;
+    const SimTime response = rec.response_time();
+    for (const auto& a : rec.answers) {
+      const auto [it, fresh] = index_.try_emplace({rec.client_ip.to_u32(), a.addr.to_u32()},
+                                                  lists_.size());
+      if (fresh) lists_.emplace_back();
+      auto& list = lists_[it->second];
+      const auto pos = std::upper_bound(list.begin(), list.end(), response,
+                                        [](SimTime t, const Cand& c) { return t < c.response; });
+      list.insert(pos, Cand{response, response + SimDuration::sec(a.ttl), record});
+    }
+  }
+
+  void on_conn(const capture::ConnRecord& rec) override {
+    watermark_ = std::max(watermark_, rec.start);
+  }
+
+  /// Take over a house-disjoint oracle, as OnlineStudy::absorb does.
+  void absorb(ShadowOracle&& other) {
+    for (const auto& [key, at] : other.index_) {
+      auto list = other.lists_[at];
+      for (Cand& c : list) c.record += records_;
+      index_.emplace(key, lists_.size());
+      lists_.push_back(std::move(list));
+    }
+    records_ += other.records_;
+    watermark_ = std::max(watermark_, other.watermark_);
+  }
+
+  /// Every candidate inserted so far.
+  [[nodiscard]] std::uint64_t inserted() const {
+    std::uint64_t n = 0;
+    for (const auto& list : lists_) n += list.size();
+    return n;
+  }
+
+  /// (candidates, records) the rule keeps at the watermark.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> kept() {
+    live_.assign(records_, false);
+    std::uint64_t cands = 0;
+    std::uint64_t recs = 0;
+    for (const auto& list : lists_) {
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        const bool shadowed = i + 1 < list.size() && list[i + 1].response <= watermark_;
+        if (shadowed && list[i].expires <= watermark_) continue;
+        ++cands;
+        if (!live_[list[i].record]) {
+          live_[list[i].record] = true;
+          ++recs;
+        }
+      }
+    }
+    return {cands, recs};
+  }
+
+ private:
+  struct Cand {
+    SimTime response;
+    SimTime expires;
+    std::size_t record;
+  };
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> index_;  ///< (house, addr)
+  std::vector<std::vector<Cand>> lists_;  ///< in (response, insertion) order
+  std::size_t records_ = 0;
+  SimTime watermark_;
+  std::vector<bool> live_;
+};
+
+/// Feeds every record to the engine and the oracle, then compares what
+/// each holds.
+class CheckedFeed : public capture::RecordSink {
+ public:
+  CheckedFeed(OnlineStudy& engine, ShadowOracle& oracle) : engine_{engine}, oracle_{oracle} {}
+
+  void on_dns(const capture::DnsRecord& rec) override {
+    engine_.on_dns(rec);
+    oracle_.on_dns(rec);
+    check();
+  }
+  void on_conn(const capture::ConnRecord& rec) override {
+    engine_.on_conn(rec);
+    oracle_.on_conn(rec);
+    check();
+  }
+
+  /// Compare now; reports the first mismatch only.
+  void check() {
+    ++records_;
+    if (mismatched_) return;
+    const auto [cands, recs] = oracle_.kept();
+    mismatched_ = engine_.active_candidates() != cands || engine_.active_records() != recs;
+    EXPECT_EQ(engine_.active_candidates(), cands) << "after record " << records_;
+    EXPECT_EQ(engine_.active_records(), recs) << "after record " << records_;
+  }
+
+ private:
+  OnlineStudy& engine_;
+  ShadowOracle& oracle_;
+  std::uint64_t records_ = 0;
+  bool mismatched_ = false;
+};
+
+TEST(OnlineStudyEviction, HoldsExactlyWhatTheRuleKeepsOnAReplayedTown) {
+  const auto ds = simulate(10, 2, 7);
+  OnlineStudy engine;
+  ShadowOracle oracle;
+  CheckedFeed feed{engine, oracle};
+  replay_dataset(ds, feed);
+  // The rule must have had something to evict for the check to bite.
+  EXPECT_LT(engine.active_candidates(), oracle.inserted());
+  expect_equivalent(engine.finalize(), analysis::run_study(ds), ds);
+}
+
+TEST(OnlineStudyEviction, KeepsExactlyAfterAbsorb) {
+  const auto ds = simulate(10, 2, 7);
+  // Two house-disjoint engines take the first hour, one engine the rest.
+  const SimTime split = SimTime::origin() + SimDuration::hours(1);
+  auto pick = [](Ipv4Addr house) { return house.to_u32() % 2 == 0; };
+  capture::Dataset even, odd, rest;
+  for (const auto& c : ds.conns) {
+    (c.start >= split ? rest : pick(c.orig_ip) ? even : odd).conns.push_back(c);
+  }
+  for (const auto& d : ds.dns) {
+    (d.ts >= split ? rest : pick(d.client_ip) ? even : odd).dns.push_back(d);
+  }
+  ASSERT_FALSE(rest.dns.empty());
+
+  OnlineStudy a, b;
+  ShadowOracle oracle_a, oracle_b;
+  CheckedFeed feed_a{a, oracle_a};
+  CheckedFeed feed_b{b, oracle_b};
+  replay_dataset(even, feed_a);
+  replay_dataset(odd, feed_b);
+  a.absorb(std::move(b));
+  oracle_a.absorb(std::move(oracle_b));
+  feed_a.check();
+  replay_dataset(rest, feed_a);
+  expect_equivalent(a.finalize(), analysis::run_study(ds), ds);
+}
+
+TEST(OnlineStudyEviction, ExactAtEveryDueTime) {
+  const Ipv4Addr house{100, 64, 0, 1};
+  const Ipv4Addr x{1, 2, 3, 4};
+  const Ipv4Addr y{5, 6, 7, 8};
+  const Ipv4Addr z{9, 9, 9, 9};
+  capture::Dataset ds;
+  const auto lookup = [&](std::int64_t ts_ms, std::int64_t duration_ms,
+                          std::vector<capture::DnsAnswer> answers) {
+    capture::DnsRecord d;
+    d.ts = SimTime::from_us(ts_ms * 1000);
+    d.duration = SimDuration::us(duration_ms * 1000);
+    d.client_ip = house;
+    d.resolver_ip = Ipv4Addr{8, 8, 8, 8};
+    d.query = "example.com";
+    d.answered = true;
+    d.answers = std::move(answers);
+    ds.dns.push_back(d);
+  };
+  const auto connect = [&](std::int64_t start_ms, Ipv4Addr to) {
+    capture::ConnRecord c;
+    c.start = SimTime::from_us(start_ms * 1000);
+    c.orig_ip = house;
+    c.resp_ip = to;
+    ds.conns.push_back(c);
+  };
+  // x: A answers at 1 ms and expires at 1.001 s; the record also answers
+  // y, so it stays live after A goes.
+  lookup(0, 1, {{x, 1}, {y, 300}});
+  // A slow lookup answers x at 7 s: A falls due at 7 s ...
+  lookup(2'000, 5'000, {{x, 60}});
+  // ... until a later, faster one answers at 3.001 s. It lands between
+  // A and the slow answer, and A now falls due at 3.001 s.
+  lookup(3'000, 1, {{x, 60}});
+  connect(3'001, x);  // the watermark reaches A's due time exactly
+  connect(8'000, x);
+  // TTL 0: z's first answer falls due the moment the second one arrives.
+  lookup(10'000, 0, {{z, 0}});
+  lookup(10'500, 0, {{z, 0}});
+  connect(10'500, z);
+  connect(63'001, x);  // the fast answer's expiry: it goes, the slow one stays
+  connect(400'000, y);
+
+  OnlineStudy engine;
+  ShadowOracle oracle;
+  CheckedFeed feed{engine, oracle};
+  replay_dataset(ds, feed);
+  EXPECT_EQ(engine.active_candidates(), 3u);  // the slow x, y, the second z
+  expect_equivalent(engine.finalize(), analysis::run_study(ds), ds);
 }
 
 // ---- §5.3 mode window ------------------------------------------------------
