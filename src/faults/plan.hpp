@@ -79,8 +79,8 @@ struct FaultPlan {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Parse one outage clause ("target:begin-end", seconds). Shared by the
-/// plan grammar and the CLI's repeatable --resolver-outage flag.
+/// Parse one outage clause ("target:begin-end", seconds), the value of
+/// the plan grammar's `outage=` key.
 [[nodiscard]] Outage parse_outage(std::string_view spec);
 
 }  // namespace dnsctx::faults

@@ -123,7 +123,7 @@ void EventLoop::advance_timers() {
 }
 
 int EventLoop::poll_timeout_ms() const {
-  if (stopped() || !deferred_.empty() || idle_pending_) return 0;
+  if (stopped() || !deferred_.empty()) return 0;
   if (timers_.empty()) return -1;
   const auto soonest = timers_.begin()->first.first;
   const auto now = Clock::now();
@@ -186,7 +186,6 @@ void EventLoop::run_once(int timeout_ms) {
   }
   advance_timers();
   run_deferred();
-  idle_pending_ = idle_work_ ? idle_work_() : false;
   close_pending();
   running_ = false;
 }

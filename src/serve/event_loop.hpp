@@ -6,12 +6,17 @@
 // wake(), which post to an eventfd.
 //
 // Fds register a FdHandler with level- or edge-triggered semantics
-// (edge-triggered handlers must drain until EAGAIN — the ingest and
-// HTTP connections do). Handler dispatch looks the fd up in the live
+// (edge-triggered handlers must drain until EAGAIN — the HTTP
+// connections do; ingest connections are level-triggered and read one
+// chunk per wakeup). Handler dispatch looks the fd up in the live
 // table per event, so a handler removed mid-batch (a connection closing
 // itself) never sees the rest of its batch; the underlying close() is
 // deferred to the end of the batch so the kernel cannot recycle the fd
 // number into a stale queued event.
+//
+// An iteration dispatches the ready fds, fires the due timers and runs
+// the deferred tasks; no other work is scheduled between iterations, so
+// a handler finishes its job inside its callback.
 //
 // Timers sit in an ordered map keyed by (deadline, id): each iteration
 // fires every timer whose deadline has passed, and the first key bounds
@@ -68,11 +73,6 @@ class EventLoop {
   /// Run `fn` on the loop thread after the current dispatch batch.
   void defer(std::function<void()> fn);
 
-  /// Idle-work hook, invoked once per iteration after IO and timers.
-  /// Return true while more work is pending — the next epoll_wait then
-  /// polls (timeout 0) instead of blocking.
-  void set_idle_work(std::function<bool()> fn) { idle_work_ = std::move(fn); }
-
   /// Dispatch until stop(). Re-entrant calls are a programming error.
   void run();
 
@@ -108,13 +108,11 @@ class EventLoop {
   std::map<int, bool> edge_;  ///< trigger mode per fd (modify() preserves it)
   std::vector<int> pending_close_;
   std::vector<std::function<void()>> deferred_;
-  std::function<bool()> idle_work_;
 
   std::map<std::pair<Clock::time_point, TimerId>, std::function<void()>> timers_;
   TimerId next_timer_id_ = 1;
 
   bool running_ = false;
-  bool idle_pending_ = false;
   std::atomic<bool> stop_requested_{false};
 };
 

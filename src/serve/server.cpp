@@ -41,29 +41,27 @@ class Server::IngestConnection : public FdHandler {
         decoder_{strfmt("tcp %s", peer_.c_str()),
                  FrameDecoder::Limits{server.cfg_.max_frame_bytes}} {}
 
-  void start() { loop_.add(fd_, this, /*read=*/true, /*write=*/false, /*edge=*/true); }
+  // Level-triggered: one read per wakeup, so every ready connection and
+  // HTTP request gets a turn between two chunks of a busy producer.
+  void start() { loop_.add(fd_, this, /*read=*/true, /*write=*/false); }
 
   void on_readable() override {
     if (closing_) return;
     char buf[16 * 1024];
-    for (;;) {
-      const auto n = ::read(fd_, buf, sizeof buf);
-      if (n > 0) {
-        decoder_.feed({buf, static_cast<std::size_t>(n)});
-        continue;
-      }
-      if (n == 0) {  // orderly EOF: partial results stay queued for the pump
-        close_now();
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      std::fprintf(stderr, "serve: read error from %s: %s\n", peer_.c_str(),
-                   std::strerror(errno));
-      close_now();
+    const auto n = ::read(fd_, buf, sizeof buf);
+    if (n > 0) {
+      // Apply every complete frame before reading more: while this runs
+      // the socket buffers fill and TCP holds the producer back.
+      decoder_.feed({buf, static_cast<std::size_t>(n)});
+      apply_frames();
       return;
     }
-    pump_events();
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return;
+    if (n < 0) {
+      std::fprintf(stderr, "serve: read error from %s: %s\n", peer_.c_str(),
+                   std::strerror(errno));
+    }
+    close_now();  // EOF (every complete frame is already applied) or an error
   }
 
   void on_writable() override {
@@ -71,24 +69,9 @@ class Server::IngestConnection : public FdHandler {
     flush_out();
   }
 
-  void resume() {
-    if (closing_ || !paused_) return;
-    paused_ = false;
-    update_interest();
-    pump_events();
-  }
-
-  [[nodiscard]] const std::string& peer() const { return peer_; }
-  [[nodiscard]] bool paused() const { return paused_; }
-
  private:
-  void pump_events() {
+  void apply_frames() {
     while (!closing_) {
-      if (paused_) return;
-      if (tenant_ && tenant_->queue_full()) {
-        pause();
-        return;
-      }
       switch (decoder_.next()) {
         case FrameDecoder::Event::kNeedMore:
           return;
@@ -117,19 +100,12 @@ class Server::IngestConnection : public FdHandler {
           }
           tenant_->touch(Tenant::Clock::now());
           tenant_->enqueue(std::move(seg));
-          if (want_acks_) {
-            // Latency mode: apply synchronously so the ack reports the
-            // records actually visible to /results.
-            while (tenant_->process_one()) {
-            }
-            send_ack();
-          }
+          tenant_->process_one();
+          if (want_acks_) send_ack();
           break;
         }
 
         case FrameDecoder::Event::kFlush: {
-          while (tenant_->process_one()) {
-          }
           tenant_->flush();
           tenant_->touch(Tenant::Clock::now());
           ++server_.stats_.flushes;
@@ -144,14 +120,6 @@ class Server::IngestConnection : public FdHandler {
           return;
       }
     }
-  }
-
-  void pause() {
-    paused_ = true;
-    update_interest();
-    // Resume via the server so a connection closed while parked never
-    // leaves a dangling callback in the tenant's waiter list.
-    tenant_->on_drained([srv = &server_, fd = fd_] { srv->resume_ingest(fd); });
   }
 
   void send_ack() {
@@ -188,7 +156,7 @@ class Server::IngestConnection : public FdHandler {
   }
 
   void update_interest() {
-    loop_.modify(fd_, /*read=*/!paused_, /*write=*/out_pos_ < out_.size());
+    loop_.modify(fd_, /*read=*/true, /*write=*/out_pos_ < out_.size());
   }
 
   void fail(const std::string& msg) {
@@ -211,7 +179,6 @@ class Server::IngestConnection : public FdHandler {
   FrameDecoder decoder_;
   std::shared_ptr<Tenant> tenant_;
   bool want_acks_ = false;
-  bool paused_ = false;
   bool closing_ = false;
   std::string out_;
   std::size_t out_pos_ = 0;
@@ -224,7 +191,6 @@ Server::Server(EventLoop& loop, ServeConfig cfg)
 
 Server::~Server() {
   // The loop may outlive this server: leave no callback on it.
-  loop_.set_idle_work({});
   if (idle_timer_ != 0) loop_.cancel_timer(idle_timer_);
   for (const auto& [fd, conn] : ingest_conns_) loop_.remove(fd);
   for (const auto& [fd, conn] : http_conns_) loop_.remove(fd);
@@ -244,8 +210,6 @@ void Server::start() {
   http_listener_ = std::make_unique<Listener>([this] { accept_http(); });
   loop_.add(ingest_listen_fd_, ingest_listener_.get(), /*read=*/true, /*write=*/false);
   loop_.add(http_listen_fd_, http_listener_.get(), /*read=*/true, /*write=*/false);
-
-  loop_.set_idle_work([this] { return tenants_.pump(cfg_.pump_budget); });
   if (cfg_.tenant.idle_evict.count() > 0) arm_idle_evict();
 }
 
@@ -323,11 +287,6 @@ void Server::close_http(int fd) {
   loop_.defer([this, fd] { http_conns_.erase(fd); });
 }
 
-void Server::resume_ingest(int fd) {
-  const auto it = ingest_conns_.find(fd);
-  if (it != ingest_conns_.end()) it->second->resume();
-}
-
 HttpResponse Server::route(const HttpRequest& req) {
   ++stats_.http_requests;
   if (obs::enabled()) obs::registry().counter("serve_http_requests_total").add(1);
@@ -350,10 +309,6 @@ HttpResponse Server::route(const HttpRequest& req) {
     const auto tenant = tenants_.find(name);
     if (!tenant) {
       return HttpResponse{404, "text/plain; charset=utf-8", "unknown tenant\n"};
-    }
-    // Fold in anything still queued so the snapshot is as fresh as the
-    // frames the producer has pushed.
-    while (tenant->process_one()) {
     }
     return HttpResponse{200, "application/json", tenant->results() + "\n"};
   }

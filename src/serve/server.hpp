@@ -5,16 +5,17 @@
 //
 //   ingest  length-prefixed frame protocol (serve/ingest.hpp); each
 //           accepted connection handshakes into a tenant and streams
-//           segments into that tenant's bounded queue
+//           segments into it
 //   http    GET /metrics (Prometheus), /results/<tenant> (the study
 //           JSON), /healthz
 //
-// Segments are applied to the study engines by the event loop's idle-
-// work pump, a bounded budget per iteration, so ingest bursts cannot
-// starve HTTP and a scrape never waits behind a deep queue. When a
-// tenant's queue fills, every connection feeding it drops EPOLLIN until
-// the pump drains it — kernel socket buffers then fill and TCP pushes
-// back on the producer (the backpressure contract in docs/SERVE.md).
+// A ready connection reads one chunk per loop iteration and applies
+// every complete frame in it — each segment to its tenant's engine, as
+// soon as it is decoded — before the loop serves the next event; other
+// connections and HTTP requests get their turn between two chunks.
+// While a connection applies, nothing more is read from it: kernel
+// socket buffers fill and TCP pushes back on the producer, and nothing
+// is dropped (the backpressure contract in docs/SERVE.md).
 //
 // A malformed frame (bad magic, oversized length, CRC mismatch,
 // truncated segment) closes ONLY the offending connection, with a
@@ -42,8 +43,6 @@ struct ServeConfig {
 
   TenantConfig tenant;
   std::size_t max_frame_bytes = 16u << 20;
-  /// Segments applied per event-loop iteration across all tenants.
-  std::size_t pump_budget = 8;
   /// When nonzero, shrink SO_SNDBUF/SO_RCVBUF on accepted sockets —
   /// tests use a tiny value to force partial writes and backpressure.
   int sockbuf_bytes = 0;
@@ -77,10 +76,10 @@ class Server {
   [[nodiscard]] std::uint16_t ingest_port() const { return ingest_port_; }
   [[nodiscard]] std::uint16_t http_port() const { return http_port_; }
 
-  /// Graceful completion: apply every queued segment, flush every
-  /// tenant's reorder window, write per-tenant results files when
-  /// `results_dir` is set, publish final metrics. Call after run()
-  /// returns (or before reading results in loop-driving tests).
+  /// Graceful completion: flush every tenant's reorder window, write
+  /// per-tenant results files when `results_dir` is set, publish final
+  /// metrics. Call after run() returns (or before reading results in
+  /// loop-driving tests).
   void finish();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -100,7 +99,6 @@ class Server {
   [[nodiscard]] HttpResponse route(const HttpRequest& req);
   void close_ingest(int fd);
   void close_http(int fd);
-  void resume_ingest(int fd);
   void arm_idle_evict();
 
   EventLoop& loop_;

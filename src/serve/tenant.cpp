@@ -158,59 +158,19 @@ Tenant::Tenant(std::string name, const stream::OnlineStudyConfig& cfg)
       engine_{cfg},
       released_{engine_},
       feed_{released_},
-      max_queued_{64},
       last_activity_{Clock::now()} {}
 
 void Tenant::enqueue(stream::SegmentView&& seg) {
-  records_queued_ += seg.size();
-  queue_.push_back(std::move(seg));
-  queue_peak_ = std::max(queue_peak_, queue_.size());
+  process_one();
+  held_ = std::move(seg);
+  queue_peak_ = 1;
 }
 
 bool Tenant::process_one() {
-  if (queue_.empty()) return false;
-  stream::SegmentView seg = std::move(queue_.front());
-  queue_.pop_front();
-  const stream::SegmentHeader& h = seg.header();
-  if (h.kind == stream::RecordKind::kDns) {
-    capture::DnsRecord rec;
-    while (seg.next(rec)) feed_.on_dns(rec);
-  } else if (h.kind == stream::RecordKind::kConn) {
-    capture::ConnRecord rec;
-    while (seg.next(rec)) feed_.on_conn(rec);
-  } else {
-    capture::EncFlowRecord rec;
-    while (seg.next(rec)) feed_.on_encflow(rec);
-  }
-  if (h.record_count > 0) {
-    // Enc metadata is an optional side stream: it rides the feed but does
-    // not advance the conn/dns watermark fronts that gate draining.
-    if (h.kind == stream::RecordKind::kConn) {
-      conn_front_ = std::max(conn_front_, h.last_ts);
-      any_conn_ = true;
-    } else if (h.kind == stream::RecordKind::kDns) {
-      dns_front_ = std::max(dns_front_, h.last_ts);
-      any_dns_ = true;
-    }
-  }
-  maybe_drain();
-  if (queue_.size() + 1 == max_queued_ || queue_.empty()) {
-    // Crossed back under the bound (or drained fully): resume paused
-    // producers. Swap first — a resumed connection may enqueue again
-    // and re-register itself.
-    std::vector<std::function<void()>> resumed;
-    resumed.swap(waiters_);
-    for (auto& fn : resumed) fn();
-  }
+  if (!held_) return false;
+  feed_.push(*held_);
+  held_.reset();
   return true;
-}
-
-void Tenant::maybe_drain() {
-  if (!any_conn_ || !any_dns_) return;
-  const SimTime front = std::min(conn_front_, dns_front_);
-  if (front > SimTime::origin()) {
-    feed_.drain(SimTime::from_us(front.count_us() - 1));
-  }
 }
 
 void Tenant::flush() { feed_.close(); }
@@ -225,7 +185,6 @@ std::shared_ptr<Tenant> TenantRegistry::open(const std::string& name, std::strin
     return nullptr;
   }
   auto tenant = std::make_shared<Tenant>(name, cfg_.study);
-  tenant->set_queue_limit(cfg_.max_queued_segments);
   tenants_.emplace(name, tenant);
   if (obs::enabled()) {
     obs::registry().gauge("serve_tenants_active").set(static_cast<double>(tenants_.size()));
@@ -238,33 +197,11 @@ std::shared_ptr<Tenant> TenantRegistry::find(const std::string& name) const {
   return it == tenants_.end() ? nullptr : it->second;
 }
 
-bool TenantRegistry::pump(std::size_t budget) {
-  bool pending = false;
-  while (budget > 0) {
-    bool progressed = false;
-    for (auto& [name, tenant] : tenants_) {
-      if (budget == 0) break;
-      if (tenant->process_one()) {
-        progressed = true;
-        --budget;
-      }
-    }
-    if (!progressed) break;
-  }
-  for (const auto& [name, tenant] : tenants_) {
-    if (!tenant->queue_empty()) {
-      pending = true;
-      break;
-    }
-  }
-  return pending;
-}
-
 void TenantRegistry::evict_idle(Tenant::Clock::time_point now) {
   for (auto it = tenants_.begin(); it != tenants_.end();) {
     Tenant& t = *it->second;
     const bool idle = cfg_.idle_evict.count() > 0 && t.attached() == 0 &&
-                      t.queue_empty() && now - t.last_activity() >= cfg_.idle_evict;
+                      now - t.last_activity() >= cfg_.idle_evict;
     if (idle) {
       std::fprintf(stderr, "serve: evicting idle tenant '%s' (%llu records)\n",
                    t.name().c_str(),
@@ -285,11 +222,7 @@ void TenantRegistry::evict_idle(Tenant::Clock::time_point now) {
 }
 
 void TenantRegistry::flush_all() {
-  for (auto& [name, tenant] : tenants_) {
-    while (tenant->process_one()) {
-    }
-    tenant->flush();
-  }
+  for (auto& [name, tenant] : tenants_) tenant->flush();
 }
 
 void TenantRegistry::for_each(const std::function<void(const Tenant&)>& fn) const {

@@ -1,41 +1,34 @@
 // dnsctx — multi-tenant session layer: tenant name → OnlineStudy.
 //
-// Each tenant owns one bounded-memory stream::OnlineStudy fronted by a
-// stream::LiveFeed, so producers may deliver conn and dns segments in
+// Each tenant owns one stream::OnlineStudy fronted by a
+// stream::SegmentFeed, so producers may deliver conn and dns segments in
 // any interleaving: records buffer in the reorder window and are
 // released in the canonical (key time, dns-before-conn, arrival) order
-// whenever the watermark advances — exactly the `stream --follow`
-// discipline, which is what makes /results byte-identical to a batch
-// run over the same records.
+// as the segments' watermark advances — the same rule `stream --follow`
+// applies, which is what makes /results byte-identical to a batch run
+// over the same records.
 //
-// Watermark rule (per tenant): track the newest `last_ts` seen per
-// record kind; once both kinds have appeared, every record strictly
-// below min(conn_front, dns_front) is safe to release, because segment
-// streams are time-ordered per kind (future segments of a kind never
-// start before that kind's newest last_ts — they may start AT it, so
-// the frontier itself stays buffered until FLUSH).
-//
-// Backpressure: incoming segments land in a bounded per-tenant queue
-// drained by the event loop's idle-work pump (a few segments per
-// iteration, so one firehose producer cannot starve HTTP). When the
-// queue is full the ingest connections feeding the tenant pause reads
-// (EPOLLIN off) and resume when it drains — TCP then pushes back on
-// the producer. See docs/SERVE.md.
+// A connection hands each decoded segment to its tenant and applies it
+// at once (enqueue, then process_one), so at most one segment is ever
+// held. Backpressure is TCP's: while the loop applies what it has read
+// it reads nothing more, the socket buffers fill and the producer
+// blocks. See docs/SERVE.md.
 //
 // Tenants are created by the handshake (capped at max_tenants) and
 // evicted after `idle_evict` with no frames and no attached
-// connections. Each engine evicts its own dead candidates as records
-// arrive, so a live tenant needs no timer to stay within its window.
+// connections. Each engine evicts the candidates the shadow rule
+// retires as records arrive, but the rule keeps every (house, address)
+// list's newest candidate and its DNS record, so a tenant's memory
+// grows with the distinct pairs it has ever seen answered.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "stream/feed.hpp"
 #include "stream/online_study.hpp"
@@ -53,8 +46,6 @@ struct TenantConfig {
   std::size_t max_tenants = 64;
   /// Evict a tenant this long after its last frame (zero = never).
   std::chrono::milliseconds idle_evict{0};
-  /// Bounded ingest queue depth, in segments, per tenant.
-  std::size_t max_queued_segments = 64;
   stream::OnlineStudyConfig study;
 };
 
@@ -66,18 +57,16 @@ class Tenant {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Queue one validated segment view (zero-copy: the view owns the
-  /// frame bytes; records decode when the pump applies it). Callers
-  /// must check !queue_full() first.
+  /// Hold one validated segment (zero-copy: the view owns the frame
+  /// bytes; records decode when process_one() applies it). A segment
+  /// still held is applied first, so nothing is dropped.
   void enqueue(stream::SegmentView&& seg);
-  [[nodiscard]] bool queue_full() const { return queue_.size() >= max_queued_; }
-  [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  /// Most segments held at once: 1 after the first frame, because the
+  /// server applies each segment as soon as it is decoded.
   [[nodiscard]] std::size_t queue_peak() const { return queue_peak_; }
-  void set_queue_limit(std::size_t n) { max_queued_ = n; }
 
-  /// Apply one queued segment to the feed and advance the watermark.
-  /// Returns false when the queue was empty.
+  /// Apply the held segment to the feed and advance the watermark.
+  /// Returns false when no segment was held.
   bool process_one();
 
   /// Release everything still buffered in the reorder window (FLUSH
@@ -87,7 +76,6 @@ class Tenant {
   /// Records released to the engine so far (the ack value: exactly
   /// what /results would report at this instant).
   [[nodiscard]] std::uint64_t records_released() const { return released_.count; }
-  [[nodiscard]] std::uint64_t records_queued() const { return records_queued_; }
 
   [[nodiscard]] std::string results() const { return result_json(engine_.finalize()); }
   [[nodiscard]] const stream::OnlineStudy& engine() const { return engine_; }
@@ -98,10 +86,6 @@ class Tenant {
   void attach() { ++attached_; }
   void detach() { --attached_; }
   [[nodiscard]] std::size_t attached() const { return attached_; }
-
-  /// Connections paused on this tenant's full queue; the registry pump
-  /// invokes and clears them once the queue has drained.
-  void on_drained(std::function<void()> resume) { waiters_.push_back(std::move(resume)); }
 
  private:
   /// Counts records crossing into the engine, so acks and gauges never
@@ -120,26 +104,16 @@ class Tenant {
     std::uint64_t count = 0;
   };
 
-  void maybe_drain();
-
   std::string name_;
   stream::OnlineStudy engine_;
   CountingSink released_;
-  stream::LiveFeed feed_;
+  stream::SegmentFeed feed_;
 
-  std::deque<stream::SegmentView> queue_;
-  std::size_t max_queued_;
+  std::optional<stream::SegmentView> held_;
   std::size_t queue_peak_ = 0;
-  std::uint64_t records_queued_ = 0;
-
-  SimTime conn_front_;
-  SimTime dns_front_;
-  bool any_conn_ = false;
-  bool any_dns_ = false;
 
   Clock::time_point last_activity_;
   std::size_t attached_ = 0;
-  std::vector<std::function<void()>> waiters_;
 };
 
 class TenantRegistry {
@@ -153,13 +127,9 @@ class TenantRegistry {
   /// Lookup only (HTTP results path). nullptr when absent/evicted.
   [[nodiscard]] std::shared_ptr<Tenant> find(const std::string& name) const;
 
-  /// Drain queued segments, up to `budget` across all tenants (round-
-  /// robin). Returns true while segments remain queued.
-  bool pump(std::size_t budget);
-
-  /// Remove the tenants idle for `idle_evict` (no frames, nothing
-  /// queued, no attached connection). `now` is passed in so tests can
-  /// drive time explicitly.
+  /// Remove the tenants idle for `idle_evict` (no frames and no
+  /// attached connection). `now` is passed in so tests can drive time
+  /// explicitly.
   void evict_idle(Tenant::Clock::time_point now);
 
   /// Flush every tenant's reorder window (graceful shutdown).

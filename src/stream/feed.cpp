@@ -141,4 +141,17 @@ void LiveFeed::close() {
   heads_ = {};
 }
 
+void SegmentFeed::push(SegmentView& seg) {
+  const SegmentHeader& h = seg.header();
+  seg.deliver(feed_);
+  if (h.record_count > 0 && h.kind != RecordKind::kEncFlow) {
+    auto& front = h.kind == RecordKind::kConn ? conn_front_ : dns_front_;
+    front = std::max(front.value_or(h.last_ts), h.last_ts);
+  }
+  if (!conn_front_ || !dns_front_) return;
+  // Drain even when no front moved: enc records below it go out now.
+  const SimTime front = std::min(*conn_front_, *dns_front_);
+  if (front > SimTime::origin()) feed_.drain(SimTime::from_us(front.count_us() - 1));
+}
+
 }  // namespace dnsctx::stream

@@ -36,14 +36,21 @@
 // recycled keeps its size — slot chunks, free lists, run buffers, and
 // the query and answer buffers of every DnsRecord slot — until a
 // close() empties the feed and frees it all.
+//
+// SegmentFeed drives a LiveFeed from whole segments instead of a
+// producer's watermark: `stream --follow` hands it the segments a spool
+// writer finishes, `serve` the ones producers push (see its comment for
+// the watermark rule).
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "capture/records.hpp"
+#include "stream/segment_view.hpp"
 
 namespace dnsctx::stream {
 
@@ -129,6 +136,35 @@ class LiveFeed : public capture::RecordSink {
   std::uint64_t next_seq_ = 0;
   std::size_t buffered_ = 0;
   std::size_t peak_buffered_ = 0;
+};
+
+/// A LiveFeed fed one whole segment at a time, in any interleaving of
+/// kinds. Its watermark comes from the segments themselves: each kind's
+/// segments are time-ordered, so a later segment of a kind never starts
+/// before that kind's newest `last_ts` — but it may start AT it. The
+/// rule is therefore: track the newest `last_ts` of each kind (its
+/// front); once both conn and dns have one, release every record
+/// strictly below min(conn front, dns front). The slower front itself
+/// stays buffered until close(). Enc segments (an optional side stream)
+/// and empty segments ride along but never move a front.
+class SegmentFeed {
+ public:
+  explicit SegmentFeed(capture::RecordSink& downstream) : feed_{downstream} {}
+
+  /// Deliver `seg`'s records from its cursor on, advance its kind's
+  /// front, and release what the fronts allow.
+  void push(SegmentView& seg);
+
+  /// Release everything still buffered (a FLUSH, or end of stream).
+  void close() { feed_.close(); }
+
+  [[nodiscard]] std::size_t buffered() const { return feed_.buffered(); }
+  [[nodiscard]] std::size_t peak_buffered() const { return feed_.peak_buffered(); }
+
+ private:
+  LiveFeed feed_;
+  std::optional<SimTime> conn_front_;
+  std::optional<SimTime> dns_front_;
 };
 
 }  // namespace dnsctx::stream

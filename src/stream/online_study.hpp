@@ -1,13 +1,17 @@
-// dnsctx — bounded-memory online study engine.
+// dnsctx — streaming online study engine.
 //
 // OnlineStudy is a RecordSink that ingests a single time-sorted stream of
 // conn/dns records (from replay_spool, replay_dataset, or a LiveFeed) and
 // incrementally computes the paper's headline results: DN-Hunter pairing
 // statistics (§4), the N/LC/P/SC/R taxonomy (Table 2, §5), Table 1's
 // platform usage shares, the §6 significance quadrants, and the §7
-// per-platform counters — all with memory proportional to the ACTIVE
-// window (live DNS candidates, distinct house/resolver/platform keys),
-// not the stream length.
+// per-platform counters — without keeping the stream. Memory is not
+// proportional to the active window, though: shadow eviction (below)
+// never drops a (house, address) list's newest candidate or its DNS
+// record, so the engine holds one candidate per (house, address) pair
+// ever answered, plus its house/resolver/platform keys. On city's shape
+// (2000 houses × 5 min) 226 337 of the ~227 000 candidates inserted are
+// still held at the end.
 //
 // Determinism contract: for a stream delivered in the canonical order
 // (nondecreasing key time, DNS before conn at ties, harvest order within
@@ -18,7 +22,7 @@
 // sample (Fig 1/2/3 CDFs, knee detection) are the one deliberate
 // omission; every count, share, threshold, and fraction streams.
 //
-// Three mechanisms make bounded memory compatible with bit-exactness:
+// Three mechanisms keep memory small without giving up bit-exactness:
 //
 //  * Shadow eviction. Within one (house, address) candidate list sorted
 //    by (response, seq), candidate cᵢ can never again be chosen once the

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -43,16 +44,16 @@ long long CliArgs::int_option_or(const std::string& name, long long fallback) co
   return parsed;
 }
 
-double CliArgs::double_option_or(const std::string& name, double fallback) const {
-  const auto v = option(name);
-  if (!v) return fallback;
-  double parsed = 0;
-  const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), parsed);
-  if (ec != std::errc{} || ptr != v->data() + v->size()) {
-    throw std::runtime_error{strfmt("--%s expects a number, got '%s'", name.c_str(),
-                                    v->c_str())};
+long long CliArgs::int_option_in(const std::string& name, long long fallback, long long lo,
+                                 long long hi) const {
+  const long long v = int_option_or(name, fallback);
+  if (v < lo || v > hi) {
+    throw std::runtime_error{
+        hi == std::numeric_limits<long long>::max()
+            ? strfmt("--%s must be at least %lld, got %lld", name.c_str(), lo, v)
+            : strfmt("--%s must be in [%lld, %lld], got %lld", name.c_str(), lo, hi, v)};
   }
-  return parsed;
+  return v;
 }
 
 std::vector<std::string> CliArgs::unknown_keys(const std::set<std::string>& known) const {

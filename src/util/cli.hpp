@@ -6,6 +6,7 @@
 // reject leftovers explicitly.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -35,7 +36,11 @@ struct CliArgs {
   /// Numeric option with default; throws std::runtime_error naming the
   /// option on malformed input.
   [[nodiscard]] long long int_option_or(const std::string& name, long long fallback) const;
-  [[nodiscard]] double double_option_or(const std::string& name, double fallback) const;
+  /// int_option_or that also throws, naming the option, when the value
+  /// lies outside [lo, hi].
+  [[nodiscard]] long long int_option_in(
+      const std::string& name, long long fallback, long long lo,
+      long long hi = std::numeric_limits<long long>::max()) const;
 
   /// Names of options/flags not in `known` (for strict validation).
   [[nodiscard]] std::vector<std::string> unknown_keys(const std::set<std::string>& known) const;

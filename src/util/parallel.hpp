@@ -12,9 +12,11 @@
 // The pool is deliberately work-stealing-free: workers pull chunk
 // indices from one shared atomic counter. Chunks are coarse (thousands
 // of records each), so contention on the counter is negligible and the
-// scheduling stays trivial to reason about.
+// scheduling stays trivial to reason about. A helper never starts more
+// threads than it has tasks, however many were requested.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -92,7 +94,7 @@ void parallel_for_chunks(unsigned threads, std::size_t n, std::size_t grain, Bod
     for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
     return;
   }
-  ThreadPool pool{effective};
+  ThreadPool pool{static_cast<unsigned>(std::min<std::size_t>(effective, chunks))};
   pool.dispatch(chunks, run_chunk);
 }
 
@@ -105,7 +107,7 @@ void parallel_for_each(unsigned threads, std::size_t n, Body&& body) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool{effective};
+  ThreadPool pool{static_cast<unsigned>(std::min<std::size_t>(effective, n))};
   pool.dispatch(n, [&](std::size_t i) { body(i); });
 }
 

@@ -1,5 +1,5 @@
-// dnsctx — event loop unit tests: timers, deferred work, idle pump,
-// fd dispatch, and cross-thread stop.
+// dnsctx — event loop unit tests: timers, deferred work, fd dispatch,
+// and cross-thread stop.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -79,16 +79,6 @@ TEST(EventLoop, DeferredRunsAfterBatchAndCanChain) {
   });
   loop.run_once(0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventLoop, IdleWorkPumpsWhilePending) {
-  EventLoop loop;
-  int budget = 3;
-  loop.set_idle_work([&] { return --budget > 0; });
-  loop.run_once(0);
-  loop.run_once(0);
-  loop.run_once(0);
-  EXPECT_EQ(budget, 0);
 }
 
 TEST(EventLoop, StopFromAnotherThreadWakesRun) {

@@ -5,8 +5,8 @@
 // server, for in-order and cross-kind-reordered delivery, and for
 // partial streams flushed by a graceful shutdown. The robustness
 // contract: a malformed or oversized frame closes only the offending
-// connection, and a full tenant queue pushes back through TCP instead
-// of dropping anything.
+// connection, and a producer faster than the server is held back by TCP
+// instead of losing anything.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -27,6 +27,7 @@
 #include "serve/push.hpp"
 #include "serve/server.hpp"
 #include "serve/sockets.hpp"
+#include "stream/segment_v2.hpp"
 #include "stream/spool.hpp"
 #include "temp_dir.hpp"
 
@@ -364,8 +365,8 @@ TEST(Serve, IdleTenantIsEvicted) {
 }
 
 TEST(Serve, DestroyedServerLeavesNothingOnItsLoop) {
-  // The loop outlives the server: neither the idle-work hook nor the
-  // idle-eviction timer may call into the destroyed server.
+  // The loop outlives the server: its idle-eviction timer may not call
+  // into the destroyed server.
   EventLoop loop;
   ServeConfig cfg;
   cfg.tenant.idle_evict = std::chrono::milliseconds{1};
@@ -377,19 +378,18 @@ TEST(Serve, DestroyedServerLeavesNothingOnItsLoop) {
   loop.run_once(0);
 }
 
-TEST(Serve, BackpressureTinyQueueLosesNothing) {
+TEST(Serve, ProducerWithoutAcksOnTinySocketBuffersLosesNothing) {
   const auto ds = simulate(8, 2, 5);
   const std::string want = expected_json(ds);
 
   ServeConfig cfg;
-  cfg.tenant.max_queued_segments = 2;  // force pause/resume constantly
-  cfg.pump_budget = 1;
   cfg.sockbuf_bytes = 4096;
   TestServer ts{cfg};
 
   PushClient client{"127.0.0.1", ts.ingest_port(), Handshake{"squeeze", false}};
   // Small segments, no acks: the producer slams frames as fast as the
-  // socket accepts them, far faster than a budget-1 pump drains.
+  // 4 KiB socket accepts them, and blocks whenever the server is busy
+  // applying what it has read.
   for (const auto& seg : chunk_segments(ds.conns, stream::RecordKind::kConn, 101)) {
     client.send_segment(seg);
   }
@@ -412,6 +412,34 @@ TEST(Serve, BackpressureTinyQueueLosesNothing) {
   const auto tenant = ts.server->tenants().find("squeeze");
   ASSERT_NE(tenant, nullptr);
   EXPECT_EQ(tenant->records_released(), ds.conns.size() + ds.dns.size());
+}
+
+// `stream --push` without --acks writes its frames and FLUSH and hangs
+// up at once, so the last frames and the EOF often reach the server in
+// one read burst. Driven single-threaded so that all of them do: the
+// loop first runs after the producer has closed.
+TEST(Serve, ProducerHangingUpAfterItsFlushLosesNothing) {
+  const auto ds = simulate(4, 1, 2);
+  const std::string want = expected_json(ds);
+
+  EventLoop loop;
+  Server server{loop, ServeConfig{}};
+  server.start();
+  std::string wire = encode_handshake(Handshake{"hangup", false});
+  append_data_frame(wire, stream::build_segment_v2(ds.conns));
+  append_data_frame(wire, stream::build_segment_v2(ds.dns));
+  append_flush_frame(wire);
+  ASSERT_LT(wire.size(), 64u * 1024) << "must fit the socket buffers unread";
+  const int fd = connect_tcp("127.0.0.1", server.ingest_port());
+  write_all_fd(fd, wire);
+  ::close(fd);
+
+  for (int i = 0; i < 100 && server.stats().connections_closed == 0; ++i) loop.run_once(10);
+  EXPECT_EQ(server.stats().connections_closed, 1u);
+  const auto tenant = server.tenants().find("hangup");
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->records_released(), ds.conns.size() + ds.dns.size());
+  EXPECT_EQ(tenant->results(), want);
 }
 
 TEST(Serve, HttpEndpointsAndErrors) {

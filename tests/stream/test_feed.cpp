@@ -6,7 +6,8 @@
 // released sequence, buffered() and peak_buffered() against that
 // reference after every drain. The rest pin down slot reuse, a throwing
 // downstream, a long pinned-watermark run, and a feed that close()
-// emptied: it frees its storage and keeps working.
+// emptied: it frees its storage and keeps working. SegmentFeed's tests
+// pin down the watermark rule whole segments drive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "heap_in_use.hpp"
+#include "segment_v1.hpp"
 #include "stream/feed.hpp"
 #include "util/rng.hpp"
 
@@ -50,19 +52,27 @@ capture::DnsRecord make_dns(std::int64_t key_us, std::uint32_t id) {
   return d;
 }
 
+capture::ConnRecord make_conn(std::int64_t key_us, std::uint32_t id) {
+  capture::ConnRecord c;
+  c.start = SimTime::from_us(key_us);
+  c.orig_bytes = id;
+  return c;
+}
+
+capture::EncFlowRecord make_enc(std::int64_t key_us, std::uint32_t id) {
+  capture::EncFlowRecord e;
+  e.start = SimTime::from_us(key_us);
+  e.up_msgs = id;
+  return e;
+}
+
 void send(LiveFeed& feed, const Arrival& a) {
   if (a.kind == kDns) {
     feed.on_dns(make_dns(a.key_us, a.id));
   } else if (a.kind == kConn) {
-    capture::ConnRecord c;
-    c.start = SimTime::from_us(a.key_us);
-    c.orig_bytes = a.id;
-    feed.on_conn(c);
+    feed.on_conn(make_conn(a.key_us, a.id));
   } else {
-    capture::EncFlowRecord e;
-    e.start = SimTime::from_us(a.key_us);
-    e.up_msgs = a.id;
-    feed.on_encflow(e);
+    feed.on_encflow(make_enc(a.key_us, a.id));
   }
 }
 
@@ -281,6 +291,85 @@ TEST(LiveFeed, CloseFreesTheBuffer) {
   EXPECT_LT(testutil::heap_in_use(), before + held / 16) << "held " << held << " B while buffering";
 }
 #endif
+
+/// A v1 segment of `arrivals`, all of one kind and in key order. With
+/// none, an empty segment whose header claims `empty_last_us` as its
+/// last_ts (the writer would zero it; a producer need not).
+SegmentView segment_of(RecordKind kind, const std::vector<Arrival>& arrivals,
+                       std::int64_t empty_last_us = 0) {
+  std::string payload;
+  for (const Arrival& a : arrivals) {
+    if (kind == RecordKind::kDns) {
+      append_record(payload, make_dns(a.key_us, a.id));
+    } else if (kind == RecordKind::kConn) {
+      append_record(payload, make_conn(a.key_us, a.id));
+    } else {
+      append_record(payload, make_enc(a.key_us, a.id));
+    }
+  }
+  const auto n = static_cast<std::uint32_t>(arrivals.size());
+  std::string blob =
+      n > 0 ? build_segment(kind, n, SimTime::from_us(arrivals.front().key_us),
+                            SimTime::from_us(arrivals.back().key_us), payload)
+            : build_segment(kind, 0, SimTime::origin(), SimTime::origin(), payload);
+  if (n == 0) {
+    std::string last;
+    wire::put_i64(last, empty_last_us);
+    blob.replace(20, 8, last);  // header: magic, version, kind, pad, count, first_ts, last_ts
+  }
+  return SegmentView::adopt(std::move(blob), "test");
+}
+
+void push(SegmentFeed& feed, RecordKind kind, const std::vector<Arrival>& arrivals,
+          std::int64_t empty_last_us = 0) {
+  SegmentView seg = segment_of(kind, arrivals, empty_last_us);
+  feed.push(seg);
+}
+
+TEST(SegmentFeed, ReleasesBelowTheSlowerFrontOnceBothKindsHaveOne) {
+  RecordingSink sink;
+  SegmentFeed feed{sink};
+
+  // Only conn has a front: nothing goes, however far enc and an empty
+  // dns segment claim to reach.
+  push(feed, RecordKind::kConn, {{kConn, 10, 0}, {kConn, 20, 1}, {kConn, 30, 2}});
+  push(feed, RecordKind::kEncFlow, {{kEnc, 5, 3}, {kEnc, 40, 4}});
+  push(feed, RecordKind::kDns, {}, 1'000);
+  EXPECT_TRUE(sink.got.empty());
+  EXPECT_EQ(feed.buffered(), 5u);
+
+  // dns joins with front 25 < conn's 30: everything strictly below 25.
+  push(feed, RecordKind::kDns, {{kDns, 15, 5}, {kDns, 25, 6}});
+  const std::vector<Arrival> below{
+      {kEnc, 5, 3}, {kConn, 10, 0}, {kDns, 15, 5}, {kConn, 20, 1}};
+  EXPECT_EQ(sink.got, below);
+
+  // Neither an empty conn segment nor a late enc record moves a front,
+  // so the record AT the slower front (dns 25) stays buffered.
+  push(feed, RecordKind::kConn, {}, 1'000);
+  push(feed, RecordKind::kEncFlow, {{kEnc, 500, 7}});
+  EXPECT_EQ(sink.got, below);
+  EXPECT_EQ(feed.buffered(), 4u);
+
+  feed.close();
+  std::vector<Arrival> all = below;
+  all.insert(all.end(), {{kDns, 25, 6}, {kConn, 30, 2}, {kEnc, 40, 4}, {kEnc, 500, 7}});
+  EXPECT_EQ(sink.got, all);
+  EXPECT_EQ(feed.buffered(), 0u);
+}
+
+TEST(SegmentFeed, LateEncRecordsGoOutWithTheNextSegment) {
+  // Once both fronts exist every push drains, even one that moves no
+  // front: an enc record below the watermark leaves at once.
+  RecordingSink sink;
+  SegmentFeed feed{sink};
+  push(feed, RecordKind::kConn, {{kConn, 100, 0}});
+  push(feed, RecordKind::kDns, {{kDns, 100, 1}});
+  EXPECT_TRUE(sink.got.empty());
+  push(feed, RecordKind::kEncFlow, {{kEnc, 50, 2}, {kEnc, 100, 3}});
+  EXPECT_EQ(sink.got, (std::vector<Arrival>{{kEnc, 50, 2}}));
+  EXPECT_EQ(feed.buffered(), 3u);
+}
 
 }  // namespace
 }  // namespace dnsctx::stream

@@ -1,6 +1,9 @@
 // Unit tests for the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/cli.hpp"
 
 namespace dnsctx {
@@ -62,10 +65,22 @@ TEST(Cli, IntOptionParsing) {
   EXPECT_THROW((void)bad.int_option_or("houses", 0), std::runtime_error);
 }
 
-TEST(Cli, DoubleOptionParsing) {
-  const auto args = parse({"--scale", "1.5"});
-  EXPECT_DOUBLE_EQ(args.double_option_or("scale", 1.0), 1.5);
-  EXPECT_DOUBLE_EQ(args.double_option_or("missing", 2.0), 2.0);
+TEST(Cli, IntOptionRangeNamesTheFlag) {
+  const auto args = parse({"--mib", "-1", "--exit", "0", "--ok", "3"});
+  EXPECT_EQ(args.int_option_in("ok", 9, 1, 4095), 3);
+  EXPECT_EQ(args.int_option_in("missing", 9, 1, 4095), 9);
+  const auto message = [](const auto& call) {
+    try {
+      (void)call();
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  EXPECT_EQ(message([&] { return args.int_option_in("mib", 1, 1, 4095); }),
+            "--mib must be in [1, 4095], got -1");
+  EXPECT_EQ(message([&] { return args.int_option_in("exit", 1, 1); }),
+            "--exit must be at least 1, got 0");
 }
 
 TEST(Cli, UnknownKeyDetection) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -83,6 +85,27 @@ TEST(Parallel, ExceptionsPropagateFromWorkers) {
                                    if (i == 613) throw std::runtime_error{"boom"};
                                  }),
                std::runtime_error);
+}
+
+/// Threads alive in this process right now.
+std::size_t live_threads() {
+  using Dir = std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(std::distance(Dir{"/proc/self/task"}, Dir{}));
+}
+
+TEST(Parallel, NeverStartsMoreThreadsThanTasks) {
+  // Two tasks need one worker beside the caller, however many threads
+  // were asked for.
+  const std::size_t baseline = live_threads();
+  std::atomic<std::size_t> most{0};
+  const auto count = [&] {
+    const std::size_t now = live_threads();
+    for (std::size_t seen = most.load(); now > seen && !most.compare_exchange_weak(seen, now);) {
+    }
+  };
+  parallel_for_each(64, 2, [&](std::size_t) { count(); });
+  parallel_for_chunks(64, 2'000, 1'000, [&](std::size_t, std::size_t) { count(); });
+  EXPECT_LE(most.load(), baseline + 1);
 }
 
 TEST(Parallel, PoolIsReusableAcrossDispatches) {

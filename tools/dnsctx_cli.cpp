@@ -2,17 +2,14 @@
 //
 //   dnsctx simulate --out DIR [--config FILE] [--houses N] [--hours H]
 //                   [--seed S] [--start-hour H] [--shards N] [--threads N]
-//                   [--loss P] [--dup P] [--reorder P] [--servfail-rate P]
-//                   [--nxdomain-rate P] [--resolver-outage T:B-E[,...]]
-//                   [--backoff F] [--faults SPEC]
+//                   [--faults SPEC]
 //       Simulate a neighborhood and write conn.log / dns.log (plus a
 //       scenario.conf snapshot) into DIR. --shards splits the town into
 //       independent sub-towns (a scenario knob: each shard has its own
 //       resolver platform caches); --threads only decides how many
-//       workers execute them — output is identical for any value. The
-//       fault flags assemble a deterministic impairment plan (see
-//       docs/FAULTS.md); --faults takes the full plan grammar and the
-//       individual flags override single fields.
+//       workers execute them — output is identical for any value.
+//       --faults takes a deterministic impairment plan in the grammar of
+//       docs/FAULTS.md (e.g. loss=0.01,outage=upstream1:600-900).
 //
 //   dnsctx analyze --dir DIR | (--conn FILE --dns FILE)
 //                  [--section all|table1|table2|fig1|fig2|fig3|timeseries|perhouse|failures]
@@ -39,8 +36,7 @@
 //       running `dnsctx serve` over TCP.
 //
 //   dnsctx serve --listen HOST:PORT --http HOST:PORT [--max-tenants N]
-//                [--idle-evict SECS] [--max-frame-mib N]
-//                [--queue-segments N] [--results-out DIR]
+//                [--idle-evict SECS] [--max-frame-mib N] [--results-out DIR]
 //       Online telemetry server: accepts segment streams from producers
 //       (`stream --push`), runs one OnlineStudy per tenant, and exposes
 //       /metrics, /results/<tenant>, /healthz over HTTP. SIGINT/SIGTERM
@@ -55,6 +51,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -98,11 +95,8 @@ void usage();
 }
 
 const std::set<std::string> kSimOptions = {
-    "config",        "houses",        "hours",   "seed",
-    "start-hour",    "shards",        "threads", "loss",
-    "dup",           "reorder",       "servfail-rate", "nxdomain-rate",
-    "resolver-outage", "backoff",     "faults",  "transport",
-    "pack",          "metrics-out",   "progress"};
+    "config",  "houses", "hours",     "seed", "start-hour",  "shards",
+    "threads", "faults", "transport", "pack", "metrics-out", "progress"};
 
 /// Wall-clock progress reporter: prints to stderr (never stdout — golden
 /// outputs must stay byte-identical) at most once per `interval_sec`.
@@ -158,28 +152,12 @@ class ProgressReporter {
     cfg = scenario::load_config_file(*file);
   }
   // Pack after --config, before individual flags: a pack is a preset
-  // the explicit flags can still override.
+  // the explicit flags can still override (--faults replaces the plan
+  // wholesale).
   if (const auto pack = args.option("pack")) {
     scenario::apply_pack_file(*pack, &cfg);
   }
   scenario::set_flag_knobs(cfg, args);
-  // Fault plan: --faults (set above) replaces the config file's plan
-  // wholesale, the individual flags then override single fields on top.
-  cfg.faults.loss = args.double_option_or("loss", cfg.faults.loss);
-  cfg.faults.dup = args.double_option_or("dup", cfg.faults.dup);
-  cfg.faults.reorder = args.double_option_or("reorder", cfg.faults.reorder);
-  cfg.faults.servfail_rate = args.double_option_or("servfail-rate", cfg.faults.servfail_rate);
-  cfg.faults.nxdomain_rate = args.double_option_or("nxdomain-rate", cfg.faults.nxdomain_rate);
-  cfg.faults.backoff = args.double_option_or("backoff", cfg.faults.backoff);
-  if (const auto outages = args.option("resolver-outage")) {
-    cfg.faults.outages.clear();
-    for (const auto item : split(*outages, ',')) {
-      cfg.faults.outages.push_back(faults::parse_outage(item));
-    }
-  }
-  // Re-parse the rendered plan so flag-supplied values get the same
-  // validation (rate ranges, backoff bounds) as the grammar.
-  cfg.faults = faults::FaultPlan::parse(cfg.faults.to_string());
   return cfg;
 }
 
@@ -320,6 +298,9 @@ int cmd_analyze(const CliArgs& args) {
                       "metrics-out"})) {
     return 2;
   }
+  analysis::StudyConfig study_cfg;
+  study_cfg.threads = static_cast<unsigned>(
+      args.int_option_in("threads", 1, 0, std::numeric_limits<unsigned>::max()));
   std::string conn_path, dns_path;
   if (const auto dir = args.option("dir")) {
     conn_path = *dir + "/conn.log";
@@ -337,8 +318,6 @@ int cmd_analyze(const CliArgs& args) {
   const capture::Dataset ds = capture::load_dataset(conn_path, dns_path);
   std::printf("loaded %zu conns, %zu DNS transactions\n\n", ds.conns.size(), ds.dns.size());
 
-  analysis::StudyConfig study_cfg;
-  study_cfg.threads = static_cast<unsigned>(args.int_option_or("threads", 1));
   const analysis::Study study = analysis::run_study(ds, study_cfg);
   const std::string section = args.option_or("section", "all");
   const bool all = section == "all";
@@ -623,18 +602,14 @@ int cmd_stream(const CliArgs& args) {
   stream::OnlineStudy engine;
   if (args.has_flag("follow")) {
     // Tail a spool a live writer is still appending to: poll for newly
-    // finished segments, feed them through a LiveFeed, and release
-    // records strictly below the slower kind's frontier (future segments
-    // of a kind never start before that kind's newest last_ts, but they
-    // may start AT it, so the frontier itself stays buffered). Exit
-    // after --idle-exit polls with no new segments.
-    const long long poll_ms = args.int_option_or("poll-ms", 200);
-    const long long idle_exit = args.int_option_or("idle-exit", 5);
+    // finished segments and hand each to a SegmentFeed, which releases
+    // records as the segments' watermark allows. Exit after --idle-exit
+    // polls with no new segments.
+    const long long poll_ms = args.int_option_in("poll-ms", 200, 0);
+    const long long idle_exit = args.int_option_in("idle-exit", 5, 1);
     ProgressReporter progress{args.int_option_or("progress", 0)};
-    stream::LiveFeed feed{engine};
+    stream::SegmentFeed feed{engine};
     std::set<std::string> seen;
-    SimTime conn_front, dns_front;
-    bool any_conn = false, any_dns = false;
     std::uint64_t conns = 0, dns = 0;
     std::size_t segments = 0;
     for (long long idle = 0; idle < idle_exit;) {
@@ -648,23 +623,12 @@ int cmd_stream(const CliArgs& args) {
           // into the feed; nothing is materialized per record.
           stream::SegmentView view = stream::SegmentView::map_file(path);
           const stream::SegmentHeader& h = view.header();
-          view.deliver(feed);
           if (h.kind == stream::RecordKind::kConn) {
             conns += h.record_count;
           } else if (h.kind == stream::RecordKind::kDns) {
             dns += h.record_count;
           }
-          // Enc metadata rides the feed but never advances the conn/dns
-          // watermark fronts that gate draining (it is optional).
-          if (h.record_count > 0) {
-            if (h.kind == stream::RecordKind::kConn) {
-              conn_front = std::max(conn_front, h.last_ts);
-              any_conn = true;
-            } else if (h.kind == stream::RecordKind::kDns) {
-              dns_front = std::max(dns_front, h.last_ts);
-              any_dns = true;
-            }
-          }
+          feed.push(view);
           ++segments;
           progressed = true;
         }
@@ -675,12 +639,6 @@ int cmd_stream(const CliArgs& args) {
                     static_cast<unsigned long long>(dns));
       if (progressed) {
         idle = 0;
-        if (any_conn && any_dns) {
-          const auto front = std::min(conn_front, dns_front);
-          if (front > SimTime::origin()) {
-            feed.drain(SimTime::from_us(front.count_us() - 1));
-          }
-        }
       } else if (++idle < idle_exit) {
         std::this_thread::sleep_for(std::chrono::milliseconds{poll_ms});
       }
@@ -703,10 +661,18 @@ int cmd_stream(const CliArgs& args) {
 int cmd_serve(const CliArgs& args) {
   if (reject_unknown(args, "serve",
                      {"listen", "http", "max-tenants", "idle-evict", "max-frame-mib",
-                      "queue-segments", "results-out", "metrics-out", "progress"})) {
+                      "results-out", "metrics-out", "progress"})) {
     return 2;
   }
   serve::ServeConfig cfg;
+  cfg.tenant.max_tenants = static_cast<std::size_t>(args.int_option_in("max-tenants", 64, 1));
+  // A billion seconds (about 32 years) keeps the millisecond count far
+  // from overflow.
+  cfg.tenant.idle_evict =
+      std::chrono::seconds{args.int_option_in("idle-evict", 0, 0, 1'000'000'000)};
+  // The frame length is a u32 on the wire.
+  cfg.max_frame_bytes =
+      static_cast<std::size_t>(args.int_option_in("max-frame-mib", 16, 1, 4095)) << 20;
   const auto listen = args.option("listen");
   const auto http = args.option("http");
   if (!listen || !parse_hostport(*listen, &cfg.ingest_host, &cfg.ingest_port)) {
@@ -717,14 +683,6 @@ int cmd_serve(const CliArgs& args) {
     std::fprintf(stderr, "serve: --http HOST:PORT is required\n");
     return 2;
   }
-  cfg.tenant.max_tenants =
-      static_cast<std::size_t>(args.int_option_or("max-tenants", 64));
-  cfg.tenant.idle_evict =
-      std::chrono::seconds{args.int_option_or("idle-evict", 0)};
-  cfg.tenant.max_queued_segments =
-      static_cast<std::size_t>(args.int_option_or("queue-segments", 64));
-  cfg.max_frame_bytes =
-      static_cast<std::size_t>(args.int_option_or("max-frame-mib", 16)) << 20;
   if (const auto dir = args.option("results-out")) {
     std::filesystem::create_directories(*dir);
     cfg.results_dir = *dir;
@@ -759,9 +717,7 @@ void usage() {
                "usage: dnsctx <simulate|analyze|sweep|validate|stream|serve> [options]\n"
                "  simulate --out DIR [--config F] [--pack F] [--houses N] [--hours H]\n"
                "           [--seed S] [--shards N] [--threads N] [--binary-logs]\n"
-               "           [--loss P] [--dup P] [--reorder P] [--servfail-rate P]\n"
-               "           [--nxdomain-rate P] [--resolver-outage T:B-E[,...]]\n"
-               "           [--backoff F] [--faults SPEC]\n"
+               "           [--faults SPEC]  (e.g. loss=0.01,outage=upstream1:600-900)\n"
                "           [--transport do53|dot|doh|resolverless]\n"
                "  analyze  --dir DIR | (--conn F --dns F) [--section S] [--csv DIR]\n"
                "           [--threads N] [--baseline DIR]\n"
@@ -777,8 +733,7 @@ void usage() {
                "           [--codec none|lz]  (spool-writing modes: --import/--convert;\n"
                "           also simulate --binary-logs)\n"
                "  serve    --listen HOST:PORT --http HOST:PORT [--max-tenants N]\n"
-               "           [--idle-evict SECS] [--max-frame-mib N] [--queue-segments N]\n"
-               "           [--results-out DIR]\n"
+               "           [--idle-evict SECS] [--max-frame-mib N] [--results-out DIR]\n"
                "  every command also accepts:\n"
                "    --metrics-out FILE   enable metrics; write a scrape on exit\n"
                "                         (.json extension -> JSON, else Prometheus text)\n"
