@@ -15,7 +15,8 @@
 //     u32  len
 //     ...  body         len bytes: one COMPLETE segment blob in the
 //                       src/stream wire format (40-byte header + CRC'd
-//                       payload, v1 or v2, SegmentView-validated)
+//                       v2 payload, SegmentView-validated; a v1 blob is
+//                       refused like any other malformed frame)
 //
 //   len == 0 is the FLUSH frame: release every record still buffered in
 //   the tenant's reorder window to the study engine (end of stream, or

@@ -234,10 +234,9 @@ namespace {
   }
 }
 
-void tune_socket(int fd, int sockbuf_bytes) {
+void tune_socket(int fd) {
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  if (sockbuf_bytes > 0) set_socket_buffers(fd, sockbuf_bytes);
 }
 
 }  // namespace
@@ -246,7 +245,7 @@ void Server::accept_ingest() {
   for (;;) {
     const int fd = accept_one(ingest_listen_fd_);
     if (fd < 0) return;
-    tune_socket(fd, cfg_.sockbuf_bytes);
+    tune_socket(fd);
     ++stats_.connections_accepted;
     if (obs::enabled()) {
       obs::registry().counter("serve_connections_total").add(1);
@@ -264,7 +263,7 @@ void Server::accept_http() {
   for (;;) {
     const int fd = accept_one(http_listen_fd_);
     if (fd < 0) return;
-    tune_socket(fd, cfg_.sockbuf_bytes);
+    tune_socket(fd);
     auto conn = std::make_unique<HttpConnection>(
         loop_, fd, peer_name(fd), [this](const HttpRequest& req) { return route(req); },
         [this](int closed_fd) { close_http(closed_fd); });

@@ -43,9 +43,6 @@ struct ServeConfig {
 
   TenantConfig tenant;
   std::size_t max_frame_bytes = 16u << 20;
-  /// When nonzero, shrink SO_SNDBUF/SO_RCVBUF on accepted sockets —
-  /// tests use a tiny value to force partial writes and backpressure.
-  int sockbuf_bytes = 0;
   /// When nonempty, graceful shutdown writes <dir>/<tenant>.json for
   /// every live tenant.
   std::string results_dir;

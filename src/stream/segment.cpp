@@ -4,7 +4,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "stream/segment_view.hpp"
 #include "stream/wire.hpp"
 #include "util/strings.hpp"
 
@@ -68,11 +67,11 @@ std::uint32_t crc32(std::string_view bytes, std::uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void append_segment_header(std::string& out, std::uint16_t version, RecordKind kind,
-                           std::uint32_t record_count, SimTime first, SimTime last,
-                           std::uint64_t payload_bytes, std::uint32_t payload_crc) {
+void append_segment_header(std::string& out, RecordKind kind, std::uint32_t record_count,
+                           SimTime first, SimTime last, std::uint64_t payload_bytes,
+                           std::uint32_t payload_crc) {
   wire::put_u32(out, kSegmentMagic);
-  wire::put_u16(out, version);
+  wire::put_u16(out, kSegmentVersion);
   wire::put_u8(out, static_cast<std::uint8_t>(kind));
   wire::put_u8(out, 0);  // reserved
   wire::put_u32(out, record_count);
@@ -92,11 +91,17 @@ SegmentHeader parse_segment_header(std::string_view bytes, const std::string& so
   if (c.u32() != kSegmentMagic) {
     throw std::runtime_error{strfmt("%s: bad segment magic", source.c_str())};
   }
-  h.version = c.u16();
-  if (h.version != kSegmentVersion && h.version != kSegmentVersionV2) {
-    throw std::runtime_error{strfmt("%s: unsupported segment version %u (expected %u or %u)",
-                                    source.c_str(), h.version, kSegmentVersion,
-                                    kSegmentVersionV2)};
+  const std::uint16_t version = c.u16();
+  if (version == 1) {
+    throw std::runtime_error{strfmt(
+        "%s: segment format v1 is no longer read; regenerate the spool with "
+        "`dnsctx simulate --config <run>/scenario.conf --out DIR --binary-logs`, "
+        "or with `dnsctx stream --import TEXTDIR --spool DIR` from the run's text logs",
+        source.c_str())};
+  }
+  if (version != kSegmentVersion) {
+    throw std::runtime_error{strfmt("%s: unsupported segment version %u (expected %u)",
+                                    source.c_str(), version, kSegmentVersion)};
   }
   const std::uint8_t kind = c.u8();
   if (kind > 2) {
@@ -112,38 +117,11 @@ SegmentHeader parse_segment_header(std::string_view bytes, const std::string& so
   return h;
 }
 
-SegmentData parse_segment(std::string_view bytes, const std::string& source) {
-  SegmentView view = SegmentView::parse(bytes, source);
-  SegmentData out;
-  out.header = view.header();
-  if (out.header.kind == RecordKind::kConn) {
-    out.conns.reserve(out.header.record_count);
-    capture::ConnRecord rec;
-    while (view.next(rec)) out.conns.push_back(rec);
-  } else if (out.header.kind == RecordKind::kDns) {
-    out.dns.reserve(out.header.record_count);
-    capture::DnsRecord rec;
-    while (view.next(rec)) out.dns.push_back(rec);
-  } else {
-    out.encflows.reserve(out.header.record_count);
-    capture::EncFlowRecord rec;
-    while (view.next(rec)) out.encflows.push_back(rec);
-  }
-  return out;
-}
-
 void write_segment_file(const std::string& path, std::string_view blob) {
   std::ofstream os{path, std::ios::binary};
   if (!os) throw std::runtime_error{"cannot open " + path};
   os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   if (!os) throw std::runtime_error{"short write to " + path};
-}
-
-SegmentData read_segment_file(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) throw std::runtime_error{"cannot open " + path};
-  std::string blob{std::istreambuf_iterator<char>{is}, std::istreambuf_iterator<char>{}};
-  return parse_segment(blob, path);
 }
 
 }  // namespace dnsctx::stream

@@ -5,7 +5,7 @@
 //
 //   header (40 bytes, little-endian)
 //     u32  magic          "DCSG"
-//     u16  version        kSegmentVersion (v1) or kSegmentVersionV2
+//     u16  version        kSegmentVersion (2)
 //     u8   kind           0 = conn, 1 = dns, 2 = enc (encrypted-flow
 //                         metadata)
 //     u8   reserved       0
@@ -14,29 +14,26 @@
 //     i64  last_ts_us     timestamp of the last record (0 when empty)
 //     u64  payload_bytes
 //     u32  payload_crc32  IEEE CRC-32 over the payload bytes
-//   payload (v1)
-//     record_count × (u32 body_len | body)
+//   payload               columnar, optionally compressed
+//                         (stream/segment_v2.hpp)
 //
-// Every v1 record body is length-prefixed, and every multi-byte integer
-// is little-endian regardless of host order. See docs/FORMAT.md for the
-// field-by-field body layouts.
+// Every multi-byte integer is little-endian regardless of host order.
+// See docs/FORMAT.md for the normative spec. stream/segment_view.hpp is
+// the one reader.
 //
-// Format v2 (stream/segment_v2.hpp) keeps the same 40-byte header with
-// version = 2 but stores a columnar, optionally compressed payload. It
-// is the only format the writers produce; v1 stays readable. Readers
-// here auto-detect the version: parse_segment materializes both
-// formats, and stream/segment_view.hpp iterates either without
-// materializing.
+// Version 1, the interleaved row format that preceded v2, is refused:
+// parse_segment_header names the source and how to regenerate the
+// spool (`dnsctx simulate --config <run>/scenario.conf --out DIR
+// --binary-logs`, or `dnsctx stream --import` from the run's text logs).
 //
 // Parsers throw std::runtime_error whose message names the `source`
 // (segment file path) on any structural defect: bad magic/version,
-// truncation, CRC mismatch, or record bodies overrunning the payload.
+// truncation, CRC mismatch, or columns overrunning the payload.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "capture/records.hpp"
 
@@ -47,13 +44,11 @@ enum class RecordKind : std::uint8_t { kConn = 0, kDns = 1, kEncFlow = 2 };
 [[nodiscard]] std::string_view to_string(RecordKind k);
 
 inline constexpr std::uint32_t kSegmentMagic = 0x47534344u;  // "DCSG" in LE bytes
-inline constexpr std::uint16_t kSegmentVersion = 1;
-inline constexpr std::uint16_t kSegmentVersionV2 = 2;  ///< columnar; see segment_v2.hpp
+inline constexpr std::uint16_t kSegmentVersion = 2;  ///< the only version read or written
 inline constexpr std::size_t kSegmentHeaderBytes = 40;
 
 struct SegmentHeader {
   RecordKind kind = RecordKind::kConn;
-  std::uint16_t version = kSegmentVersion;
   std::uint32_t record_count = 0;
   SimTime first_ts;
   SimTime last_ts;
@@ -66,33 +61,18 @@ struct SegmentHeader {
 /// crc32(a+b).
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);
 
-/// Append a 40-byte segment header to `out`. `version` selects the
-/// format tag, everything else is layout-identical across versions.
-/// `first`/`last` are written as 0 when `record_count` is 0.
-void append_segment_header(std::string& out, std::uint16_t version, RecordKind kind,
+/// Append a 40-byte segment header to `out`. `first`/`last` are written
+/// as 0 when `record_count` is 0.
+void append_segment_header(std::string& out, RecordKind kind,
                            std::uint32_t record_count, SimTime first, SimTime last,
                            std::uint64_t payload_bytes, std::uint32_t payload_crc);
 
-/// A fully parsed segment. Exactly one of `conns`/`dns`/`encflows` is
-/// populated, per `header.kind`.
-struct SegmentData {
-  SegmentHeader header;
-  std::vector<capture::ConnRecord> conns;
-  std::vector<capture::DnsRecord> dns;
-  std::vector<capture::EncFlowRecord> encflows;
-};
-
-/// Parse and validate a segment blob. `source` names the origin (file
-/// path) in every diagnostic.
-[[nodiscard]] SegmentData parse_segment(std::string_view bytes, const std::string& source);
-
-/// Parse only the 40-byte header (CRC is NOT checked). Used by spool
-/// scans that need time ranges without decoding payloads.
+/// Parse only the 40-byte header (CRC is NOT checked): SegmentView's
+/// first step, and `stream --push`'s check of a file before it sends
+/// it. `source` names the origin (file path) in every diagnostic.
 [[nodiscard]] SegmentHeader parse_segment_header(std::string_view bytes,
                                                  const std::string& source);
 
-/// File conveniences.
 void write_segment_file(const std::string& path, std::string_view blob);
-[[nodiscard]] SegmentData read_segment_file(const std::string& path);
 
 }  // namespace dnsctx::stream

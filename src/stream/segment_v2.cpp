@@ -215,7 +215,7 @@ std::string SegmentBuilderV2::build() {
 
   std::string out;
   out.reserve(kSegmentHeaderBytes + payload.size());
-  append_segment_header(out, kSegmentVersionV2, kind_, count_, SimTime::from_us(first_ts_),
+  append_segment_header(out, kind_, count_, SimTime::from_us(first_ts_),
                         SimTime::from_us(prev_ts_), payload.size(), crc32(payload));
   out += payload;
   reset();

@@ -1,8 +1,8 @@
 // dnsctx — spool format v2: columnar segment encoding.
 //
-// A v2 segment keeps the v1 40-byte header (version field = 2, CRC over
-// the stored payload) but replaces the interleaved record bodies with a
-// column-oriented payload:
+// A v2 segment is the 40-byte header of stream/segment.hpp (version
+// field = 2, CRC over the stored payload) followed by a column-oriented
+// payload:
 //
 //   payload := u8 codec_id | u64 raw_body_bytes | body'
 //
@@ -36,9 +36,10 @@
 // segment. Enc segments have no name dictionary.
 //
 // The encoding is lossless: decoding reproduces every record field
-// bit-for-bit, so study results over a v2 spool are byte-identical to
-// the same records in v1. See docs/FORMAT.md for the normative spec and
-// stream/segment_view.hpp for the zero-copy reader.
+// bit-for-bit, so study results over a spool are byte-identical to the
+// same records replayed from text logs, under either codec. See
+// docs/FORMAT.md for the normative spec and stream/segment_view.hpp for
+// the zero-copy reader.
 #pragma once
 
 #include <array>

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -20,10 +19,6 @@ namespace dnsctx::stream {
 namespace {
 
 constexpr std::size_t kV2FrameBytes = 9;  // u8 codec id + u64 raw body length
-
-[[nodiscard]] std::int64_t ts_floor() {
-  return std::numeric_limits<std::int64_t>::min();
-}
 
 }  // namespace
 
@@ -43,8 +38,8 @@ struct SegmentView::Impl {
   std::size_t map_len = 0;
   bool use_owned = false;
 
-  // v2 body: a slice of the blob when stored uncompressed, an owned
-  // decompression buffer otherwise. For v1 the "body" is the payload.
+  // Body: a slice of the blob when stored uncompressed, an owned
+  // decompression buffer otherwise.
   std::string decoded_body;
   bool body_is_owned = false;
   std::size_t body_off = 0;
@@ -55,14 +50,13 @@ struct SegmentView::Impl {
     std::size_t len = 0;
     std::size_t pos = 0;  ///< cursor: bytes consumed
   };
-  std::vector<Col> cols;                 // v2 only
-  std::vector<util::InternedName> dict;  // v2 dns only
-  std::vector<std::uint32_t> addrs;      // v2 address dictionary
+  std::vector<Col> cols;
+  std::vector<util::InternedName> dict;  // dns only
+  std::vector<std::uint32_t> addrs;      // address dictionary
 
   // Cursor state.
   std::uint32_t rec_pos = 0;
   std::int64_t prev_ts = 0;
-  std::size_t v1_pos = 0;
 
   ~Impl() {
     if (map_base != nullptr) ::munmap(map_base, map_len);
@@ -125,28 +119,6 @@ struct SegmentView::Impl {
     return addrs[idx];
   }
 
-  /// Open the next v1 record body (u32 length prefix | body), checking
-  /// that it fits the payload.
-  [[nodiscard]] wire::Cursor v1_record() {
-    const std::string_view b = body();
-    wire::Cursor c{b, v1_pos, &source, "segment payload"};
-    const std::uint32_t len = c.u32();
-    if (c.pos + len > b.size()) {
-      throw std::runtime_error{
-          strfmt("%s: record %u overruns segment payload", source.c_str(), rec_pos)};
-    }
-    v1_pos = c.pos + len;
-    return wire::Cursor{b.substr(c.pos, len), 0, &source, "record body"};
-  }
-  /// v1 records carry absolute timestamps: enforce their order.
-  void v1_order(std::int64_t ts) {
-    if (ts < prev_ts) {
-      throw std::runtime_error{
-          strfmt("%s: record %u timestamps out of order", source.c_str(), rec_pos)};
-    }
-    prev_ts = ts;
-  }
-
   /// Advance prev_ts by a delta, rejecting i64 overflow.
   [[nodiscard]] std::int64_t advance_ts(std::uint64_t delta) {
     const auto ts =
@@ -165,7 +137,7 @@ struct SegmentView::Impl {
   void validate();
   void rewind();
   bool next_conn(capture::ConnRecord& out);
-  bool next_dns(capture::DnsRecord& out, bool materialize_name);
+  bool next_dns(capture::DnsRecord& out);
   bool next_enc(capture::EncFlowRecord& out);
 };
 
@@ -185,13 +157,8 @@ void SegmentView::Impl::init() {
     throw std::runtime_error{strfmt("%s: segment CRC mismatch (stored %08x, computed %08x)",
                                     source.c_str(), header.payload_crc32, crc)};
   }
-  if (header.version == kSegmentVersion) {
-    body_off = kSegmentHeaderBytes;
-    body_len = payload.size();
-  } else {
-    parse_v2_framing(payload);
-    index_v2();
-  }
+  parse_v2_framing(payload);
+  index_v2();
   validate();
   rewind();
 }
@@ -334,15 +301,13 @@ void SegmentView::Impl::index_v2() {
 }
 
 /// One full decode pass over every record. Runs at construction so the
-/// public cursor API can't throw on a validated view; also enforces the
-/// header/payload consistency rules that v1 record framing made
-/// implicit (timestamp order, exact column consumption, first/last
-/// timestamps for v2).
+/// public cursor API can't throw on a validated view; also enforces what
+/// the columns alone cannot: exact column consumption and the header's
+/// first/last timestamps.
 void SegmentView::Impl::validate() {
   rewind();
-  const bool v2 = header.version != kSegmentVersion;
   auto check_first = [&](SimTime ts) {
-    if (v2 && rec_pos == 1 && ts != header.first_ts) {
+    if (rec_pos == 1 && ts != header.first_ts) {
       throw std::runtime_error{strfmt(
           "%s: first record timestamp disagrees with header first_ts", source.c_str())};
     }
@@ -355,132 +320,71 @@ void SegmentView::Impl::validate() {
     while (next_enc(scratch)) check_first(scratch.start);
   } else {
     capture::DnsRecord scratch;
-    while (next_dns(scratch, /*materialize_name=*/false)) check_first(scratch.ts);
+    while (next_dns(scratch)) check_first(scratch.ts);
   }
-  if (!v2) {
-    const std::string_view b = body();
-    if (v1_pos != b.size()) {
-      throw std::runtime_error{strfmt("%s: %zu trailing bytes after %u records",
-                                      source.c_str(), b.size() - v1_pos,
-                                      header.record_count)};
-    }
-  } else {
-    for (std::size_t ci = 0; ci < cols.size(); ++ci) {
-      if (cols[ci].pos != cols[ci].len) {
-        col_fail(ci, "trailing bytes after final record");
-      }
-    }
-    if (header.record_count > 0 && prev_ts != header.last_ts.count_us()) {
-      throw std::runtime_error{
-          strfmt("%s: last record at %lld us disagrees with header last_ts %lld us",
-                 source.c_str(), static_cast<long long>(prev_ts),
-                 static_cast<long long>(header.last_ts.count_us()))};
-    }
+  for (std::size_t ci = 0; ci < cols.size(); ++ci) {
+    if (cols[ci].pos != cols[ci].len) col_fail(ci, "trailing bytes after final record");
+  }
+  if (header.record_count > 0 && prev_ts != header.last_ts.count_us()) {
+    throw std::runtime_error{
+        strfmt("%s: last record at %lld us disagrees with header last_ts %lld us",
+               source.c_str(), static_cast<long long>(prev_ts),
+               static_cast<long long>(header.last_ts.count_us()))};
   }
 }
 
 void SegmentView::Impl::rewind() {
   rec_pos = 0;
-  v1_pos = 0;
   for (auto& c : cols) c.pos = 0;
-  // v2 deltas are relative to header.first_ts (the first record's delta
-  // is 0); v1 records carry absolute timestamps and only need an order
-  // floor.
-  prev_ts =
-      header.version == kSegmentVersion ? ts_floor() : header.first_ts.count_us();
+  // Deltas are relative to header.first_ts (the first record's is 0).
+  prev_ts = header.first_ts.count_us();
 }
 
 bool SegmentView::Impl::next_conn(capture::ConnRecord& out) {
   if (rec_pos == header.record_count) return false;
-  if (header.version == kSegmentVersion) {
-    wire::Cursor rb = v1_record();
-    out.start = SimTime::from_us(rb.i64());
-    out.duration = SimDuration::us(rb.i64());
-    out.orig_ip = Ipv4Addr::from_u32(rb.u32());
-    out.resp_ip = Ipv4Addr::from_u32(rb.u32());
-    out.orig_port = rb.u16();
-    out.resp_port = rb.u16();
-    out.proto = rb.u8() == 1 ? Proto::kUdp : Proto::kTcp;
-    out.state = static_cast<capture::ConnState>(rb.u8());
-    out.orig_bytes = rb.u64();
-    out.resp_bytes = rb.u64();
-    v1_order(out.start.count_us());
-  } else {
-    out.start = SimTime::from_us(advance_ts(col_varint(kCTs)));
-    out.duration = SimDuration::us(zigzag_decode(col_varint(kCDur)));
-    out.orig_ip = Ipv4Addr::from_u32(col_addr(kCOrigIp));
-    out.resp_ip = Ipv4Addr::from_u32(col_addr(kCRespIp));
-    out.orig_port = col_u16(kCOrigPort);
-    out.resp_port = col_u16(kCRespPort);
-    out.proto = col_u8(kCProto) == 1 ? Proto::kUdp : Proto::kTcp;
-    out.state = static_cast<capture::ConnState>(col_u8(kCState));
-    out.orig_bytes = col_varint(kCOrigBytes);
-    out.resp_bytes = col_varint(kCRespBytes);
-  }
+  out.start = SimTime::from_us(advance_ts(col_varint(kCTs)));
+  out.duration = SimDuration::us(zigzag_decode(col_varint(kCDur)));
+  out.orig_ip = Ipv4Addr::from_u32(col_addr(kCOrigIp));
+  out.resp_ip = Ipv4Addr::from_u32(col_addr(kCRespIp));
+  out.orig_port = col_u16(kCOrigPort);
+  out.resp_port = col_u16(kCRespPort);
+  out.proto = col_u8(kCProto) == 1 ? Proto::kUdp : Proto::kTcp;
+  out.state = static_cast<capture::ConnState>(col_u8(kCState));
+  out.orig_bytes = col_varint(kCOrigBytes);
+  out.resp_bytes = col_varint(kCRespBytes);
   ++rec_pos;
   return true;
 }
 
-bool SegmentView::Impl::next_dns(capture::DnsRecord& out, bool materialize_name) {
+bool SegmentView::Impl::next_dns(capture::DnsRecord& out) {
   if (rec_pos == header.record_count) return false;
-  if (header.version == kSegmentVersion) {
-    wire::Cursor rb = v1_record();
-    out.ts = SimTime::from_us(rb.i64());
-    out.duration = SimDuration::us(rb.i64());
-    out.client_ip = Ipv4Addr::from_u32(rb.u32());
-    out.client_port = rb.u16();
-    out.resolver_ip = Ipv4Addr::from_u32(rb.u32());
-    out.qtype = static_cast<dns::RrType>(rb.u16());
-    out.rcode = static_cast<dns::Rcode>(rb.u8());
-    out.answered = rb.u8() != 0;
-    const std::uint16_t qlen = rb.u16();
-    const std::string_view qname = rb.raw(qlen);
-    // The validation pass skips interning: names get hashed exactly once
-    // per distinct string, at delivery time.
-    if (materialize_name) {
-      out.query = util::InternedName{qname};
-    } else {
-      out.query.clear();
-    }
-    const std::uint16_t answers = rb.u16();
-    out.answers.clear();
-    out.answers.reserve(answers);
-    for (std::uint16_t i = 0; i < answers; ++i) {
-      capture::DnsAnswer a;
-      a.addr = Ipv4Addr::from_u32(rb.u32());
-      a.ttl = rb.u32();
-      out.answers.push_back(a);
-    }
-    v1_order(out.ts.count_us());
-  } else {
-    out.ts = SimTime::from_us(advance_ts(col_varint(kDTs)));
-    out.duration = SimDuration::us(zigzag_decode(col_varint(kDDur)));
-    out.client_ip = Ipv4Addr::from_u32(col_addr(kDClientIp));
-    out.client_port = col_u16(kDClientPort);
-    out.resolver_ip = Ipv4Addr::from_u32(col_addr(kDResolverIp));
-    const std::uint64_t qtype = col_varint(kDQtype);
-    if (qtype > 0xffff) col_fail(kDQtype, "value out of range");
-    out.qtype = static_cast<dns::RrType>(static_cast<std::uint16_t>(qtype));
-    out.rcode = static_cast<dns::Rcode>(col_u8(kDRcode));
-    out.answered = col_u8(kDAnswered) != 0;
-    const std::uint64_t name_idx = col_varint(kDNameIdx);
-    if (name_idx >= dict.size()) {
-      throw std::runtime_error{
-          strfmt("%s: record %u name index %llu out of dictionary range (%zu names)",
-                 source.c_str(), rec_pos, static_cast<unsigned long long>(name_idx),
-                 dict.size())};
-    }
-    out.query = dict[name_idx];
-    const std::uint64_t answers = col_varint(kDAnswerCount);
-    if (answers > 65'535) col_fail(kDAnswerCount, "value out of range");
-    out.answers.clear();
-    out.answers.reserve(answers);
-    for (std::uint64_t i = 0; i < answers; ++i) {
-      capture::DnsAnswer a;
-      a.addr = Ipv4Addr::from_u32(col_addr(kDAnsAddr));
-      a.ttl = static_cast<std::uint32_t>(col_varint(kDAnsTtl));
-      out.answers.push_back(a);
-    }
+  out.ts = SimTime::from_us(advance_ts(col_varint(kDTs)));
+  out.duration = SimDuration::us(zigzag_decode(col_varint(kDDur)));
+  out.client_ip = Ipv4Addr::from_u32(col_addr(kDClientIp));
+  out.client_port = col_u16(kDClientPort);
+  out.resolver_ip = Ipv4Addr::from_u32(col_addr(kDResolverIp));
+  const std::uint64_t qtype = col_varint(kDQtype);
+  if (qtype > 0xffff) col_fail(kDQtype, "value out of range");
+  out.qtype = static_cast<dns::RrType>(static_cast<std::uint16_t>(qtype));
+  out.rcode = static_cast<dns::Rcode>(col_u8(kDRcode));
+  out.answered = col_u8(kDAnswered) != 0;
+  const std::uint64_t name_idx = col_varint(kDNameIdx);
+  if (name_idx >= dict.size()) {
+    throw std::runtime_error{
+        strfmt("%s: record %u name index %llu out of dictionary range (%zu names)",
+               source.c_str(), rec_pos, static_cast<unsigned long long>(name_idx),
+               dict.size())};
+  }
+  out.query = dict[name_idx];
+  const std::uint64_t answers = col_varint(kDAnswerCount);
+  if (answers > 65'535) col_fail(kDAnswerCount, "value out of range");
+  out.answers.clear();
+  out.answers.reserve(answers);
+  for (std::uint64_t i = 0; i < answers; ++i) {
+    capture::DnsAnswer a;
+    a.addr = Ipv4Addr::from_u32(col_addr(kDAnsAddr));
+    a.ttl = static_cast<std::uint32_t>(col_varint(kDAnsTtl));
+    out.answers.push_back(a);
   }
   ++rec_pos;
   return true;
@@ -488,39 +392,20 @@ bool SegmentView::Impl::next_dns(capture::DnsRecord& out, bool materialize_name)
 
 bool SegmentView::Impl::next_enc(capture::EncFlowRecord& out) {
   if (rec_pos == header.record_count) return false;
-  if (header.version == kSegmentVersion) {
-    wire::Cursor rb = v1_record();
-    out.start = SimTime::from_us(rb.i64());
-    out.duration = SimDuration::us(rb.i64());
-    out.client_ip = Ipv4Addr::from_u32(rb.u32());
-    out.server_ip = Ipv4Addr::from_u32(rb.u32());
-    out.client_port = rb.u16();
-    out.server_port = rb.u16();
-    out.up_msgs = rb.u32();
-    out.down_msgs = rb.u32();
-    out.up_bytes = rb.u64();
-    out.down_bytes = rb.u64();
-    out.first_up_bytes = rb.u64();
-    out.first_down_bytes = rb.u64();
-    out.pad_aligned_up = rb.u32();
-    out.pad_aligned_down = rb.u32();
-    v1_order(out.start.count_us());
-  } else {
-    out.start = SimTime::from_us(advance_ts(col_varint(kETs)));
-    out.duration = SimDuration::us(zigzag_decode(col_varint(kEDur)));
-    out.client_ip = Ipv4Addr::from_u32(col_addr(kEClientIp));
-    out.server_ip = Ipv4Addr::from_u32(col_addr(kEServerIp));
-    out.client_port = col_u16(kEClientPort);
-    out.server_port = col_u16(kEServerPort);
-    out.up_msgs = col_varint32(kEUpMsgs);
-    out.down_msgs = col_varint32(kEDownMsgs);
-    out.up_bytes = col_varint(kEUpBytes);
-    out.down_bytes = col_varint(kEDownBytes);
-    out.first_up_bytes = col_varint(kEFirstUp);
-    out.first_down_bytes = col_varint(kEFirstDown);
-    out.pad_aligned_up = col_varint32(kEPadUp);
-    out.pad_aligned_down = col_varint32(kEPadDown);
-  }
+  out.start = SimTime::from_us(advance_ts(col_varint(kETs)));
+  out.duration = SimDuration::us(zigzag_decode(col_varint(kEDur)));
+  out.client_ip = Ipv4Addr::from_u32(col_addr(kEClientIp));
+  out.server_ip = Ipv4Addr::from_u32(col_addr(kEServerIp));
+  out.client_port = col_u16(kEClientPort);
+  out.server_port = col_u16(kEServerPort);
+  out.up_msgs = col_varint32(kEUpMsgs);
+  out.down_msgs = col_varint32(kEDownMsgs);
+  out.up_bytes = col_varint(kEUpBytes);
+  out.down_bytes = col_varint(kEDownBytes);
+  out.first_up_bytes = col_varint(kEFirstUp);
+  out.first_down_bytes = col_varint(kEFirstDown);
+  out.pad_aligned_up = col_varint32(kEPadUp);
+  out.pad_aligned_down = col_varint32(kEPadDown);
   ++rec_pos;
   return true;
 }
@@ -604,7 +489,7 @@ bool SegmentView::next(capture::DnsRecord& out) {
   if (im.header.kind != RecordKind::kDns) {
     throw std::logic_error{"SegmentView: dns cursor over a conn segment"};
   }
-  return im.next_dns(out, /*materialize_name=*/true);
+  return im.next_dns(out);
 }
 
 bool SegmentView::next(capture::EncFlowRecord& out) {
@@ -628,7 +513,7 @@ std::uint64_t SegmentView::deliver(capture::RecordSink& sink) {
     }
   } else if (im.header.kind == RecordKind::kDns) {
     capture::DnsRecord rec;
-    while (im.next_dns(rec, /*materialize_name=*/true)) {
+    while (im.next_dns(rec)) {
       sink.on_dns(rec);
       ++delivered;
     }

@@ -1,4 +1,5 @@
-// dnsctx — zero-copy segment reader for spool formats v1 and v2.
+// dnsctx — zero-copy segment reader for segment format v2, the only
+// version read (a v1 segment is refused with how to regenerate it).
 //
 // A SegmentView wraps a segment blob — borrowed bytes, an adopted
 // buffer, or an mmap'd file — validates it completely up front, and
@@ -6,16 +7,17 @@
 // of the underlying bytes into a caller-provided record. No per-record
 // heap allocation (the DnsRecord answers vector is reused across
 // next() calls) and, for uncompressed payloads, no copy of the record
-// data at all. Compressed v2 payloads are decompressed once into an
-// owned buffer at construction; iteration then runs over that buffer.
+// data at all. Compressed payloads are decompressed once into an owned
+// buffer at construction; iteration then runs over that buffer.
 //
-// Construction performs the FULL structural validation the v1 parser
-// did (magic/version/kind, CRC, record bounds, timestamp order, exact
-// column consumption, dictionary indices) and throws std::runtime_error
+// Construction performs the full structural validation (magic, version,
+// kind, CRC, dictionary and column bounds, exact column consumption,
+// header timestamps against the records) and throws std::runtime_error
 // naming the source plus a byte offset — so once a view exists, its
-// cursors cannot fail. This is what lets `serve` hand views to tenant
-// queues: a malformed frame is rejected at the decoder boundary, and
-// everything past it iterates unconditionally.
+// cursors cannot fail. This is what lets `serve` apply a frame's
+// records as soon as the frame is decoded: a malformed frame is
+// rejected at the decoder boundary, and everything past it iterates
+// unconditionally.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,7 @@ class SegmentView {
   [[nodiscard]] RecordKind kind() const { return header().kind; }
   [[nodiscard]] std::uint32_t size() const { return header().record_count; }
   [[nodiscard]] const std::string& source() const;
-  /// Codec the payload was stored with (always kNone for v1).
+  /// Codec the payload was stored with.
   [[nodiscard]] SegmentCodec stored_codec() const;
 
   /// Decode the next record into `out`, reusing its buffers. Returns

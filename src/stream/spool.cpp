@@ -348,14 +348,6 @@ ReplayCounts spool_to_text(const std::string& spool_dir, const std::string& text
   return counts;
 }
 
-ReplayCounts convert_spool(const std::string& src_dir, const std::string& dst_dir,
-                           SpoolConfig cfg) {
-  SpoolWriter writer{dst_dir, cfg};
-  const ReplayCounts counts = replay_spool(src_dir, writer);
-  writer.flush();
-  return counts;
-}
-
 std::uint64_t spool_bytes(const SpoolListing& listing) {
   std::uint64_t total = 0;
   for (const auto& path : listing.conn_segments) total += fs::file_size(path);

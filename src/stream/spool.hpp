@@ -17,8 +17,12 @@
 // re-validates that invariant within and across segments so corrupt or
 // misassembled spools fail loudly instead of silently skewing a study.
 //
-// Converters to/from the Bro-style text logs round-trip byte-identically
-// (text → spool → text reproduces the original files).
+// Every segment is format v2 (stream/segment_v2.hpp); replaying a spool
+// that holds a v1 segment fails with how to regenerate it
+// (stream/segment.hpp). Converters to/from the Bro-style text logs
+// round-trip byte-identically (text → spool → text reproduces the
+// original files), so a codec change is an export followed by an import
+// with the new codec.
 #pragma once
 
 #include <cstdint>
@@ -129,14 +133,6 @@ ReplayCounts replay_dataset(const capture::Dataset& ds, capture::RecordSink& sin
 ReplayCounts text_to_spool(const std::string& text_dir, const std::string& spool_dir,
                            SpoolConfig cfg = {});
 ReplayCounts spool_to_text(const std::string& spool_dir, const std::string& text_dir);
-
-/// Re-encode a spool into `dst_dir` as v2 segments with cfg's codec (the
-/// reader auto-detects the source format per segment, so this upgrades
-/// v1 spools). Record values and delivery order are preserved exactly,
-/// so study results across a conversion are byte-identical; segment
-/// boundaries follow cfg's rotation limits, not the source's.
-ReplayCounts convert_spool(const std::string& src_dir, const std::string& dst_dir,
-                           SpoolConfig cfg = {});
 
 /// Total bytes-on-disk of every segment file in the listing.
 [[nodiscard]] std::uint64_t spool_bytes(const SpoolListing& listing);

@@ -1,5 +1,5 @@
-// dnsctx — little-endian wire helpers shared by the segment encoders and
-// decoders (v1 record bodies, v2 columns, headers). Internal to
+// dnsctx — little-endian wire helpers shared by the segment encoder and
+// decoder (headers, payload framing, fixed-width columns). Internal to
 // src/stream; not a public surface.
 #pragma once
 
@@ -35,7 +35,8 @@ inline void put_i64(std::string& out, std::int64_t v) {
   put_u64(out, static_cast<std::uint64_t>(v));
 }
 
-/// Bounds-checked little-endian cursor over a record body or header.
+/// Bounds-checked little-endian cursor over a segment header or payload
+/// frame.
 /// Diagnostics name the source (file path), the region being decoded,
 /// and the byte offset where the read ran out.
 struct Cursor {
@@ -67,12 +68,6 @@ struct Cursor {
     return lo | (static_cast<std::uint64_t>(u32()) << 32);
   }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] std::string_view raw(std::size_t n) {
-    if (pos + n > bytes.size()) fail();
-    const auto out = bytes.substr(pos, n);
-    pos += n;
-    return out;
-  }
 };
 
 }  // namespace dnsctx::stream::wire

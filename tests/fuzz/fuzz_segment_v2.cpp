@@ -126,11 +126,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         rebuilt = round_trip<capture::EncFlowRecord>(view, codec);
         break;
     }
-    // v2 validates header first/last_ts against the decoded records at
-    // construction, so equality through the round trip is guaranteed.
-    // v1 headers are not cross-checked (and not CRC-covered), so a
-    // mutated-but-accepted v1 blob may lie about its timestamps.
-    if (header.record_count > 0 && header.version == stream::kSegmentVersionV2) {
+    // The view validates header first/last_ts against the decoded
+    // records at construction, so equality through the round trip is
+    // guaranteed.
+    if (header.record_count > 0) {
       stream::SegmentView reparsed = stream::SegmentView::parse(rebuilt, "fuzz-header");
       expect_eq(reparsed.header().first_ts == header.first_ts &&
                 reparsed.header().last_ts == header.last_ts);

@@ -5,10 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "capture/records.hpp"
-#include "segment_v1.hpp"
 #include "serve/http.hpp"
 #include "serve/ingest.hpp"
-#include "stream/segment.hpp"
+#include "stream/segment_v2.hpp"
 
 namespace dnsctx::serve {
 namespace {
@@ -21,9 +20,7 @@ namespace {
   rec.resp_ip = Ipv4Addr{93, 184, 216, 34};
   rec.orig_port = 49152;
   rec.resp_port = 443;
-  std::string payload;
-  stream::append_record(payload, rec);
-  return stream::build_segment(stream::RecordKind::kConn, 1, rec.start, rec.start, payload);
+  return stream::build_segment_v2(std::vector<capture::ConnRecord>{rec});
 }
 
 TEST(IngestProtocol, TenantNameValidation) {
@@ -147,6 +144,20 @@ TEST(IngestProtocol, CorruptCrcRejected) {
   ASSERT_EQ(dec.next(), FrameDecoder::Event::kHandshake);
   ASSERT_EQ(dec.next(), FrameDecoder::Event::kError);
   EXPECT_NE(dec.error().find("tcp 127.0.0.1:9"), std::string::npos) << dec.error();
+}
+
+TEST(IngestProtocol, V1SegmentRejectedWithTheRegenerateHint) {
+  std::string blob = tiny_conn_segment();
+  blob[4] = 1;  // segment version field: the retired v1 format
+  std::string wire = encode_handshake(Handshake{"t", false});
+  append_data_frame(wire, blob);
+  FrameDecoder dec{"tcp 127.0.0.1:9"};
+  dec.feed(wire);
+  ASSERT_EQ(dec.next(), FrameDecoder::Event::kHandshake);
+  ASSERT_EQ(dec.next(), FrameDecoder::Event::kError);
+  for (const char* needle : {"tcp 127.0.0.1:9", "v1", "--binary-logs", "stream --import"}) {
+    EXPECT_NE(dec.error().find(needle), std::string::npos) << dec.error();
+  }
 }
 
 TEST(IngestProtocol, TruncatedSegmentBlobRejected) {

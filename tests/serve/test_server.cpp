@@ -23,7 +23,6 @@
 
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
-#include "segment_v1.hpp"
 #include "serve/push.hpp"
 #include "serve/server.hpp"
 #include "serve/sockets.hpp"
@@ -51,34 +50,32 @@ std::string expected_json(const capture::Dataset& ds) {
   return result_json(engine.finalize());
 }
 
-[[nodiscard]] SimTime key_time(const capture::ConnRecord& r) { return r.start; }
-[[nodiscard]] SimTime key_time(const capture::DnsRecord& r) { return r.ts; }
-
+/// `recs` as segments of at most `per` records each.
 template <typename Rec>
-std::vector<std::string> chunk_segments(const std::vector<Rec>& recs, stream::RecordKind kind,
-                                        std::size_t per) {
+std::vector<std::string> chunk_segments(const std::vector<Rec>& recs, std::size_t per) {
   std::vector<std::string> out;
   for (std::size_t i = 0; i < recs.size(); i += per) {
-    const std::size_t end = std::min(i + per, recs.size());
-    std::string payload;
-    for (std::size_t j = i; j < end; ++j) stream::append_record(payload, recs[j]);
-    const SimTime first = key_time(recs[i]);
-    const SimTime last = key_time(recs[end - 1]);
-    out.push_back(stream::build_segment(kind, static_cast<std::uint32_t>(end - i), first,
-                                        last, payload));
+    const auto first = recs.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto last = recs.begin() + static_cast<std::ptrdiff_t>(std::min(i + per, recs.size()));
+    out.push_back(stream::build_segment_v2(std::vector<Rec>(first, last)));
   }
   return out;
 }
 
-/// Server fixture: loop on a background thread, ephemeral ports.
+/// Server fixture: loop on a background thread, ephemeral ports. A held
+/// server has bound its sockets but runs no loop until run().
 struct TestServer {
   EventLoop loop;
   std::unique_ptr<Server> server;
   std::thread thread;
 
-  explicit TestServer(ServeConfig cfg = {}) {
+  explicit TestServer(ServeConfig cfg = {}, bool held = false) {
     server = std::make_unique<Server>(loop, std::move(cfg));
     server->start();
+    if (!held) run();
+  }
+
+  void run() {
     thread = std::thread{[this] { loop.run(); }};
   }
 
@@ -177,8 +174,8 @@ TEST(Serve, TwoTenantsByteIdenticalToBatchAcrossDeliveryOrders) {
   // Tenant alpha: near-in-order interleave of conn and dns segments.
   {
     PushClient client{"127.0.0.1", ts.ingest_port(), Handshake{"alpha", true}};
-    const auto conns = chunk_segments(ds1.conns, stream::RecordKind::kConn, 257);
-    const auto dns = chunk_segments(ds1.dns, stream::RecordKind::kDns, 257);
+    const auto conns = chunk_segments(ds1.conns, 257);
+    const auto dns = chunk_segments(ds1.dns, 257);
     std::size_t sent = 0;
     for (std::size_t i = 0; i < std::max(conns.size(), dns.size()); ++i) {
       if (i < conns.size()) client.send_segment(conns[i]), ++sent;
@@ -197,11 +194,11 @@ TEST(Serve, TwoTenantsByteIdenticalToBatchAcrossDeliveryOrders) {
   {
     PushClient client{"127.0.0.1", ts.ingest_port(), Handshake{"beta", true}};
     std::size_t sent = 0;
-    for (const auto& seg : chunk_segments(ds2.conns, stream::RecordKind::kConn, 509)) {
+    for (const auto& seg : chunk_segments(ds2.conns, 509)) {
       client.send_segment(seg);
       ++sent;
     }
-    for (const auto& seg : chunk_segments(ds2.dns, stream::RecordKind::kDns, 509)) {
+    for (const auto& seg : chunk_segments(ds2.dns, 509)) {
       client.send_segment(seg);
       ++sent;
     }
@@ -234,11 +231,11 @@ TEST(Serve, GracefulShutdownFlushesPartialResults) {
   TestServer ts{cfg};
   {
     PushClient client{"127.0.0.1", ts.ingest_port(), Handshake{"town", true}};
-    for (const auto& seg : chunk_segments(ds.conns, stream::RecordKind::kConn, 997)) {
+    for (const auto& seg : chunk_segments(ds.conns, 997)) {
       client.send_segment(seg);
       (void)client.read_ack();
     }
-    for (const auto& seg : chunk_segments(ds.dns, stream::RecordKind::kDns, 997)) {
+    for (const auto& seg : chunk_segments(ds.dns, 997)) {
       client.send_segment(seg);
       (void)client.read_ack();
     }
@@ -264,7 +261,7 @@ TEST(Serve, MalformedFrameClosesOnlyThatConnection) {
   TestServer ts;
 
   PushClient good{"127.0.0.1", ts.ingest_port(), Handshake{"steady", true}};
-  const auto segs = chunk_segments(ds.conns, stream::RecordKind::kConn, 4096);
+  const auto segs = chunk_segments(ds.conns, 4096);
   ASSERT_FALSE(segs.empty());
   good.send_segment(segs[0]);
   (void)good.read_ack();
@@ -296,6 +293,39 @@ TEST(Serve, MalformedFrameClosesOnlyThatConnection) {
   EXPECT_NE(ts.server->tenants().find("steady"), nullptr);
 }
 
+TEST(Serve, V1SegmentFrameClosesOnlyThatConnection) {
+  const auto ds = simulate(4, 1, 2);
+  TestServer ts;
+
+  PushClient steady{"127.0.0.1", ts.ingest_port(), Handshake{"steady", true}};
+  const auto segs = chunk_segments(ds.conns, 4096);
+  ASSERT_FALSE(segs.empty());
+  steady.send_segment(segs[0]);
+  (void)steady.read_ack();
+
+  // A producer replaying a spool written before v2: its first frame is
+  // refused and its connection closed.
+  std::string old = segs[0];
+  old[4] = 1;  // segment version field
+  {
+    PushClient legacy{"127.0.0.1", ts.ingest_port(), Handshake{"legacy", false}};
+    legacy.send_segment(old);
+    EXPECT_TRUE(wait_closed(legacy.fd()));
+  }
+
+  // The other tenant keeps flowing on its connection.
+  steady.send_segment(segs[0]);
+  (void)steady.read_ack();
+  steady.flush();
+  EXPECT_EQ(steady.read_ack(), 2 * ds.conns.size());
+
+  ts.stop();
+  EXPECT_EQ(ts.server->stats().connections_errored, 1u);
+  const auto legacy = ts.server->tenants().find("legacy");  // opened by its handshake
+  ASSERT_NE(legacy, nullptr);
+  EXPECT_EQ(legacy->records_released(), 0u);
+}
+
 TEST(Serve, OversizedFrameClosesConnection) {
   ServeConfig cfg;
   cfg.max_frame_bytes = 1024;
@@ -316,7 +346,7 @@ TEST(Serve, MaxTenantsRejectsHandshake) {
 
   PushClient first{"127.0.0.1", ts.ingest_port(), Handshake{"only", true}};
   const auto ds = simulate(4, 1, 2);
-  first.send_segment(chunk_segments(ds.conns, stream::RecordKind::kConn, 8192)[0]);
+  first.send_segment(chunk_segments(ds.conns, 8192)[0]);
   (void)first.read_ack();  // tenant "only" is live
 
   PushClient second{"127.0.0.1", ts.ingest_port(), Handshake{"overflow", false}};
@@ -324,7 +354,7 @@ TEST(Serve, MaxTenantsRejectsHandshake) {
 
   // A RE-handshake into the existing tenant still succeeds.
   PushClient rejoin{"127.0.0.1", ts.ingest_port(), Handshake{"only", true}};
-  rejoin.send_segment(chunk_segments(ds.conns, stream::RecordKind::kConn, 8192)[0]);
+  rejoin.send_segment(chunk_segments(ds.conns, 8192)[0]);
   (void)rejoin.read_ack();
   rejoin.flush();
   EXPECT_EQ(rejoin.read_ack(), 2 * ds.conns.size());
@@ -341,7 +371,7 @@ TEST(Serve, IdleTenantIsEvicted) {
   const auto ds = simulate(4, 1, 2);
   {
     PushClient client{"127.0.0.1", ts.ingest_port(), Handshake{"ghost", true}};
-    client.send_segment(chunk_segments(ds.conns, stream::RecordKind::kConn, 8192)[0]);
+    client.send_segment(chunk_segments(ds.conns, 8192)[0]);
     (void)client.read_ack();
     client.flush();
     (void)client.read_ack();
@@ -378,34 +408,50 @@ TEST(Serve, DestroyedServerLeavesNothingOnItsLoop) {
   loop.run_once(0);
 }
 
-TEST(Serve, ProducerWithoutAcksOnTinySocketBuffersLosesNothing) {
+// A producer without acks writes as fast as TCP lets it. With the loop
+// held, nothing is read: the kernel's buffers fill and a write on the
+// producer's nonblocking socket fails with EAGAIN well before the
+// stream is out. Once the loop runs, the rest goes through as the
+// server applies what it reads, and nothing is lost.
+TEST(Serve, ProducerWithoutAcksIsHeldBackByTcpAndLosesNothing) {
   const auto ds = simulate(8, 2, 5);
   const std::string want = expected_json(ds);
 
-  ServeConfig cfg;
-  cfg.sockbuf_bytes = 4096;
-  TestServer ts{cfg};
+  TestServer ts{ServeConfig{}, /*held=*/true};
+  std::string wire = encode_handshake(Handshake{"squeeze", false});
+  for (const auto& seg : chunk_segments(ds.conns, 101)) append_data_frame(wire, seg);
+  for (const auto& seg : chunk_segments(ds.dns, 101)) append_data_frame(wire, seg);
+  append_flush_frame(wire);
 
-  PushClient client{"127.0.0.1", ts.ingest_port(), Handshake{"squeeze", false}};
-  // Small segments, no acks: the producer slams frames as fast as the
-  // 4 KiB socket accepts them, and blocks whenever the server is busy
-  // applying what it has read.
-  for (const auto& seg : chunk_segments(ds.conns, stream::RecordKind::kConn, 101)) {
-    client.send_segment(seg);
+  const int fd = connect_tcp("127.0.0.1", ts.ingest_port());
+  // A small send buffer on the producer's side only: how much loopback
+  // buffers hold otherwise depends on the kernel's autotuning.
+  set_socket_buffers(fd, 4096);
+  std::size_t sent = 0;
+  for (;;) {
+    const auto n = ::write(fd, wire.data() + sent, wire.size() - sent);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      if (sent == wire.size()) break;
+    } else if (n < 0 && errno != EINTR) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+      break;
+    }
   }
-  for (const auto& seg : chunk_segments(ds.dns, stream::RecordKind::kDns, 101)) {
-    client.send_segment(seg);
-  }
-  client.flush();
+  ASSERT_LT(sent, wire.size()) << "the kernel took the whole stream while the loop was held";
+
+  ts.run();
+  write_all_fd(fd, std::string_view{wire}.substr(sent));
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{30};
   std::string body;
   while (std::chrono::steady_clock::now() < deadline) {
     body = body_of(http_get(ts.http_port(), "/results/squeeze"));
     if (body == want + "\n") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
   }
   EXPECT_EQ(body, want + "\n");
+  ::close(fd);
 
   ts.stop();
   EXPECT_EQ(ts.server->stats().connections_errored, 0u);

@@ -1,6 +1,6 @@
-// dnsctx — enc-segment tests: EncFlowRecord round-trips through the v1
-// and v2 segment codecs, the zero-copy view, spool rotation/replay with
-// the three-way merge, and the text converters.
+// dnsctx — enc-segment tests: EncFlowRecord round-trips through the
+// segment codec, the zero-copy view, spool rotation/replay with the
+// three-way merge, and the text converters.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "capture/logio.hpp"
-#include "segment_v1.hpp"
 #include "stream/segment.hpp"
 #include "stream/segment_v2.hpp"
 #include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
+#include "stream/wire.hpp"
 #include "temp_dir.hpp"
 
 namespace dnsctx::stream {
@@ -107,27 +107,14 @@ using testutil::TempDir;
 
 TEST(EncSegment, RoundTrip) {
   const auto orig = sample_enc();
-  std::string payload;
-  append_record(payload, orig);
-  const auto blob = build_segment(RecordKind::kEncFlow, 1, orig.start, orig.start, payload);
-  const auto data = parse_segment(blob, "test");
-  EXPECT_EQ(data.header.kind, RecordKind::kEncFlow);
-  ASSERT_EQ(data.encflows.size(), 1u);
-  const auto& e = data.encflows[0];
-  EXPECT_EQ(e.start, orig.start);
-  EXPECT_EQ(e.duration, orig.duration);
-  EXPECT_EQ(e.client_ip, orig.client_ip);
-  EXPECT_EQ(e.server_ip, orig.server_ip);
-  EXPECT_EQ(e.client_port, orig.client_port);
-  EXPECT_EQ(e.server_port, orig.server_port);
-  EXPECT_EQ(e.up_msgs, orig.up_msgs);
-  EXPECT_EQ(e.down_msgs, orig.down_msgs);
-  EXPECT_EQ(e.up_bytes, orig.up_bytes);
-  EXPECT_EQ(e.down_bytes, orig.down_bytes);
-  EXPECT_EQ(e.first_up_bytes, orig.first_up_bytes);
-  EXPECT_EQ(e.first_down_bytes, orig.first_down_bytes);
-  EXPECT_EQ(e.pad_aligned_up, orig.pad_aligned_up);
-  EXPECT_EQ(e.pad_aligned_down, orig.pad_aligned_down);
+  const auto blob = build_segment_v2(std::vector<capture::EncFlowRecord>{orig});
+  SegmentView view = SegmentView::parse(blob, "test");
+  EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
+  ASSERT_EQ(view.size(), 1u);
+  capture::EncFlowRecord e;
+  ASSERT_TRUE(view.next(e));
+  expect_enc_eq(e, orig);
+  EXPECT_FALSE(view.next(e));
 }
 
 TEST(EncSegment, KindNameIsEnc) { EXPECT_EQ(to_string(RecordKind::kEncFlow), "enc"); }
@@ -135,10 +122,7 @@ TEST(EncSegment, KindNameIsEnc) { EXPECT_EQ(to_string(RecordKind::kEncFlow), "en
 TEST(EncSegment, ViewIteratesInOrder) {
   const auto a = sample_enc(1'000'000);
   const auto b = sample_enc(2'000'000);
-  std::string payload;
-  append_record(payload, a);
-  append_record(payload, b);
-  const auto blob = build_segment(RecordKind::kEncFlow, 2, a.start, b.start, payload);
+  const auto blob = build_segment_v2(std::vector<capture::EncFlowRecord>{a, b});
   SegmentView view = SegmentView::parse(blob, "test");
   EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
   EXPECT_EQ(view.size(), 2u);
@@ -155,22 +139,21 @@ TEST(EncSegment, ViewIteratesInOrder) {
 }
 
 TEST(EncSegment, WrongKindCursorThrows) {
-  const auto orig = sample_enc();
-  std::string payload;
-  append_record(payload, orig);
-  const auto blob = build_segment(RecordKind::kEncFlow, 1, orig.start, orig.start, payload);
+  const auto blob = build_segment_v2(std::vector<capture::EncFlowRecord>{sample_enc()});
   SegmentView view = SegmentView::parse(blob, "test");
   capture::ConnRecord conn;
   EXPECT_THROW((void)view.next(conn), std::logic_error);
 }
 
 TEST(EncSegment, TimestampDisorderRejected) {
-  const auto a = sample_enc(2'000'000);
-  const auto b = sample_enc(1'000'000);  // goes backwards
-  std::string payload;
-  append_record(payload, a);
-  append_record(payload, b);
-  const auto blob = build_segment(RecordKind::kEncFlow, 2, b.start, a.start, payload);
+  // A header whose range runs backwards (first_ts after last_ts) cannot
+  // describe the records: decoding them against it fails.
+  const auto a = sample_enc(1'000'000);
+  const auto b = sample_enc(2'000'000);
+  std::string blob = build_segment_v2(std::vector<capture::EncFlowRecord>{a, b});
+  std::string first_ts;
+  wire::put_i64(first_ts, 3'000'000);
+  blob.replace(12, 8, first_ts);  // header: magic, version, kind, pad, count, first_ts
   EXPECT_THROW((void)SegmentView::parse(blob, "test"), std::runtime_error);
 }
 
@@ -179,7 +162,6 @@ TEST(EncSegment, V2RoundTripsEveryFieldUnderBothCodecs) {
   for (const auto codec : {SegmentCodec::kNone, SegmentCodec::kLz}) {
     const std::string blob = build_segment_v2(recs, codec);
     SegmentView view = SegmentView::parse(blob, "enc_v2.seg");
-    EXPECT_EQ(view.header().version, kSegmentVersionV2);
     EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
     EXPECT_EQ(view.stored_codec(), codec);
     EXPECT_EQ(view.header().first_ts, recs.front().start);
@@ -191,21 +173,16 @@ TEST(EncSegment, V2RoundTripsEveryFieldUnderBothCodecs) {
       expect_enc_eq(out, orig);
     }
     EXPECT_FALSE(view.next(out));
-    // The materializing parser sees the same records.
-    const auto data = parse_segment(blob, "enc_v2.seg");
-    ASSERT_EQ(data.encflows.size(), recs.size());
-    expect_enc_eq(data.encflows.back(), recs.back());
   }
 }
 
-TEST(EncSegment, V2IsAFractionOfV1) {
+TEST(EncSegment, V2IsAFractionOfTheFieldWidths) {
   const auto recs = varied_encs(1'000);
-  std::string payload;
-  for (const auto& r : recs) append_record(payload, r);
-  const std::string v1 = build_segment(RecordKind::kEncFlow, 1'000, recs.front().start,
-                                       recs.back().start, payload);
+  // Every enc field at its natural width: 2 × i64, 2 × u32 address,
+  // 2 × u16 port, 4 × u32 counter, 4 × u64 byte count.
+  constexpr std::size_t kFieldBytes = 76;
   const std::string v2 = build_segment_v2(recs);
-  EXPECT_LT(v2.size() * 3, v1.size());
+  EXPECT_LT(v2.size() * 3, recs.size() * kFieldBytes);
 }
 
 TEST(EncSegment, V2BuilderRejectsOtherKindsAndDisorder) {
@@ -240,27 +217,9 @@ TEST(EncSpool, WriterRotatesAndListsEncSegments) {
   EXPECT_TRUE(listing.conn_segments.empty());
   EXPECT_TRUE(listing.dns_segments.empty());
   ASSERT_EQ(listing.enc_segments.size(), 3u);  // 2 + 2 + 1
-  // Enc segments are v2, like every other kind.
   for (const auto& path : listing.enc_segments) {
-    SegmentView view = SegmentView::map_file(path);
-    EXPECT_EQ(view.header().version, kSegmentVersionV2);
-    EXPECT_EQ(view.kind(), RecordKind::kEncFlow);
+    EXPECT_EQ(SegmentView::map_file(path).kind(), RecordKind::kEncFlow);
   }
-}
-
-TEST(EncSpool, V1EncSegmentsStillReplay) {
-  TempDir dir{"dnsctx_enc_v1_spool"};
-  const auto recs = varied_encs(10);
-  std::string payload;
-  for (const auto& r : recs) append_record(payload, r);
-  write_segment_file(dir.file("enc-00000000.seg"),
-                     build_segment(RecordKind::kEncFlow, 10, recs.front().start,
-                                   recs.back().start, payload));
-  CollectSink sink;
-  const auto counts = replay_spool(dir.path().string(), sink);
-  EXPECT_EQ(counts.encflows, 10u);
-  ASSERT_EQ(sink.encflows.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) expect_enc_eq(sink.encflows[i], recs[i]);
 }
 
 TEST(EncSpool, ReplayMergesThreeKindsWithTieOrder) {

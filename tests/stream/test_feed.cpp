@@ -16,8 +16,9 @@
 #include <vector>
 
 #include "heap_in_use.hpp"
-#include "segment_v1.hpp"
 #include "stream/feed.hpp"
+#include "stream/segment_v2.hpp"
+#include "stream/wire.hpp"
 #include "util/rng.hpp"
 
 namespace dnsctx::stream {
@@ -292,27 +293,23 @@ TEST(LiveFeed, CloseFreesTheBuffer) {
 }
 #endif
 
-/// A v1 segment of `arrivals`, all of one kind and in key order. With
+/// A segment of `arrivals`, all of one kind and in key order. With
 /// none, an empty segment whose header claims `empty_last_us` as its
 /// last_ts (the writer would zero it; a producer need not).
 SegmentView segment_of(RecordKind kind, const std::vector<Arrival>& arrivals,
                        std::int64_t empty_last_us = 0) {
-  std::string payload;
+  SegmentBuilderV2 builder{kind};
   for (const Arrival& a : arrivals) {
     if (kind == RecordKind::kDns) {
-      append_record(payload, make_dns(a.key_us, a.id));
+      builder.add(make_dns(a.key_us, a.id));
     } else if (kind == RecordKind::kConn) {
-      append_record(payload, make_conn(a.key_us, a.id));
+      builder.add(make_conn(a.key_us, a.id));
     } else {
-      append_record(payload, make_enc(a.key_us, a.id));
+      builder.add(make_enc(a.key_us, a.id));
     }
   }
-  const auto n = static_cast<std::uint32_t>(arrivals.size());
-  std::string blob =
-      n > 0 ? build_segment(kind, n, SimTime::from_us(arrivals.front().key_us),
-                            SimTime::from_us(arrivals.back().key_us), payload)
-            : build_segment(kind, 0, SimTime::origin(), SimTime::origin(), payload);
-  if (n == 0) {
+  std::string blob = builder.build();
+  if (arrivals.empty()) {
     std::string last;
     wire::put_i64(last, empty_last_us);
     blob.replace(20, 8, last);  // header: magic, version, kind, pad, count, first_ts, last_ts

@@ -1,11 +1,14 @@
-// dnsctx — segment codec tests: CRC, record round-trips, blob assembly.
+// dnsctx — segment codec tests: CRC, single-record round trips, header
+// fields. test_segment_v2.cpp covers the columnar payload in depth.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "segment_v1.hpp"
 #include "stream/segment.hpp"
+#include "stream/segment_v2.hpp"
+#include "stream/segment_view.hpp"
 
 namespace dnsctx::stream {
 namespace {
@@ -38,6 +41,19 @@ capture::DnsRecord sample_dns() {
   d.answered = true;
   d.answers = {{Ipv4Addr{93, 184, 216, 34}, 300}, {Ipv4Addr{93, 184, 216, 35}, 60}};
   return d;
+}
+
+/// `rec` back out of a segment that holds only it.
+template <typename Rec>
+Rec round_trip(const Rec& rec, RecordKind kind) {
+  SegmentView view = SegmentView::adopt(build_segment_v2(std::vector<Rec>{rec}), "test");
+  EXPECT_EQ(view.kind(), kind);
+  EXPECT_EQ(view.size(), 1u);
+  Rec out;
+  EXPECT_TRUE(view.next(out));
+  Rec past_the_end;
+  EXPECT_FALSE(view.next(past_the_end));
+  return out;
 }
 
 TEST(Crc32, KnownVectorAndChaining) {
@@ -78,13 +94,7 @@ TEST(Crc32, MatchesBitwiseDefinitionAtEveryLengthAndAlignment) {
 
 TEST(Segment, ConnRoundTrip) {
   const auto orig = sample_conn();
-  std::string payload;
-  append_record(payload, orig);
-  const auto blob = build_segment(RecordKind::kConn, 1, orig.start, orig.start, payload);
-  const auto data = parse_segment(blob, "test");
-  ASSERT_EQ(data.conns.size(), 1u);
-  EXPECT_TRUE(data.dns.empty());
-  const auto& c = data.conns[0];
+  const auto c = round_trip(orig, RecordKind::kConn);
   EXPECT_EQ(c.start, orig.start);
   EXPECT_EQ(c.duration, orig.duration);
   EXPECT_EQ(c.orig_ip, orig.orig_ip);
@@ -99,12 +109,7 @@ TEST(Segment, ConnRoundTrip) {
 
 TEST(Segment, DnsRoundTrip) {
   const auto orig = sample_dns();
-  std::string payload;
-  append_record(payload, orig);
-  const auto blob = build_segment(RecordKind::kDns, 1, orig.ts, orig.ts, payload);
-  const auto data = parse_segment(blob, "test");
-  ASSERT_EQ(data.dns.size(), 1u);
-  const auto& d = data.dns[0];
+  const auto d = round_trip(orig, RecordKind::kDns);
   EXPECT_EQ(d.ts, orig.ts);
   EXPECT_EQ(d.duration, orig.duration);
   EXPECT_EQ(d.client_ip, orig.client_ip);
@@ -123,27 +128,21 @@ TEST(Segment, UnansweredDnsRoundTrip) {
   orig.answers.clear();
   orig.duration = SimDuration::zero();
   orig.rcode = dns::Rcode::kServFail;
-  std::string payload;
-  append_record(payload, orig);
-  const auto blob = build_segment(RecordKind::kDns, 1, orig.ts, orig.ts, payload);
-  const auto data = parse_segment(blob, "test");
-  ASSERT_EQ(data.dns.size(), 1u);
-  EXPECT_FALSE(data.dns[0].answered);
-  EXPECT_TRUE(data.dns[0].answers.empty());
-  EXPECT_EQ(data.dns[0].rcode, dns::Rcode::kServFail);
+  const auto d = round_trip(orig, RecordKind::kDns);
+  EXPECT_FALSE(d.answered);
+  EXPECT_TRUE(d.answers.empty());
+  EXPECT_EQ(d.duration, SimDuration::zero());
+  EXPECT_EQ(d.rcode, dns::Rcode::kServFail);
 }
 
 TEST(Segment, HeaderFieldsSurvive) {
   const auto a = sample_conn();
   auto b = sample_conn();
   b.start = a.start + SimDuration::sec(3);
-  std::string payload;
-  append_record(payload, a);
-  append_record(payload, b);
-  const auto blob = build_segment(RecordKind::kConn, 2, a.start, b.start, payload);
+  const auto blob = build_segment_v2(std::vector<capture::ConnRecord>{a, b});
+  const std::string_view payload = std::string_view{blob}.substr(kSegmentHeaderBytes);
   const auto header = parse_segment_header(blob, "test");
   EXPECT_EQ(header.kind, RecordKind::kConn);
-  EXPECT_EQ(header.version, kSegmentVersion);
   EXPECT_EQ(header.record_count, 2u);
   EXPECT_EQ(header.first_ts, a.start);
   EXPECT_EQ(header.last_ts, b.start);
@@ -152,12 +151,15 @@ TEST(Segment, HeaderFieldsSurvive) {
 }
 
 TEST(Segment, EmptySegmentRoundTrip) {
-  const auto blob = build_segment(RecordKind::kDns, 0, SimTime::origin(), SimTime::origin(), "");
-  EXPECT_EQ(blob.size(), kSegmentHeaderBytes);
-  const auto data = parse_segment(blob, "test");
-  EXPECT_EQ(data.header.record_count, 0u);
-  EXPECT_TRUE(data.conns.empty());
-  EXPECT_TRUE(data.dns.empty());
+  const auto blob = build_segment_v2(std::vector<capture::DnsRecord>{});
+  const auto header = parse_segment_header(blob, "test");
+  EXPECT_EQ(header.kind, RecordKind::kDns);
+  EXPECT_EQ(header.record_count, 0u);
+  EXPECT_EQ(header.first_ts, SimTime::origin());
+  EXPECT_EQ(header.last_ts, SimTime::origin());
+  SegmentView view = SegmentView::parse(blob, "test");
+  capture::DnsRecord rec;
+  EXPECT_FALSE(view.next(rec));
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // dnsctx — segment/spool failure-path tests: every structural defect
 // must throw an error that names the offending source so operators can
-// find the bad file in a large spool. Also covers the text-log loaders'
-// path-bearing diagnostics.
+// find the bad file in a large spool, and a segment in the retired v1
+// format is refused on every read path with how to regenerate it. Also
+// covers the text-log loaders' path-bearing diagnostics.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "capture/logio.hpp"
-#include "segment_v1.hpp"
 #include "stream/segment.hpp"
+#include "stream/segment_v2.hpp"
+#include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
+#include "stream/wire.hpp"
 #include "temp_dir.hpp"
 
 namespace dnsctx::stream {
@@ -29,7 +34,7 @@ std::string temp_dir(const char* name) {
 /// EXPECT that `fn` throws a std::runtime_error whose message contains
 /// every needle.
 template <typename Fn>
-void expect_throw_containing(Fn&& fn, std::initializer_list<std::string> needles) {
+void expect_throw_containing(Fn&& fn, const std::vector<std::string>& needles) {
   try {
     fn();
     FAIL() << "expected std::runtime_error";
@@ -47,76 +52,98 @@ std::string one_conn_blob(SimTime ts = SimTime::from_us(1000)) {
   c.start = ts;
   c.orig_ip = Ipv4Addr{10, 0, 0, 1};
   c.resp_ip = Ipv4Addr{1, 2, 3, 4};
-  std::string payload;
-  append_record(payload, c);
-  return build_segment(RecordKind::kConn, 1, ts, ts, payload);
+  return build_segment_v2(std::vector<capture::ConnRecord>{c});
+}
+
+/// A well-formed segment whose version field says 1: what every segment
+/// of a spool written before v2 starts with.
+std::string v1_blob() {
+  auto blob = one_conn_blob();
+  blob[4] = 1;  // version lives right after the u32 magic
+  return blob;
+}
+
+/// The refusal names the source and both ways to regenerate a spool.
+std::vector<std::string> v1_refusal(const std::string& source) {
+  return {source, "v1", "simulate --config", "--binary-logs", "stream --import"};
 }
 
 TEST(SegmentErrors, TruncatedHeader) {
-  expect_throw_containing([] { (void)parse_segment("DCSG", "short.seg"); },
+  expect_throw_containing([] { (void)SegmentView::parse("DCSG", "short.seg"); },
                           {"short.seg", "truncated"});
 }
 
 TEST(SegmentErrors, BadMagic) {
   auto blob = one_conn_blob();
   blob[0] = 'X';
-  expect_throw_containing([&] { (void)parse_segment(blob, "bad.seg"); },
+  expect_throw_containing([&] { (void)SegmentView::parse(blob, "bad.seg"); },
                           {"bad.seg", "magic"});
 }
 
 TEST(SegmentErrors, UnsupportedVersion) {
   auto blob = one_conn_blob();
   blob[4] = 99;  // version lives right after the u32 magic
-  expect_throw_containing([&] { (void)parse_segment(blob, "vers.seg"); },
-                          {"vers.seg", "version"});
+  expect_throw_containing([&] { (void)SegmentView::parse(blob, "vers.seg"); },
+                          {"vers.seg", "version 99"});
+}
+
+TEST(SegmentErrors, V1SegmentIsRefusedWithTheRegenerateHint) {
+  const std::string blob = v1_blob();
+  expect_throw_containing([&] { (void)SegmentView::parse(blob, "old/conn-00000000.seg"); },
+                          v1_refusal("old/conn-00000000.seg"));
+  expect_throw_containing([&] { (void)SegmentView::adopt(blob, "tcp 10.0.0.9:4242"); },
+                          v1_refusal("tcp 10.0.0.9:4242"));
+  const auto dir = temp_dir("dnsctx_segerr_v1_map");
+  const auto path = dir + "/conn-00000000.seg";
+  write_segment_file(path, blob);
+  expect_throw_containing([&] { (void)SegmentView::map_file(path); }, v1_refusal(path));
+  // The header alone is enough to tell: the parser `stream --push` runs
+  // before it sends a file gives the same refusal.
+  expect_throw_containing(
+      [&] { (void)parse_segment_header(std::string_view{blob}.substr(0, kSegmentHeaderBytes), path); },
+      v1_refusal(path));
 }
 
 TEST(SegmentErrors, TruncatedPayload) {
   const auto blob = one_conn_blob();
   expect_throw_containing(
-      [&] { (void)parse_segment(std::string_view{blob}.substr(0, blob.size() - 3), "cut.seg"); },
+      [&] {
+        (void)SegmentView::parse(std::string_view{blob}.substr(0, blob.size() - 3), "cut.seg");
+      },
       {"cut.seg", "truncated"});
 }
 
 TEST(SegmentErrors, CrcCorruptionNamesTheFile) {
   auto blob = one_conn_blob();
   blob[blob.size() - 1] ^= 0x01;  // flip one payload bit
-  expect_throw_containing([&] { (void)parse_segment(blob, "spool/conn-00000003.seg"); },
+  expect_throw_containing([&] { (void)SegmentView::parse(blob, "spool/conn-00000003.seg"); },
                           {"spool/conn-00000003.seg", "CRC"});
 }
 
 TEST(SegmentErrors, OutOfOrderTimestampsRejected) {
-  capture::ConnRecord late, early;
-  late.start = SimTime::from_us(5000);
+  // Deltas cannot run backwards inside a segment, but the header is not
+  // CRC-covered: one that starts the records after the last of them is
+  // caught when they are decoded against it.
+  capture::ConnRecord early, late;
   early.start = SimTime::from_us(2000);
-  std::string payload;
-  append_record(payload, late);
-  append_record(payload, early);
-  const auto blob = build_segment(RecordKind::kConn, 2, early.start, late.start, payload);
-  expect_throw_containing([&] { (void)parse_segment(blob, "ooo.seg"); },
-                          {"ooo.seg", "out of order"});
-}
-
-TEST(SegmentErrors, TruncatedRecordBodyReportsByteOffset) {
-  // A v1 record whose length prefix admits only 3 body bytes: the
-  // field decoder must say where inside the body it ran dry.
-  std::string payload;
-  payload += std::string("\x03\x00\x00\x00", 4);  // body_len = 3
-  payload += "abc";
-  const auto blob = build_segment(RecordKind::kConn, 1, SimTime::from_us(1000),
-                                  SimTime::from_us(1000), payload);
-  expect_throw_containing([&] { (void)parse_segment(blob, "tiny.seg"); },
-                          {"tiny.seg", "truncated", "byte offset"});
+  late.start = SimTime::from_us(5000);
+  std::string blob = build_segment_v2(std::vector<capture::ConnRecord>{early, late});
+  std::string first_ts;
+  wire::put_i64(first_ts, 9000);
+  blob.replace(12, 8, first_ts);  // header: magic, version, kind, pad, count, first_ts
+  expect_throw_containing([&] { (void)SegmentView::parse(blob, "ooo.seg"); },
+                          {"ooo.seg", "last_ts"});
 }
 
 TEST(SegmentErrors, TrailingBytesRejected) {
   auto blob = one_conn_blob();
   blob += "extra";
-  expect_throw_containing([&] { (void)parse_segment(blob, "trail.seg"); }, {"trail.seg"});
+  expect_throw_containing([&] { (void)SegmentView::parse(blob, "trail.seg"); },
+                          {"trail.seg"});
 }
 
 TEST(SegmentErrors, MissingFileNamesPath) {
-  expect_throw_containing([] { (void)read_segment_file("/nonexistent/zone/x.seg"); },
+  expect_throw_containing([] { (void)SegmentView::map_file("/nonexistent/zone/x.seg"); },
                           {"/nonexistent/zone/x.seg"});
 }
 
@@ -165,6 +192,23 @@ TEST(SpoolErrors, CrossSegmentOrderViolation) {
   } null;
   expect_throw_containing([&] { (void)replay_spool(dir, null); },
                           {"conn-00000001.seg", "(segment 1)", "before preceding segment"});
+}
+
+TEST(SpoolErrors, V1SegmentFailsReplayWithTheRegenerateHint) {
+  // A spool whose first dns segment predates v2 fails as soon as the
+  // replay opens it, naming the file; nothing is delivered.
+  const auto dir = temp_dir("dnsctx_spool_v1");
+  write_segment_file(dir + "/conn-00000000.seg", one_conn_blob());
+  write_segment_file(dir + "/dns-00000000.seg", v1_blob());
+  struct Count final : capture::RecordSink {
+    std::size_t records = 0;
+    void on_conn(const capture::ConnRecord&) override { ++records; }
+    void on_dns(const capture::DnsRecord&) override { ++records; }
+  } sink;
+  auto needles = v1_refusal(dir + "/dns-00000000.seg");
+  needles.emplace_back("(segment 0)");
+  expect_throw_containing([&] { (void)replay_spool(dir, sink); }, needles);
+  EXPECT_EQ(sink.records, 0u);
 }
 
 TEST(LogioErrors, ConnParseErrorNamesFile) {

@@ -1,8 +1,8 @@
 // dnsctx — spool format v2 round-trip tests: varint/zigzag primitives,
 // the LZ block codec, columnar encode→decode losslessness under both
 // codecs, dictionary dedupe, the per-segment codec fallback, and the
-// SegmentView cursor contract (rewind, deliver, kind checks,
-// parse_segment materialization, mmap readers).
+// SegmentView cursor contract (rewind, deliver, kind checks, mmap
+// readers).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "segment_v1.hpp"
 #include "stream/codec.hpp"
 #include "stream/segment.hpp"
 #include "stream/segment_v2.hpp"
@@ -211,7 +210,6 @@ TEST(SegmentV2, ConnRoundTripsLosslesslyUnderBothCodecs) {
   for (const auto requested : {SegmentCodec::kNone, SegmentCodec::kLz}) {
     const std::string blob = build_segment_v2(recs, requested);
     SegmentView view = SegmentView::parse(blob, "v2-conn.seg");
-    EXPECT_EQ(view.header().version, kSegmentVersionV2);
     EXPECT_EQ(view.kind(), RecordKind::kConn);
     ASSERT_EQ(view.size(), recs.size());
     EXPECT_EQ(view.header().first_ts, recs.front().start);
@@ -294,17 +292,18 @@ TEST(SegmentV2, IncompressibleSegmentFallsBackToUncompressed) {
   expect_conn_eq(back, c);
 }
 
-TEST(SegmentV2, CompressionBeatsV1OnRepetitiveRecords) {
+TEST(SegmentV2, CompressionShrinksRepetitiveRecords) {
   std::vector<capture::ConnRecord> recs;
   for (int i = 0; i < 500; ++i) recs.push_back(conn_at(1000 + i));
-  std::string payload;
-  for (const auto& r : recs) append_record(payload, r);
-  const std::string v1 = build_segment(RecordKind::kConn, 500, recs.front().start,
-                                       recs.back().start, payload);
+  // Every conn field at its natural width: 2 × i64, 2 × u32 address,
+  // 2 × u16 port, 2 × u8, 2 × u64 byte count.
+  constexpr std::size_t kFieldBytes = 46;
+  const std::size_t fixed_width = recs.size() * kFieldBytes;
   const std::string v2_none = build_segment_v2(recs, SegmentCodec::kNone);
   const std::string v2_lz = build_segment_v2(recs, SegmentCodec::kLz);
-  EXPECT_LT(v2_none.size(), v1.size());  // columnar + varints alone shrink it
-  EXPECT_LT(v2_lz.size() * 4, v1.size());  // the headline ≥4× claim
+  EXPECT_LT(v2_none.size(), fixed_width);  // columnar + varints alone shrink it
+  EXPECT_LT(v2_lz.size() * 4, fixed_width);  // the headline ≥4× claim
+  EXPECT_LT(v2_lz.size(), v2_none.size());
   SegmentView view = SegmentView::parse(v2_lz, "big.seg");
   EXPECT_EQ(view.stored_codec(), SegmentCodec::kLz);
   EXPECT_EQ(view.size(), 500u);
@@ -382,15 +381,6 @@ TEST(SegmentV2, BuilderRejectsOutOfOrderAndWrongKind) {
   EXPECT_THROW(b.add(conn_at(4000)), std::runtime_error);
   SegmentBuilderV2 d{RecordKind::kDns};
   EXPECT_THROW(d.add(conn_at(1000)), std::logic_error);
-}
-
-TEST(SegmentV2, ParseSegmentMaterializesV2) {
-  const std::vector<capture::DnsRecord> recs = {dns_at(1000), dns_at(2000, "b.example"),
-                                                dns_at(2000)};
-  const SegmentData data = parse_segment(build_segment_v2(recs), "mat.seg");
-  EXPECT_EQ(data.header.version, kSegmentVersionV2);
-  ASSERT_EQ(data.dns.size(), 3u);
-  for (std::size_t i = 0; i < recs.size(); ++i) expect_dns_eq(data.dns[i], recs[i]);
 }
 
 TEST(SegmentV2, MapFileAndAdoptRoundTrip) {

@@ -50,7 +50,7 @@ std::string make_v2_blob(RecordKind kind, std::uint32_t count, std::int64_t firs
   wire::put_u64(payload, body.size());
   payload += body;
   std::string out;
-  append_segment_header(out, kSegmentVersionV2, kind, count, SimTime::from_us(first_us),
+  append_segment_header(out, kind, count, SimTime::from_us(first_us),
                         SimTime::from_us(last_us), payload.size(), crc32(payload));
   out += payload;
   return out;

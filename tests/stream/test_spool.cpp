@@ -8,10 +8,9 @@
 #include <sstream>
 
 #include "capture/logio.hpp"
-#include "segment_v1.hpp"
+#include "stream/segment_view.hpp"
 #include "stream/spool.hpp"
 #include "temp_dir.hpp"
-#include "util/strings.hpp"
 
 namespace dnsctx::stream {
 namespace {
@@ -48,29 +47,6 @@ capture::DnsRecord dns_at(std::int64_t us) {
   d.answered = true;
   d.answers = {{Ipv4Addr{1, 2, 3, 4}, 60}};
   return d;
-}
-
-/// Write `recs` into `dir` as v1 segments of at most `per` records, named
-/// the way SpoolWriter names them (v1 spools predate the v2-only writer).
-template <typename Rec, typename KeyTime>
-void write_v1_segments(const std::string& dir, RecordKind kind,
-                       const std::vector<Rec>& recs, std::size_t per, KeyTime key) {
-  for (std::size_t i = 0, seq = 0; i < recs.size(); i += per, ++seq) {
-    const std::size_t end = std::min(i + per, recs.size());
-    std::string payload;
-    for (std::size_t j = i; j < end; ++j) append_record(payload, recs[j]);
-    write_segment_file(
-        strfmt("%s/%s-%08zu.seg", dir.c_str(), to_string(kind).data(), seq),
-        build_segment(kind, static_cast<std::uint32_t>(end - i), key(recs[i]),
-                      key(recs[end - 1]), payload));
-  }
-}
-
-void write_v1_spool(const std::string& dir, const capture::Dataset& ds, std::size_t per) {
-  write_v1_segments(dir, RecordKind::kConn, ds.conns, per,
-                    [](const capture::ConnRecord& r) { return r.start; });
-  write_v1_segments(dir, RecordKind::kDns, ds.dns, per,
-                    [](const capture::DnsRecord& r) { return r.ts; });
 }
 
 std::string read_file(const std::string& path) {
@@ -165,34 +141,50 @@ TEST(SpoolReplay, DatasetReplayMatchesSpoolReplay) {
 }
 
 TEST(SpoolConvert, TextRoundTripIsByteIdentical) {
+  // Under either codec: text → spool → text gives back the same bytes,
+  // and both spools replay the same records in the same order, so a
+  // codec change (export, then import with the other codec) changes
+  // nothing a study sees.
   const auto text_dir = temp_dir("dnsctx_spool_text");
-  const auto spool_dir = temp_dir("dnsctx_spool_bin");
-  const auto back_dir = temp_dir("dnsctx_spool_back");
   capture::Dataset ds;
-  ds.conns = {conn_at(1000), conn_at(2500), conn_at(2500)};
-  ds.dns = {dns_at(500), dns_at(2000)};
+  for (int i = 0; i < 40; ++i) {
+    ds.conns.push_back(conn_at(1000 + 13 * i));
+    if (i % 3 != 0) ds.dns.push_back(dns_at(1100 + 13 * i));
+  }
+  ds.conns.push_back(ds.conns.back());  // tied timestamps survive
   ds.dns[1].answered = false;
   ds.dns[1].answers.clear();
   ds.dns[1].duration = SimDuration::zero();
   capture::save_dataset(ds, text_dir + "/conn.log", text_dir + "/dns.log");
 
-  SpoolConfig cfg;
-  cfg.max_records_per_segment = 2;
-  const auto in_counts = text_to_spool(text_dir, spool_dir, cfg);
-  EXPECT_EQ(in_counts.conns, 3u);
-  EXPECT_EQ(in_counts.dns, 2u);
-  const auto out_counts = spool_to_text(spool_dir, back_dir);
-  EXPECT_EQ(out_counts.conns, 3u);
-  EXPECT_EQ(out_counts.dns, 2u);
-
-  auto slurp = [](const std::string& path) {
-    std::ifstream is{path, std::ios::binary};
-    std::stringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  };
-  EXPECT_EQ(slurp(text_dir + "/conn.log"), slurp(back_dir + "/conn.log"));
-  EXPECT_EQ(slurp(text_dir + "/dns.log"), slurp(back_dir + "/dns.log"));
+  std::vector<std::vector<std::pair<char, std::int64_t>>> orders;
+  for (const auto codec : {SegmentCodec::kNone, SegmentCodec::kLz}) {
+    const std::string name{stream::codec(codec).name()};
+    const auto spool_dir = temp_dir(("dnsctx_spool_bin_" + name).c_str());
+    const auto back_dir = temp_dir(("dnsctx_spool_back_" + name).c_str());
+    SpoolConfig cfg;
+    cfg.max_records_per_segment = 16;
+    cfg.codec = codec;
+    const auto in_counts = text_to_spool(text_dir, spool_dir, cfg);
+    EXPECT_EQ(in_counts.conns, 41u);
+    EXPECT_EQ(in_counts.dns, 26u);
+    const auto out_counts = spool_to_text(spool_dir, back_dir);
+    EXPECT_EQ(out_counts.conns, 41u);
+    EXPECT_EQ(out_counts.dns, 26u);
+    EXPECT_EQ(read_file(text_dir + "/conn.log"), read_file(back_dir + "/conn.log")) << name;
+    EXPECT_EQ(read_file(text_dir + "/dns.log"), read_file(back_dir + "/dns.log")) << name;
+    // The codec took effect (lz may still store a body it cannot shrink
+    // uncompressed, so one lz segment is enough).
+    std::size_t stored_as_requested = 0;
+    for (const auto& path : list_spool(spool_dir).conn_segments) {
+      if (SegmentView::map_file(path).stored_codec() == codec) ++stored_as_requested;
+    }
+    EXPECT_GT(stored_as_requested, 0u) << name;
+    OrderSink sink;
+    (void)replay_spool(spool_dir, sink);
+    orders.push_back(std::move(sink.order));
+  }
+  EXPECT_EQ(orders[0], orders[1]);
 }
 
 TEST(SpoolWriter, DefaultsToV2Compressed) {
@@ -206,82 +198,30 @@ TEST(SpoolWriter, DefaultsToV2Compressed) {
   const auto listing = list_spool(dir);
   ASSERT_EQ(listing.total(), 2u);
   for (const auto* paths : {&listing.conn_segments, &listing.dns_segments}) {
-    std::ifstream is{paths->front(), std::ios::binary};
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const auto header = parse_segment_header(ss.str(), paths->front());
-    EXPECT_EQ(header.version, kSegmentVersionV2);
-  }
-}
-
-TEST(SpoolConvert, V1ToV2RoundTripPreservesEveryRecord) {
-  const auto v1_dir = temp_dir("dnsctx_conv_v1");
-  const auto v2_dir = temp_dir("dnsctx_conv_v2");
-  const auto back_dir = temp_dir("dnsctx_conv_back");
-  const auto direct_dir = temp_dir("dnsctx_conv_direct");
-
-  capture::Dataset ds;
-  for (int i = 0; i < 40; ++i) {
-    ds.conns.push_back(conn_at(1000 + 13 * i));
-    if (i % 3 != 0) ds.dns.push_back(dns_at(1100 + 13 * i));
-  }
-  write_v1_spool(v1_dir, ds, 16);
-
-  SpoolConfig v2_cfg;  // defaults: lz
-  const auto up = convert_spool(v1_dir, v2_dir, v2_cfg);
-  EXPECT_EQ(up.conns, 40u);
-  EXPECT_EQ(up.dns, 26u);
-  SpoolConfig plain_cfg;
-  plain_cfg.codec = SegmentCodec::kNone;
-  plain_cfg.max_records_per_segment = 16;
-  const auto down = convert_spool(v2_dir, back_dir, plain_cfg);
-  EXPECT_EQ(down.conns, 40u);
-  EXPECT_EQ(down.dns, 26u);
-
-  // Replay order and content are invariant across both conversions —
-  // the property that makes study results byte-identical per format.
-  OrderSink a, b, c;
-  (void)replay_spool(v1_dir, a);
-  (void)replay_spool(v2_dir, b);
-  (void)replay_spool(back_dir, c);
-  EXPECT_EQ(a.order, b.order);
-  EXPECT_EQ(a.order, c.order);
-
-  // The v2 spool is the small one.
-  EXPECT_LT(spool_bytes(v2_dir), spool_bytes(v1_dir));
-  // The writer is a function of the record stream alone: converting the
-  // v1 spool directly gives the same files as going through v2 + lz.
-  (void)convert_spool(v1_dir, direct_dir, plain_cfg);
-  const auto back = list_spool(back_dir);
-  const auto direct = list_spool(direct_dir);
-  ASSERT_EQ(back.total(), direct.total());
-  for (std::size_t i = 0; i < back.conn_segments.size(); ++i) {
-    EXPECT_EQ(read_file(back.conn_segments[i]), read_file(direct.conn_segments[i]));
-  }
-  for (std::size_t i = 0; i < back.dns_segments.size(); ++i) {
-    EXPECT_EQ(read_file(back.dns_segments[i]), read_file(direct.dns_segments[i]));
+    const std::string blob = read_file(paths->front());
+    EXPECT_EQ(blob[4], static_cast<char>(kSegmentVersion)) << "version field, low byte";
+    EXPECT_EQ(SegmentView::parse(blob, paths->front()).stored_codec(), SegmentCodec::kLz);
   }
 }
 
 TEST(SpoolConvert, V2SpoolExportsByteIdenticalText) {
+  // A spool written record by record, as `simulate --binary-logs` does,
+  // exports exactly the text logs the same records make in batch mode.
   const auto text_dir = temp_dir("dnsctx_conv_text");
-  const auto v1_dir = temp_dir("dnsctx_conv_t_v1");
-  const auto v2_dir = temp_dir("dnsctx_conv_t_v2");
-  const auto out1 = temp_dir("dnsctx_conv_t_out1");
-  const auto out2 = temp_dir("dnsctx_conv_t_out2");
+  const auto spool_dir = temp_dir("dnsctx_conv_spool");
+  const auto out_dir = temp_dir("dnsctx_conv_out");
   capture::Dataset ds;
   ds.conns = {conn_at(1000), conn_at(2500), conn_at(2500)};
   ds.dns = {dns_at(500), dns_at(2000)};
   capture::save_dataset(ds, text_dir + "/conn.log", text_dir + "/dns.log");
-
-  write_v1_spool(v1_dir, ds, 65'536);
-  (void)convert_spool(v1_dir, v2_dir);
-  (void)spool_to_text(v1_dir, out1);
-  (void)spool_to_text(v2_dir, out2);
-
-  EXPECT_EQ(read_file(out1 + "/conn.log"), read_file(out2 + "/conn.log"));
-  EXPECT_EQ(read_file(out1 + "/dns.log"), read_file(out2 + "/dns.log"));
-  EXPECT_EQ(read_file(text_dir + "/conn.log"), read_file(out2 + "/conn.log"));
+  {
+    SpoolWriter writer{spool_dir};
+    (void)replay_dataset(ds, writer);
+    writer.flush();
+  }
+  (void)spool_to_text(spool_dir, out_dir);
+  EXPECT_EQ(read_file(text_dir + "/conn.log"), read_file(out_dir + "/conn.log"));
+  EXPECT_EQ(read_file(text_dir + "/dns.log"), read_file(out_dir + "/dns.log"));
 }
 
 TEST(SpoolListing, SortedAndFiltered) {

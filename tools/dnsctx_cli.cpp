@@ -26,14 +26,12 @@
 //
 //   dnsctx stream --spool DIR [--follow] | --import DIR --spool DIR
 //                 | --export DIR --spool DIR
-//                 | --convert SRCSPOOL --spool DSTDIR
 //                 | --spool DIR --push HOST:PORT --tenant NAME [--acks]
 //       Streaming ingestion: run the bounded-memory online study over a
 //       binary spool (optionally following a live writer), convert
-//       between text logs and spools, re-encode a spool (--convert
-//       rewrites any v1 or v2 spool as v2; --codec picks the block codec
-//       for any spool-writing mode), or push the spool's segments to a
-//       running `dnsctx serve` over TCP.
+//       between text logs and spools (--codec picks the block codec when
+//       writing one; --export then --import re-encodes a spool), or push
+//       the spool's segments to a running `dnsctx serve` over TCP.
 //
 //   dnsctx serve --listen HOST:PORT --http HOST:PORT [--max-tenants N]
 //                [--idle-evict SECS] [--max-frame-mib N] [--results-out DIR]
@@ -513,9 +511,18 @@ void print_online_result(const stream::OnlineStudyResult& r, const stream::Onlin
   return std::move(buf).str();
 }
 
+/// Parse the segment header `path` starts with; throws naming `path`.
+void check_segment_header(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::string head(stream::kSegmentHeaderBytes, '\0');
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<std::size_t>(in.gcount()));
+  (void)stream::parse_segment_header(head, path);
+}
+
 int cmd_stream(const CliArgs& args) {
   if (reject_unknown(args, "stream",
-                     {"spool", "import", "export", "convert", "codec",
+                     {"spool", "import", "export", "codec",
                       "follow", "idle-exit", "poll-ms", "push", "tenant", "acks",
                       "metrics-out", "progress"})) {
     return 2;
@@ -525,26 +532,9 @@ int cmd_stream(const CliArgs& args) {
     std::fprintf(stderr, "stream: --spool DIR is required\n");
     return 2;
   }
-  const bool writes_spool =
-      args.option("import").has_value() || args.option("convert").has_value();
   stream::SpoolConfig spool_cfg;
-  if (!spool_config_from_args(args, "stream", writes_spool, &spool_cfg)) return 2;
-  if (const auto src = args.option("convert")) {
-    // Re-encode an existing spool (v1 or v2) as v2: replay src through a
-    // fresh SpoolWriter with the requested codec. Record order and study
-    // results are invariant under conversion — only the bytes change.
-    const std::uint64_t src_bytes = stream::spool_bytes(*src);
-    std::filesystem::create_directories(*spool);
-    const auto counts = stream::convert_spool(*src, *spool, spool_cfg);
-    const std::uint64_t dst_bytes = stream::spool_bytes(*spool);
-    std::printf("converted %llu conns + %llu DNS transactions: %s → %s (v2, codec %s, "
-                "%llu → %llu bytes)\n",
-                static_cast<unsigned long long>(counts.conns),
-                static_cast<unsigned long long>(counts.dns), src->c_str(),
-                spool->c_str(), stream::codec(spool_cfg.codec).name().data(),
-                static_cast<unsigned long long>(src_bytes),
-                static_cast<unsigned long long>(dst_bytes));
-    return 0;
+  if (!spool_config_from_args(args, "stream", args.option("import").has_value(), &spool_cfg)) {
+    return 2;
   }
   if (const auto push = args.option("push")) {
     std::string host;
@@ -559,12 +549,18 @@ int cmd_stream(const CliArgs& args) {
       return 2;
     }
     const bool acks = args.has_flag("acks");
-    serve::PushClient client{host, port, serve::Handshake{*tenant, acks}};
     const auto listing = stream::list_spool(*spool);
+    const auto kinds = {&listing.conn_segments, &listing.dns_segments, &listing.enc_segments};
+    // Without --acks nothing is read back, so a segment the server
+    // refuses would fail only on its side. Check every header before
+    // connecting: an old spool fails here, and nothing is sent.
+    for (const auto* paths : kinds) {
+      for (const auto& path : *paths) check_segment_header(path);
+    }
+    serve::PushClient client{host, port, serve::Handshake{*tenant, acks}};
     std::size_t segments = 0;
     std::uint64_t last_ack = 0;
-    for (const auto* paths :
-         {&listing.conn_segments, &listing.dns_segments, &listing.enc_segments}) {
+    for (const auto* paths : kinds) {
       for (const auto& path : *paths) {
         client.send_segment(read_file_bytes(path));
         ++segments;
@@ -728,9 +724,8 @@ void usage() {
                "           classifier confusion when the transport is encrypted)\n"
                "  stream   --spool DIR [--follow [--idle-exit N] [--poll-ms MS]]\n"
                "           | --import TEXTDIR --spool DIR | --export TEXTDIR --spool DIR\n"
-               "           | --convert SRCSPOOL --spool DSTDIR\n"
                "           | --spool DIR --push HOST:PORT --tenant NAME [--acks]\n"
-               "           [--codec none|lz]  (spool-writing modes: --import/--convert;\n"
+               "           [--codec none|lz]  (spool-writing modes: --import;\n"
                "           also simulate --binary-logs)\n"
                "  serve    --listen HOST:PORT --http HOST:PORT [--max-tenants N]\n"
                "           [--idle-evict SECS] [--max-frame-mib N] [--results-out DIR]\n"
