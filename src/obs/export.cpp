@@ -35,7 +35,18 @@ constexpr const char* kPrefix = "dnsctx_";
   return buf;
 }
 
-[[nodiscard]] std::string json_escape(const std::string& s) {
+void emit_type_line(std::string& out, std::string& last_family, const std::string& name,
+                    const char* type) {
+  const std::string family = kPrefix + family_of(name);
+  if (family != last_family) {
+    out += "# TYPE " + family + " " + type + "\n";
+    last_family = family;
+  }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -60,17 +71,6 @@ constexpr const char* kPrefix = "dnsctx_";
   }
   return out;
 }
-
-void emit_type_line(std::string& out, std::string& last_family, const std::string& name,
-                    const char* type) {
-  const std::string family = kPrefix + family_of(name);
-  if (family != last_family) {
-    out += "# TYPE " + family + " " + type + "\n";
-    last_family = family;
-  }
-}
-
-}  // namespace
 
 std::string to_prometheus(const MetricsSnapshot& snap) {
   std::string out;

@@ -27,6 +27,10 @@ namespace dnsctx::obs {
 /// tools/bench_compare.py can gate on internal metrics.
 [[nodiscard]] std::string to_flat_json(const MetricsSnapshot& snap);
 
+/// `s` escaped for use inside a JSON string literal (RFC 8259: quote,
+/// backslash and every control character), without the quotes.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 /// Scrape the global registry and write it to `path` — JSON when the
 /// path ends in ".json", Prometheus text otherwise. Throws
 /// std::runtime_error when the file cannot be written.

@@ -116,6 +116,7 @@ class Server::IngestConnection : public FdHandler {
         case FrameDecoder::Event::kError:
           ++server_.stats_.connections_errored;
           if (obs::enabled()) obs::registry().counter("serve_frame_errors_total").add(1);
+          if (tenant_) server_.tenants_.drop_unfed(*tenant_);
           fail(decoder_.error());
           return;
       }

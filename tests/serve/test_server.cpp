@@ -321,9 +321,40 @@ TEST(Serve, V1SegmentFrameClosesOnlyThatConnection) {
 
   ts.stop();
   EXPECT_EQ(ts.server->stats().connections_errored, 1u);
-  const auto legacy = ts.server->tenants().find("legacy");  // opened by its handshake
-  ASSERT_NE(legacy, nullptr);
-  EXPECT_EQ(legacy->records_released(), 0u);
+  // Its handshake opened a tenant; no segment reached it, so the close
+  // removed it again.
+  EXPECT_EQ(ts.server->tenants().find("legacy"), nullptr);
+  EXPECT_EQ(ts.server->tenants().size(), 1u);
+}
+
+TEST(Serve, RefusedProducerLeavesNoTenantBehind) {
+  ServeConfig cfg;
+  cfg.tenant.max_tenants = 1;
+  TestServer ts{cfg};
+  const auto ds = simulate(4, 1, 2);
+  const auto segs = chunk_segments(ds.conns, 8192);
+  ASSERT_EQ(segs.size(), 1u);
+
+  // The only slot goes to a producer whose first frame is refused.
+  std::string old = segs[0];
+  old[4] = 1;  // segment version field
+  {
+    PushClient legacy{"127.0.0.1", ts.ingest_port(), Handshake{"legacy", false}};
+    legacy.send_segment(old);
+    EXPECT_TRUE(wait_closed(legacy.fd()));
+  }
+
+  // The next tenant's handshake still gets it.
+  PushClient next{"127.0.0.1", ts.ingest_port(), Handshake{"next", true}};
+  next.send_segment(segs[0]);
+  (void)next.read_ack();
+  next.flush();
+  EXPECT_EQ(next.read_ack(), ds.conns.size());
+
+  ts.stop();
+  EXPECT_EQ(ts.server->stats().connections_errored, 1u);
+  EXPECT_EQ(ts.server->tenants().find("legacy"), nullptr);
+  EXPECT_NE(ts.server->tenants().find("next"), nullptr);
 }
 
 TEST(Serve, OversizedFrameClosesConnection) {
