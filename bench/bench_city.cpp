@@ -120,30 +120,23 @@ int main(int argc, char** argv) {
   }
 
   if (!scale.json_path.empty()) {
-    std::ofstream os{scale.json_path, std::ios::app};
-    if (os) {
-      char buf[640];
-      std::snprintf(buf, sizeof buf,
-                    "{\"bench\":\"bench_city\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
-                    "\"threads\":%u,\"shards\":%zu,\"pack\":\"%s\","
-                    "\"gen_sec\":%.3f,\"build_sec\":%.3f,"
-                    "\"conns\":%llu,\"dns\":%llu,\"records_per_sec\":%.0f,"
-                    "\"peak_rss_bytes\":%llu,\"rss_limit_mib\":%llu,"
-                    "\"within_rss_bound\":%s}",
-                    cfg.houses, bench::hours_of(cfg),
-                    static_cast<unsigned long long>(cfg.seed), cfg.threads, cfg.shards,
-                    scale.pack.c_str(), gen_sec,
-                    build_sec, static_cast<unsigned long long>(sink.conns),
-                    static_cast<unsigned long long>(sink.dns),
-                    gen_sec > 0.0 ? static_cast<double>(records) / gen_sec : 0.0,
-                    static_cast<unsigned long long>(rss),
-                    static_cast<unsigned long long>(scale.max_rss_mib),
-                    within_bound ? "true" : "false");
-      os << buf << '\n';
-    } else {
-      std::fprintf(stderr, "warning: cannot open bench JSON file %s\n",
-                   scale.json_path.c_str());
-    }
+    bench::JsonRecord{"bench_city"}
+        .integer("houses", cfg.houses)
+        .integer("hours", bench::hours_of(cfg))
+        .integer("seed", cfg.seed)
+        .integer("threads", cfg.threads)
+        .integer("shards", cfg.shards)
+        .text("pack", scale.pack)
+        .fixed("gen_sec", gen_sec, 3)
+        .fixed("build_sec", build_sec, 3)
+        .integer("conns", sink.conns)
+        .integer("dns", sink.dns)
+        .fixed("records_per_sec",
+               gen_sec > 0.0 ? static_cast<double>(records) / gen_sec : 0.0, 0)
+        .integer("peak_rss_bytes", rss)
+        .integer("rss_limit_mib", scale.max_rss_mib)
+        .flag("within_rss_bound", within_bound)
+        .append_to(scale.json_path);
   }
   return within_bound ? 0 : 1;
 }

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +34,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include <sys/resource.h>
 
@@ -146,13 +148,58 @@ struct BenchRun {
   [[nodiscard]] scenario::Town& town() const { return *town_ptr; }
 };
 
+/// One `--json` record: a one-line JSON object whose keys keep the order
+/// they are added in. Strings go through obs::json_escape; each number
+/// keeps the format its field has always had, so BENCH_baseline.json and
+/// tools/bench_compare.py keep matching.
+class JsonRecord {
+ public:
+  explicit JsonRecord(std::string_view bench) { text("bench", bench); }
+
+  JsonRecord& text(const char* key, std::string_view v) {
+    std::string quoted = "\"";
+    quoted += obs::json_escape(v);
+    quoted += '"';
+    return raw(key, quoted);
+  }
+  /// Integers print in full (as %d / %zu / %llu did).
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  JsonRecord& integer(const char* key, T v) {
+    return raw(key, std::to_string(v));
+  }
+  /// `decimals` digits after the point (as %.Nf did).
+  JsonRecord& fixed(const char* key, double v, int decimals) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+    return raw(key, buf);
+  }
+  JsonRecord& flag(const char* key, bool v) { return raw(key, v ? "true" : "false"); }
+  /// A value that is JSON already (an embedded object).
+  JsonRecord& raw(const char* key, const std::string& json) {
+    out_ += out_.empty() ? "{\"" : ",\"";
+    out_ += key;
+    out_ += "\":";
+    out_ += json;
+    return *this;
+  }
+
+  /// Append the record as one line to `path` (a warning when it cannot be opened).
+  void append_to(const std::string& path) const {
+    std::ofstream os{path, std::ios::app};
+    if (!os) {
+      std::fprintf(stderr, "warning: cannot open bench JSON file %s\n", path.c_str());
+      return;
+    }
+    os << out_ << "}\n";
+  }
+
+ private:
+  std::string out_;
+};
+
 inline void append_json_record(const std::string& path, const char* bench_name,
                                const BenchScale& s, const BenchRun& run) {
-  std::ofstream os{path, std::ios::app};
-  if (!os) {
-    std::fprintf(stderr, "warning: cannot open bench JSON file %s\n", path.c_str());
-    return;
-  }
   const std::size_t conns = run.town().dataset().conns.size();
   const std::size_t dns = run.town().dataset().dns.size();
   const std::size_t encflows = run.town().dataset().encflows.size();
@@ -162,38 +209,32 @@ inline void append_json_record(const std::string& path, const char* bench_name,
   const analysis::FailureReport failures =
       analysis::build_failure_report(run.town().dataset());
   const analysis::FailureCounts& fc = failures.counts;
-  const std::string transport{netsim::to_string(s.cfg.transport)};
-  char buf[1536];
-  std::snprintf(buf, sizeof buf,
-                "{\"bench\":\"%s\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
-                "\"threads\":%u,\"shards\":%zu,\"faults\":\"%s\",\"pack\":\"%s\","
-                "\"transport\":\"%s\",\"encflows\":%zu,\"enc_classify_sec\":%.3f,"
-                "\"gen_sec\":%.3f,\"study_sec\":%.3f,"
-                "\"total_sec\":%.3f,\"conns\":%zu,\"dns\":%zu,\"records_per_sec\":%.0f,"
-                "\"failed_lookups\":%llu,\"servfail\":%llu,\"retry_chains\":%llu,"
-                "\"recovered_chains\":%llu,\"failed_chains\":%llu,\"s0_conns\":%llu,"
-                "\"peak_rss_bytes\":%llu}",
-                bench_name, s.cfg.houses, hours_of(s.cfg),
-                static_cast<unsigned long long>(s.cfg.seed), s.cfg.threads, s.cfg.shards,
-                s.faults.c_str(), s.pack.c_str(), transport.c_str(), encflows,
-                run.enc_classify_sec, run.gen_sec, run.study_sec,
-                total_sec, conns, dns, records_per_sec,
-                static_cast<unsigned long long>(fc.unanswered + fc.servfail +
-                                                fc.other_rcode),
-                static_cast<unsigned long long>(fc.servfail),
-                static_cast<unsigned long long>(fc.retry_chains),
-                static_cast<unsigned long long>(fc.recovered_chains),
-                static_cast<unsigned long long>(fc.failed_chains),
-                static_cast<unsigned long long>(fc.s0_conns),
-                static_cast<unsigned long long>(peak_rss_bytes()));
-  std::string record{buf};
-  if (obs::enabled()) {
-    record.pop_back();  // reopen the object to append the metrics scrape
-    record += ",\"metrics\":";
-    record += obs::to_flat_json(obs::registry().snapshot());
-    record += '}';
-  }
-  os << record << '\n';
+  JsonRecord rec{bench_name};
+  rec.integer("houses", s.cfg.houses)
+      .integer("hours", hours_of(s.cfg))
+      .integer("seed", s.cfg.seed)
+      .integer("threads", s.cfg.threads)
+      .integer("shards", s.cfg.shards)
+      .text("faults", s.faults)
+      .text("pack", s.pack)
+      .text("transport", netsim::to_string(s.cfg.transport))
+      .integer("encflows", encflows)
+      .fixed("enc_classify_sec", run.enc_classify_sec, 3)
+      .fixed("gen_sec", run.gen_sec, 3)
+      .fixed("study_sec", run.study_sec, 3)
+      .fixed("total_sec", total_sec, 3)
+      .integer("conns", conns)
+      .integer("dns", dns)
+      .fixed("records_per_sec", records_per_sec, 0)
+      .integer("failed_lookups", fc.unanswered + fc.servfail + fc.other_rcode)
+      .integer("servfail", fc.servfail)
+      .integer("retry_chains", fc.retry_chains)
+      .integer("recovered_chains", fc.recovered_chains)
+      .integer("failed_chains", fc.failed_chains)
+      .integer("s0_conns", fc.s0_conns)
+      .integer("peak_rss_bytes", peak_rss_bytes());
+  if (obs::enabled()) rec.raw("metrics", obs::to_flat_json(obs::registry().snapshot()));
+  rec.append_to(path);
 }
 
 /// Simulate + analyze, with a banner describing the run and wall-clock

@@ -260,21 +260,22 @@ int main(int argc, char** argv) {
   std::printf("  fault plan survived:         %s\n", survived ? "yes" : "NO");
 
   if (!scale.json_path.empty()) {
-    if (std::FILE* f = std::fopen(scale.json_path.c_str(), "a")) {
-      std::fprintf(
-          f,
-          "{\"bench\":\"bench_serve\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
-          "\"records\":%llu,\"push_sec\":%.3f,\"records_per_sec\":%.0f,"
-          "\"ack_p50_us\":%.1f,\"ack_p99_us\":%.1f,"
-          "\"impaired_records\":%llu,\"impaired_records_per_sec\":%.0f,"
-          "\"wire_bytes\":%llu,\"match\":%s,\"survived_faults\":%s,\"peak_rss_bytes\":%llu}\n",
-          cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
-          static_cast<unsigned long long>(records), throughput.sec, rps, p50, p99,
-          static_cast<unsigned long long>(faulty_records), imp_rps,
-          static_cast<unsigned long long>(wire_bytes), match ? "true" : "false", survived ? "true" : "false",
-          static_cast<unsigned long long>(bench::peak_rss_bytes()));
-      std::fclose(f);
-    }
+    bench::JsonRecord{"bench_serve"}
+        .integer("houses", cfg.houses)
+        .integer("hours", bench::hours_of(cfg))
+        .integer("seed", cfg.seed)
+        .integer("records", records)
+        .fixed("push_sec", throughput.sec, 3)
+        .fixed("records_per_sec", rps, 0)
+        .fixed("ack_p50_us", p50, 1)
+        .fixed("ack_p99_us", p99, 1)
+        .integer("impaired_records", faulty_records)
+        .fixed("impaired_records_per_sec", imp_rps, 0)
+        .integer("wire_bytes", wire_bytes)
+        .flag("match", match)
+        .flag("survived_faults", survived)
+        .integer("peak_rss_bytes", bench::peak_rss_bytes())
+        .append_to(scale.json_path);
   }
   return match && survived ? 0 : 1;
 }

@@ -247,36 +247,31 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stream_r.r));
 
   if (!scale.json_path.empty()) {
-    std::ofstream os{scale.json_path, std::ios::app};
-    if (os) {
-      char buf[896];
-      std::snprintf(
-          buf, sizeof buf,
-          "{\"bench\":\"bench_stream\",\"houses\":%zu,\"hours\":%d,\"seed\":%llu,"
-          "\"shards\":%zu,\"gen_sec\":%.3f,\"stream_sec\":%.3f,\"batch_sec\":%.3f,"
-          "\"conns\":%llu,\"dns\":%llu,\"stream_records_per_sec\":%.0f,"
-          "\"batch_records_per_sec\":%.0f,\"peak_rss_bytes\":%llu,"
-          "\"stream_peak_rss_bytes\":%llu,\"batch_peak_rss_bytes\":%llu,"
-          "\"peak_reorder_records\":%zu,\"active_candidates\":%llu,"
-          "\"active_records\":%llu,\"spool_bytes\":%llu,\"import_sec\":%.3f,"
-          "\"import_records_per_sec\":%.0f,\"match\":%s}",
-          cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
-          cfg.shards, gen_sec, stream_r.sec, batch_r.sec,
-          static_cast<unsigned long long>(conns), static_cast<unsigned long long>(dns),
-          stream_r.sec > 0.0 ? static_cast<double>(total) / stream_r.sec : 0.0,
-          batch_r.sec > 0.0 ? static_cast<double>(total) / batch_r.sec : 0.0,
-          static_cast<unsigned long long>(std::max(stream_r.rss, batch_r.rss)),
-          static_cast<unsigned long long>(stream_r.rss),
-          static_cast<unsigned long long>(batch_r.rss), peak_reorder,
-          static_cast<unsigned long long>(stream_r.active_candidates),
-          static_cast<unsigned long long>(stream_r.active_records),
-          static_cast<unsigned long long>(spool_sz), import_sec, import_rps,
-          match ? "true" : "false");
-      os << buf << '\n';
-    } else {
-      std::fprintf(stderr, "warning: cannot open bench JSON file %s\n",
-                   scale.json_path.c_str());
-    }
+    bench::JsonRecord{"bench_stream"}
+        .integer("houses", cfg.houses)
+        .integer("hours", bench::hours_of(cfg))
+        .integer("seed", cfg.seed)
+        .integer("shards", cfg.shards)
+        .fixed("gen_sec", gen_sec, 3)
+        .fixed("stream_sec", stream_r.sec, 3)
+        .fixed("batch_sec", batch_r.sec, 3)
+        .integer("conns", conns)
+        .integer("dns", dns)
+        .fixed("stream_records_per_sec",
+               stream_r.sec > 0.0 ? static_cast<double>(total) / stream_r.sec : 0.0, 0)
+        .fixed("batch_records_per_sec",
+               batch_r.sec > 0.0 ? static_cast<double>(total) / batch_r.sec : 0.0, 0)
+        .integer("peak_rss_bytes", std::max(stream_r.rss, batch_r.rss))
+        .integer("stream_peak_rss_bytes", stream_r.rss)
+        .integer("batch_peak_rss_bytes", batch_r.rss)
+        .integer("peak_reorder_records", peak_reorder)
+        .integer("active_candidates", stream_r.active_candidates)
+        .integer("active_records", stream_r.active_records)
+        .integer("spool_bytes", spool_sz)
+        .fixed("import_sec", import_sec, 3)
+        .fixed("import_records_per_sec", import_rps, 0)
+        .flag("match", match)
+        .append_to(scale.json_path);
   }
 
   std::filesystem::remove_all(scale.spool_dir);
