@@ -10,11 +10,14 @@ Both files may be either:
   * a google-benchmark ``--benchmark_out`` file (single JSON object with
     a ``benchmarks`` array) — bench_micro's native output.
 
-Records are matched by a scenario key; for each metric that appears in
-both files the relative change is printed, and the script exits 1 when
-any LOWER-IS-BETTER metric regresses by more than ``--threshold``
-(default 10%). Metrics present on only one side are reported but never
-fail the comparison, so baselines survive adding new benches.
+Records are matched by a scenario key; for each metric of a matched
+baseline record the relative change is printed, and the script exits 1
+when any LOWER-IS-BETTER metric regresses by more than ``--threshold``
+(default 10%), or when a metric of the baseline record is missing or
+non-numeric in the current one: a metric that vanished would otherwise
+leave the gate silently. Metrics only the current record has are
+printed and pass, as do records only one side has, so baselines survive
+adding new benches and new metrics.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from pathlib import Path
 # internal observability scrape embedded by ``--metrics`` — so the gate
 # also covers work counters (how much the run did), not just wall time.
 # Nested metrics absent from a baseline are skipped, never fatal, so
-# baselines recorded before the metrics scrape existed keep working.
+# baselines recorded before the metrics scrape existed keep working; a
+# metric the baseline has must be in the current record.
 WATCHED_METRICS = {
     "Table 1": [
         "study_sec",
@@ -79,8 +83,9 @@ def as_float(value) -> float | None:
     """float(value), or None when the field is absent or non-numeric.
 
     Baselines committed by older (or newer) bench binaries may lack a
-    metric or carry a placeholder string; those records must degrade to
-    "skipped", never crash the comparison.
+    metric or carry a placeholder string; such a baseline metric is
+    skipped, never a crash. The same gap in a current record fails the
+    comparison in main().
     """
     try:
         return float(value)
@@ -170,6 +175,7 @@ def main() -> int:
         sys.exit(f"{args.current}: no benchmark records found")
 
     regressions = []
+    vanished = []
     print(f"{'record / metric':58} {'baseline':>14} {'current':>14} {'change':>9}")
     for key in sorted(base):
         if key not in curr:
@@ -179,6 +185,9 @@ def main() -> int:
         for metric, base_val in sorted(base[key].items()):
             curr_val = curr[key].get(metric)
             if curr_val is None:
+                print(f"{key + ' ' + metric:58} {base_val:14.3f} {'(missing)':>14}"
+                      f"  << VANISHED")
+                vanished.append((key, metric))
                 continue
             change = (curr_val - base_val) / base_val if base_val else 0.0
             higher_better = metric in HIGHER_IS_BETTER_METRICS.get(bench_kind, [])
@@ -193,11 +202,17 @@ def main() -> int:
     for key in sorted(set(curr) - set(base)):
         print(f"{key:58} {'(current only — skipped)':>38}")
 
+    if vanished:
+        print(f"\nFAIL: {len(vanished)} baseline metric(s) missing or non-numeric "
+              f"in {args.current}:")
+        for key, metric in vanished:
+            print(f"  {key} {metric}")
     if regressions:
         print(f"\nFAIL: {len(regressions)} metric(s) regressed more than "
               f"{args.threshold:.0%}:")
         for key, metric, change in regressions:
             print(f"  {key} {metric}: {change:+.1%}")
+    if vanished or regressions:
         return 1
     print(f"\nOK: no metric regressed more than {args.threshold:.0%}")
     return 0

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Unit tests for bench_compare.py — in particular that records with
-absent or non-numeric metric fields are skipped instead of crashing
-(older baselines predate e.g. peak_rss_bytes)."""
+"""Unit tests for bench_compare.py — in particular that baseline
+records with absent or non-numeric metric fields are skipped instead of
+crashing (older baselines predate e.g. peak_rss_bytes), while a metric
+the baseline has that is absent or non-numeric in the matched current
+record fails the comparison."""
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -252,6 +256,49 @@ class LoadRecordsTest(unittest.TestCase):
              "pack": "default", "study_sec": 5.0},
         ])
         self.assertEqual(self._run_main(base, worse), 1)
+
+    def test_metric_vanished_from_current_fails(self):
+        # Each current record lacks one watched metric of the baseline,
+        # or carries it as a non-numeric placeholder: the run fails and
+        # names the record and the metric.
+        base = write_lines(self.dir, "base.json", [
+            {"bench": "Table 1", "houses": 4, "hours": 1, "seed": 42,
+             "study_sec": 1.0, "peak_rss_bytes": 1000,
+             "metrics": {"pairing_candidates_scanned_total": 50}},
+        ])
+        full = {"bench": "Table 1", "houses": 4, "hours": 1, "seed": 42,
+                "study_sec": 1.0, "peak_rss_bytes": 1000,
+                "metrics": {"pairing_candidates_scanned_total": 50}}
+        self.assertEqual(self._run_main(base, write_lines(self.dir, "full.json", [full])), 0)
+        cases = {
+            "study_sec": {k: v for k, v in full.items() if k != "study_sec"},
+            "peak_rss_bytes": dict(full, peak_rss_bytes="n/a"),
+            "metrics.pairing_candidates_scanned_total": dict(full, metrics={}),
+        }
+        for metric, record in cases.items():
+            with self.subTest(metric=metric):
+                curr = write_lines(self.dir, "curr.json", [record])
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    self.assertEqual(self._run_main(base, curr), 1)
+                self.assertIn(f"Table 1/houses=4 hours=1 seed=42 threads=1 shards=1 "
+                              f"transport=do53 pack=default {metric}", out.getvalue())
+                self.assertIn("missing or non-numeric", out.getvalue())
+
+    def test_record_only_in_baseline_is_still_skipped(self):
+        # The rule is per metric of a matched record: a scenario the
+        # current run did not record at all still passes.
+        base = write_lines(self.dir, "base.json", [
+            {"bench": "Table 1", "houses": 4, "hours": 1, "seed": 42,
+             "study_sec": 1.0},
+            {"bench": "bench_city", "houses": 500, "hours": 1, "seed": 42,
+             "peak_rss_bytes": 1000},
+        ])
+        curr = write_lines(self.dir, "curr.json", [
+            {"bench": "Table 1", "houses": 4, "hours": 1, "seed": 42,
+             "study_sec": 1.0},
+        ])
+        self.assertEqual(self._run_main(base, curr), 0)
 
     def test_enc_classify_regression_detected(self):
         base = write_lines(self.dir, "base.json", [
