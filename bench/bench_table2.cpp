@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   const auto run = bench::run_default("Table 2 + §5", argc, argv);
   const auto& ds = run.town().dataset();
 
-  std::printf("%s\n", analysis::format_table2(run.study, ds).c_str());
+  std::printf("%s\n", analysis::format_table2(run.study).c_str());
 
   const auto nclass = analysis::analyze_n_class(ds, run.study.classified);
   std::printf("§5.1 breakdown of the N (no DNS) connections:\n");

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
               town.dataset().dns.size());
 
   const analysis::Study study = analysis::run_study(town.dataset());
-  std::printf("%s\n", analysis::format_table2(study, town.dataset()).c_str());
+  std::printf("%s\n", analysis::format_table2(study).c_str());
   std::printf("%s\n", analysis::format_fig2(study).c_str());
 
   if (argc > 2) {

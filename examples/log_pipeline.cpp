@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::printf("\nreloading logs and running the paper's pipeline...\n\n");
   const capture::Dataset ds = capture::load_dataset(conn_path, dns_path);
   const analysis::Study study = analysis::run_study(ds);
-  std::printf("%s\n", analysis::format_table2(study, ds).c_str());
+  std::printf("%s\n", analysis::format_table2(study).c_str());
   std::printf("%s\n", analysis::format_fig1(study).c_str());
   return 0;
 }

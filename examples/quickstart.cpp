@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   const analysis::Study study = analysis::run_study(ds);
   std::printf("%s\n", analysis::format_table1(study).c_str());
-  std::printf("%s\n", analysis::format_table2(study, ds).c_str());
+  std::printf("%s\n", analysis::format_table2(study).c_str());
   std::printf("%s\n", analysis::format_fig1(study).c_str());
   std::printf("%s\n", analysis::format_fig2(study).c_str());
   std::printf("%s\n", analysis::format_fig3(study).c_str());

@@ -27,15 +27,7 @@ PerHouseAnalysis analyze_per_house(const capture::Dataset& ds, const Classified&
   for (std::size_t i = 0; i < ds.conns.size(); ++i) {
     HouseSummary& h = summary_for(ds.conns[i].orig_ip);
     ++h.conns;
-    if (i < classified.classes.size()) {
-      switch (classified.classes[i]) {
-        case ConnClass::kN: ++h.counts.n; break;
-        case ConnClass::kLC: ++h.counts.lc; break;
-        case ConnClass::kP: ++h.counts.p; break;
-        case ConnClass::kSC: ++h.counts.sc; break;
-        case ConnClass::kR: ++h.counts.r; break;
-      }
-    }
+    if (i < classified.classes.size()) h.counts.add(classified.classes[i]);
   }
   for (const auto& d : ds.dns) {
     ++summary_for(d.client_ip).lookups;

@@ -58,7 +58,7 @@ std::string format_table1(const Study& s) {
   return out;
 }
 
-std::string format_table2(const Study& s, const capture::Dataset& ds) {
+std::string format_table2(const Study& s) {
   const ClassCounts& c = s.classified.counts;
   std::string out;
   out += "Table 2: DNS information origin by connection (measured | paper)\n";
@@ -81,7 +81,7 @@ std::string format_table2(const Study& s, const capture::Dataset& ds) {
   out += strfmt("  P using expired records:      %s\n",
                 vs_paper(100.0 * s.classified.p_expired_frac(), 12.4).c_str());
   out += strfmt("  unused (speculative) lookups: %s\n",
-                vs_paper(100.0 * s.pairing.unused_lookup_frac(ds), 37.8).c_str());
+                vs_paper(100.0 * s.pairing.unused_lookup_frac(), 37.8).c_str());
   out += strfmt("  unique pairing candidate:     %s\n",
                 vs_paper(100.0 * s.pairing.unique_candidate_frac(), 82.0).c_str());
   if (!s.classified.lc_gap_sec.empty() && !s.classified.p_gap_sec.empty()) {

@@ -16,7 +16,7 @@ namespace dnsctx::analysis {
 [[nodiscard]] std::string format_table1(const Study& s);
 
 /// Table 2 (class shares) with §5 companion statistics.
-[[nodiscard]] std::string format_table2(const Study& s, const capture::Dataset& ds);
+[[nodiscard]] std::string format_table2(const Study& s);
 
 /// Figure 1 summary (gap CDF + knee + first-use splits).
 [[nodiscard]] std::string format_fig1(const Study& s);

@@ -13,18 +13,14 @@ namespace {
 /// derived from it — is identical for any thread count.
 using PerfVec = std::vector<PlatformPerf>;
 
+constexpr Cdf PlatformPerf::*kCdfs[] = {&PlatformPerf::r_lookup_ms, &PlatformPerf::throughput_bps,
+                                         &PlatformPerf::throughput_bps_filtered};
+
 void merge_perf(PerfVec& into, PerfVec&& part) {
   if (into.size() < part.size()) into.resize(part.size());
   for (std::size_t id = 0; id < part.size(); ++id) {
-    PlatformPerf& p = part[id];
-    PlatformPerf& dst = into[id];
-    dst.sc += p.sc;
-    dst.r += p.r;
-    dst.conncheck_conns += p.conncheck_conns;
-    dst.total_conns += p.total_conns;
-    dst.r_lookup_ms.absorb(p.r_lookup_ms);
-    dst.throughput_bps.absorb(p.throughput_bps);
-    dst.throughput_bps_filtered.absorb(p.throughput_bps_filtered);
+    into[id].merge(part[id]);
+    for (const auto cdf : kCdfs) (into[id].*cdf).absorb(part[id].*cdf);
   }
 }
 
@@ -49,17 +45,17 @@ std::vector<PlatformPerf> analyze_platforms(const capture::Dataset& ds,
           if (pc.dns_idx < 0) continue;
           const auto& dns = ds.dns[static_cast<std::size_t>(pc.dns_idx)];
           PlatformPerf& p = part[dir.id_of(dns.resolver_ip)];
-          ++p.total_conns;
           const bool is_conncheck = dns.query == conncheck;
-          if (is_conncheck) ++p.conncheck_conns;
+          p.add_paired(is_conncheck);
 
           const ConnClass cls = classified.classes[i];
-          if (cls != ConnClass::kSC && cls != ConnClass::kR) continue;
           if (cls == ConnClass::kSC) {
             ++p.sc;
-          } else {
+          } else if (cls == ConnClass::kR) {
             ++p.r;
             p.r_lookup_ms.add(dns.duration.to_ms());
+          } else {
+            continue;
           }
           const double tput = ds.conns[i].throughput_bps();
           if (tput > 0.0) {
@@ -72,16 +68,10 @@ std::vector<PlatformPerf> analyze_platforms(const capture::Dataset& ds,
       merge_perf);
   perf.resize(nplatforms);
 
-  std::vector<PlatformPerf> out;
-  for (PlatformId id = 0; id < nplatforms; ++id) {
-    PlatformPerf& p = perf[id];
-    if (p.total_conns == 0) continue;  // the platform was never touched
-    p.platform = dir.name_of(id);
-    // Sort now so concurrent report/export readers stay lock-free.
-    p.r_lookup_ms.seal();
-    p.throughput_bps.seal();
-    p.throughput_bps_filtered.seal();
-    out.push_back(std::move(p));
+  std::vector<PlatformPerf> out = platform_rows(std::move(perf), dir);
+  // Sort now so concurrent report/export readers stay lock-free.
+  for (PlatformPerf& p : out) {
+    for (const auto cdf : kCdfs) (p.*cdf).seal();
   }
   return out;
 }

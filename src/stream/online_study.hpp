@@ -16,33 +16,34 @@
 // Determinism contract: for a stream delivered in the canonical order
 // (nondecreasing key time, DNS before conn at ties, harvest order within
 // ties) `finalize()` is bit-identical to the batch pipeline
-// (analysis::run_study) on the same records — every double is produced by
-// the same arithmetic on the same operands in the same order. The
-// batch distribution outputs that inherently require retaining every
-// sample (Fig 1/2/3 CDFs, knee detection) are the one deliberate
-// omission; every count, share, threshold, and fraction streams.
+// (analysis::run_study) on the same records. That follows from shared
+// code, not from a second copy kept in step: the engine applies each
+// per-record rule through the same type the batch stage folds its
+// chunks through — analysis::CandidateList and PairingCounts (§4),
+// ModeWindow (§5.3's thresholds), Table1Tally and IspOnlyHouses
+// (Table 1), QuadrantCounts (§6), PlatformCounts (§7) and ChainTracker
+// (failures) — and their merges are exact. The goldens (seeds {1,7} ×
+// shards {1,4}) pin both sides. The batch distribution outputs that
+// inherently require retaining every sample (Fig 1/2/3 CDFs, knee
+// detection) are the one deliberate omission; every count, share,
+// threshold, and fraction streams.
 //
-// Three mechanisms keep memory small without giving up bit-exactness:
+// What is the engine's own is what streaming needs:
 //
-//  * Shadow eviction. Within one (house, address) candidate list sorted
-//    by (response, seq), candidate cᵢ can never again be chosen once the
-//    watermark reaches max(cᵢ.expires, cᵢ₊₁.response): future
-//    connections start at/after the watermark, so cᵢ is dead for the
-//    live scan and shadowed by cᵢ₊₁ for the most-recent-expired
-//    fallback. The newest candidate of a list is never evicted — the
-//    fallback may always reach it. A list therefore falls due at the
-//    minimum of that time over its neighbour pairs; every list with a
-//    finite due time sits in one min-heap keyed by it, and each ingest
-//    compacts exactly the lists the watermark has reached. After every
-//    record the engine holds exactly the candidates the rule keeps.
-//    Retry chains (analysis::ChainTracker) close the same way.
+//  * Shadow eviction. Each (house, address) CandidateList falls due
+//    when the shadow rule (CandidateList::compact) can first drop a
+//    candidate; every list with a finite due time sits in one min-heap
+//    keyed by it, and each ingest compacts exactly the lists the
+//    watermark has reached. After every record the engine holds exactly
+//    the candidates the rule keeps. A DNS record's pairing material
+//    (RecordUse) lives while a candidate references it. Retry chains
+//    (analysis::ChainTracker) close the same way.
 //
 //  * Deferred SC/R split. §5.3's per-resolver thresholds depend on the
 //    full run, so blocked connections bank their lookup duration into a
-//    per-resolver ceil-millisecond bin map; `finalize()` re-derives the
-//    thresholds (replicating derive_resolver_thresholds exactly from the
-//    low-end duration counts) and splits SC/R from the bins.
-//    ceil(us/1000) <= T is provably equivalent to the batch double
+//    per-resolver ceil-millisecond bin map; `finalize()` derives each
+//    threshold from the resolver's ModeWindow and splits SC/R from the
+//    bins. ceil(us/1000) <= T is provably equivalent to the batch double
 //    compare us/1000.0 <= T for the integral thresholds §5.3 produces.
 //
 //  * Commutative cross-house state. Everything not under a single house
@@ -53,20 +54,8 @@
 // `absorb()` merges engines that ingested house-disjoint partitions,
 // enabling sharded streaming with the same guarantees.
 //
-// Hot-path layout: houses, per-house candidate indexes, and resolver
-// accumulators live in util::FlatMap (open addressing, no per-node
-// allocation); platform tallies are dense vectors indexed by
-// analysis::PlatformId; the conncheck hostname is interned once so the
-// per-record test is an integer compare. Each resolver's §5.3 material
-// is a ModeWindow: its answered-lookup durations within 40 ms of the
-// smallest. They start as a plain list (8 B a sample); once the list
-// would take more bytes than counters, they become 40 001 32-bit
-// counters, one per µs above the minimum (156 KiB). A resolver's memory
-// thus grows with its samples, so a flood of one-lookup resolvers costs
-// a list entry each, and a busy resolver's answered lookup costs one
-// indexed, overflow-checked increment. A falling minimum shifts the
-// counters. finalize() reads the window in ascending µs, so the
-// thresholds stay bit-identical to derive_resolver_thresholds.
+// Houses, their candidate lists and the resolver accumulators live in
+// util::FlatMap; platform tallies are dense, PlatformId-indexed vectors.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +66,8 @@
 
 #include "analysis/classify.hpp"
 #include "analysis/failures.hpp"
+#include "analysis/performance.hpp"
+#include "analysis/resolvers.hpp"
 #include "analysis/tables.hpp"
 #include "capture/records.hpp"
 #include "util/flat_map.hpp"
@@ -95,53 +86,11 @@ struct OnlineStudyConfig {
   SimDuration chain_gap = SimDuration::sec(15);
 };
 
-struct OnlinePairingStats {
-  std::uint64_t paired = 0;
-  std::uint64_t unpaired = 0;
-  std::uint64_t paired_expired = 0;
-  std::uint64_t unique_candidate = 0;
-  std::uint64_t multiple_candidates = 0;
-
-  [[nodiscard]] double unique_candidate_frac() const {
-    const auto total = unique_candidate + multiple_candidates;
-    return total ? static_cast<double>(unique_candidate) / static_cast<double>(total) : 0.0;
-  }
-};
-
-/// §6 quadrant fractions over SC ∪ R connections.
-struct OnlineQuadrants {
-  double insignificant_both = 0.0;
-  double relative_only = 0.0;
-  double absolute_only = 0.0;
-  double significant_both = 0.0;
-  double significant_overall = 0.0;  ///< q_sig over ALL connections
-};
-
-/// §7 per-platform counters (the streaming subset of PlatformPerf).
-struct OnlinePlatformRow {
-  std::string platform;
-  std::uint64_t sc = 0;
-  std::uint64_t r = 0;
-  std::uint64_t conncheck_conns = 0;
-  std::uint64_t total_conns = 0;
-
-  [[nodiscard]] double hit_rate() const {
-    const auto blocked = sc + r;
-    return blocked ? static_cast<double>(sc) / static_cast<double>(blocked) : 0.0;
-  }
-  [[nodiscard]] double conncheck_frac() const {
-    return total_conns
-               ? static_cast<double>(conncheck_conns) / static_cast<double>(total_conns)
-               : 0.0;
-  }
-};
-
 struct OnlineStudyResult {
   std::uint64_t conns = 0;
   std::uint64_t dns = 0;
 
-  OnlinePairingStats pairing;
-  double unused_lookup_frac = 0.0;
+  analysis::PairingCounts pairing;
 
   analysis::ClassCounts classes;
   std::uint64_t lc_expired = 0;
@@ -151,8 +100,8 @@ struct OnlineStudyResult {
   std::vector<analysis::Table1Row> table1;
   double isp_only_houses = 0.0;
 
-  OnlineQuadrants quadrants;
-  std::vector<OnlinePlatformRow> platforms;
+  analysis::Quadrants quadrants;
+  std::vector<analysis::PlatformCounts> platforms;  ///< §7 rows, directory order
 
   /// Failure/recovery counters (bit-identical to the batch
   /// build_failure_report counts under every fault plan; the batch-only
@@ -184,15 +133,6 @@ class OnlineStudy : public capture::RecordSink {
   [[nodiscard]] SimTime watermark() const { return watermark_; }
 
  private:
-  /// One DNS answer's candidacy for an address, ordered by
-  /// (response, seq) — exactly the batch index order after its
-  /// (response, dns_idx) sort.
-  struct Candidate {
-    SimTime response;
-    SimTime expires;
-    std::uint64_t seq;
-  };
-
   /// Everything pairing/classification later needs from a DNS record,
   /// kept while any candidate still references it.
   struct RecordUse {
@@ -203,16 +143,8 @@ class OnlineStudy : public capture::RecordSink {
     bool conncheck = false;
   };
 
-  /// One (house, address) list's candidates, in (response, seq) order.
-  struct CandidateList {
-    std::vector<Candidate> cands;
-    /// Watermark at which the shadow rule first evicts a candidate;
-    /// SimTime::max() while none can go (fewer than two candidates).
-    SimTime due = SimTime::max();
-  };
-
   struct House {
-    util::FlatMap<Ipv4Addr, CandidateList> index;
+    util::FlatMap<Ipv4Addr, analysis::CandidateList> index;
     util::FlatMap<std::uint64_t, RecordUse> records;
   };
 
@@ -224,59 +156,20 @@ class OnlineStudy : public capture::RecordSink {
     Ipv4Addr addr;
   };
 
-  /// One resolver's answered-lookup durations within §5.3's 40 ms mode
-  /// window [min, min + 40 ms], which is all the threshold derivation
-  /// reads of them.
-  class ModeWindow {
-   public:
-    void add(std::int64_t us);
-    /// Add every sample of `other` (absorb()).
-    void merge(ModeWindow&& other);
-    /// Midpoint of the window's most populated bin in
-    /// derive_resolver_thresholds' 80-bin histogram.
-    [[nodiscard]] double mode_ms() const;
-
-   private:
-    void lower_to(std::int64_t us);
-    void densify();
-
-    std::int64_t min_us_ = std::numeric_limits<std::int64_t>::max();
-    /// Samples, while they take fewer bytes than counters (20 000); a
-    /// falling minimum leaves stale ones behind, which reads skip.
-    std::vector<std::int64_t> listed_;
-    /// After densify(): counts_[i] counts durations of min_us_ + i µs
-    /// for i in [0, 40 000]; shifted when the minimum falls, so samples
-    /// that leave the window drop off the top.
-    std::vector<std::uint32_t> counts_;
-  };
-
-  /// §5.3 threshold derivation + deferred SC/R split state, per resolver.
+  /// §5.3 threshold material + deferred SC/R split state, per resolver.
   struct ResolverAcc {
-    std::uint64_t answered = 0;
-    ModeWindow window;
+    analysis::ModeWindow window;
     /// Blocked-connection lookup durations as ceil-milliseconds bins.
     std::map<std::int64_t, std::uint64_t> blocked_ceil;
     std::uint64_t blocked_total = 0;
     std::uint64_t blocked_le_default = 0;
   };
 
-  struct PlatTally {
-    util::FlatSet<Ipv4Addr> houses;
-    std::uint64_t lookups = 0;
-    std::uint64_t conns = 0;
-    std::uint64_t bytes = 0;
-  };
-
-  struct PlatConns {
-    std::uint64_t total = 0;
-    std::uint64_t conncheck = 0;
-  };
-
   void note_time(SimTime& last, SimTime t, const char* kind);
-  void schedule(CandidateList& list, SimTime due, Ipv4Addr house, Ipv4Addr addr);
+  void schedule(SimTime due, Ipv4Addr house, Ipv4Addr addr);
   /// Compact every list the watermark has reached.
   void evict_due();
-  void drop_candidate(House& house, const Candidate& cand);
+  void drop_candidate(House& house, const analysis::Candidate& cand);
 
   OnlineStudyConfig cfg_;
   /// cfg_.conncheck_name interned once; the per-record test is an id
@@ -292,11 +185,11 @@ class OnlineStudy : public capture::RecordSink {
   std::uint64_t next_seq_ = 0;
 
   // Ordering / eviction bookkeeping.
-  SimTime last_conn_;
-  SimTime last_dns_;
+  /// Key time of the last record of each kind; the earliest time there
+  /// is before the first.
+  SimTime last_conn_ = SimTime::from_us(std::numeric_limits<std::int64_t>::min());
+  SimTime last_dns_ = last_conn_;
   SimTime watermark_;
-  bool any_conn_ = false;
-  bool any_dns_ = false;
   /// Min-heap on `due` over the lists that can lose a candidate.
   std::vector<DueList> due_lists_;
   std::uint64_t active_candidates_ = 0;
@@ -305,28 +198,18 @@ class OnlineStudy : public capture::RecordSink {
   // Stream-wide counters.
   std::uint64_t conns_total_ = 0;
   std::uint64_t dns_total_ = 0;
-  OnlinePairingStats pairing_;
-  std::uint64_t eligible_lookups_ = 0;
-  std::uint64_t used_lookups_ = 0;
+  analysis::PairingCounts pairing_;
 
   // Taxonomy (SC/R deferred to finalize).
-  std::uint64_t n_ = 0, lc_ = 0, p_ = 0;
+  analysis::ClassCounts classes_;
   std::uint64_t lc_expired_ = 0, p_expired_ = 0;
   util::FlatMap<Ipv4Addr, ResolverAcc> resolvers_;
 
-  // §6 quadrants.
-  std::uint64_t q_ins_ = 0, q_rel_ = 0, q_abs_ = 0, q_sig_ = 0;
-
-  // Table 1 + isp-only (dense per-platform tallies, PlatformId-indexed).
-  std::vector<PlatTally> tallies_;
-  util::FlatSet<Ipv4Addr> all_houses_;
-  std::uint64_t total_lookups_ = 0;
-  std::uint64_t paired_conns_ = 0;
-  std::uint64_t paired_bytes_ = 0;
-  util::FlatMap<Ipv4Addr, bool> only_local_;
-
-  // §7.
-  std::vector<PlatConns> platform_conns_;
+  analysis::QuadrantCounts quadrants_;
+  analysis::Table1Tally table1_;
+  analysis::IspOnlyHouses isp_only_;
+  /// §7 counters by PlatformId; SC/R are added at finalize().
+  std::vector<analysis::PlatformCounts> platforms_;
 
   // Failure report counters (self-contained per-house chain state,
   // closed as the DNS frontier passes each chain's gap).

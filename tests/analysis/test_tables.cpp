@@ -175,9 +175,8 @@ TEST(Report, VsPaperFormatting) {
 
 TEST(Report, FormatsHandleEmptyStudy) {
   const Study empty;
-  const capture::Dataset ds;
   EXPECT_FALSE(format_table1(empty).empty());
-  EXPECT_FALSE(format_table2(empty, ds).empty());
+  EXPECT_FALSE(format_table2(empty).empty());
   EXPECT_FALSE(format_fig1(empty).empty());
   EXPECT_FALSE(format_fig2(empty).empty());
   EXPECT_FALSE(format_fig3(empty).empty());

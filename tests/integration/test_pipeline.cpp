@@ -148,9 +148,8 @@ TEST_F(PipelineTest, RefreshSimulatorReproducesTable3Shape) {
 }
 
 TEST_F(PipelineTest, ReportsRenderWithoutError) {
-  const auto& ds = town->dataset();
   EXPECT_FALSE(analysis::format_table1(*study).empty());
-  EXPECT_FALSE(analysis::format_table2(*study, ds).empty());
+  EXPECT_FALSE(analysis::format_table2(*study).empty());
   EXPECT_FALSE(analysis::format_fig1(*study).empty());
   EXPECT_FALSE(analysis::format_fig2(*study).empty());
   EXPECT_FALSE(analysis::format_fig3(*study).empty());

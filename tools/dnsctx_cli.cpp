@@ -321,7 +321,7 @@ int cmd_analyze(const CliArgs& args) {
   const bool all = section == "all";
   if (all || section == "table1") std::printf("%s\n", analysis::format_table1(study).c_str());
   if (all || section == "table2") {
-    std::printf("%s\n", analysis::format_table2(study, ds).c_str());
+    std::printf("%s\n", analysis::format_table2(study).c_str());
   }
   if (all || section == "fig1") std::printf("%s\n", analysis::format_fig1(study).c_str());
   if (all || section == "fig2") std::printf("%s\n", analysis::format_fig2(study).c_str());
@@ -450,7 +450,8 @@ void print_online_result(const stream::OnlineStudyResult& r, const stream::Onlin
               static_cast<unsigned long long>(r.pairing.paired),
               pct(r.pairing.paired_expired, r.pairing.paired));
   std::printf("         %.1f%% had a unique candidate; %.1f%% of eligible lookups unused\n\n",
-              100.0 * r.pairing.unique_candidate_frac(), 100.0 * r.unused_lookup_frac);
+              100.0 * r.pairing.unique_candidate_frac(),
+              100.0 * r.pairing.unused_lookup_frac());
 
   std::printf("Table 1 — resolver platform usage\n");
   std::printf("  %-12s %8s %9s %8s %8s\n", "platform", "houses%", "lookups%", "conns%",
