@@ -118,13 +118,16 @@ TEST_F(TcpFallbackTest, WideAnswerResolvesViaTcp) {
 TEST_F(TcpFallbackTest, FallbackResultIsCached) {
   const HostRecord* wide = find_wide_record(zones);
   ASSERT_NE(wide, nullptr);
-  device.stub().resolve(wide->name, [](const ResolveResult&) {});
+  ResolveResult first;
+  device.stub().resolve(wide->name, [&](const ResolveResult& r) { first = r; });
   sim.run_until(sim.now() + SimDuration::sec(2));
+  ASSERT_FALSE(first.from_cache);
+  ASSERT_GE(first.addrs.size(), 30u);  // the TCP answer carries the whole pool
   ResolveResult again;
   device.stub().resolve(wide->name, [&](const ResolveResult& r) { again = r; });
   sim.run_until(sim.now() + SimDuration::sec(1));
   EXPECT_TRUE(again.from_cache);
-  EXPECT_GE(again.addrs.size(), 30u);
+  EXPECT_EQ(again.addrs, first.addrs);  // every address, in the answer's order
   EXPECT_EQ(device.stub().tcp_fallbacks(), 1u);  // no second fallback
 }
 
