@@ -17,7 +17,10 @@
 #include "netsim/arena.hpp"
 #include "netsim/event_queue.hpp"
 #include "netsim/nat.hpp"
+#include "netsim/network.hpp"
 #include "netsim/sim.hpp"
+#include "resolver/recursive.hpp"
+#include "resolver/stub.hpp"
 #include "scenario/scenario.hpp"
 #include "stream/feed.hpp"
 #include "stream/online_study.hpp"
@@ -74,6 +77,77 @@ void BM_CacheInsertLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheInsertLookup);
+
+void BM_StubResolveCached(benchmark::State& state) {
+  // A device-cache hit through StubResolver::resolve: the lookup, the
+  // addresses read out of the entry and the 50 µs callback event.
+  netsim::Simulator sim;
+  resolver::StubConfig cfg;
+  cfg.resolver_addrs = {Ipv4Addr{100, 66, 250, 1}};
+  resolver::StubResolver stub{sim, Ipv4Addr{192, 168, 1, 10}, cfg, 1,
+                              [](netsim::Packet) {}};
+  const auto name = dns::DomainName::must("www.example.com");
+  auto answers = sample_response().answers;
+  for (auto& rr : answers) rr.ttl = 86'400;  // stays fresh for the whole run
+  stub.insert_pushed(name, answers, sim.now());
+  std::size_t addrs = 0;
+  for (auto _ : state) {
+    stub.resolve(name, [&](const resolver::ResolveResult& r) { addrs += r.addrs.size(); });
+    sim.run_to_completion();
+  }
+  benchmark::DoNotOptimize(addrs);
+  if (addrs != 2 * static_cast<std::size_t>(state.iterations())) {
+    state.SkipWithError("a resolve missed the device cache");
+  }
+}
+BENCHMARK(BM_StubResolveCached);
+
+void BM_RecursiveAnswerHit(benchmark::State& state) {
+  // A platform-cache hit through the recursive answer path: lookup, the
+  // rebuilt answer records, the response and its delivery events. The
+  // first query resolves and caches the name; every timed one hits.
+  struct Sink final : netsim::Host {
+    std::size_t responses = 0;
+    void receive(const netsim::Packet&) override { ++responses; }
+  } client;
+  constexpr Ipv4Addr kClient{100, 66, 1, 1};
+  constexpr Ipv4Addr kService{9, 9, 9, 9};
+  netsim::Simulator sim;
+  netsim::LatencyModel lat;
+  lat.set_site(kClient, {SimDuration::from_ms(0.5), 0.0});
+  lat.set_site(kService, {SimDuration::from_ms(0.5), 0.0});
+  netsim::Network net{sim, lat, 3};
+  net.attach(kClient, &client);
+  resolver::ZoneDbConfig zone_cfg;
+  zone_cfg.web_sites = 30;
+  const resolver::ZoneDb zones{zone_cfg};
+  resolver::PlatformConfig cfg;
+  cfg.name = "Bench";
+  cfg.addrs = {kService};
+  cfg.site = {SimDuration::from_ms(0.5), 0.0};
+  cfg.ambient_warmth = 0.0;
+  cfg.cache.min_ttl_sec = 86'400;  // stays fresh for the whole run
+  resolver::RecursiveResolverPlatform platform{sim, net, zones, cfg, 7};
+  const auto& name = zones.record(zones.ids_of(resolver::ServiceClass::kWebOrigin)[0]).name;
+  netsim::Packet query;
+  query.src_ip = kClient;
+  query.dst_ip = kService;
+  query.src_port = 40'000;
+  query.dst_port = 53;
+  query.proto = Proto::kUdp;
+  query.dns = dns::DnsPayload::from_message(dns::DnsMessage::query(1, name));
+  platform.receive(query);
+  sim.run_to_completion();
+  for (auto _ : state) {
+    platform.receive(query);
+    sim.run_to_completion();
+  }
+  if (platform.stats().shard_hits != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a query missed the platform cache");
+  }
+  benchmark::DoNotOptimize(client.responses);
+}
+BENCHMARK(BM_RecursiveAnswerHit);
 
 void BM_SimulatorDispatch(benchmark::State& state) {
   for (auto _ : state) {

@@ -30,6 +30,7 @@ class WholeHouseForwarder : public netsim::Host {
   void receive(const netsim::Packet& p) override;
 
   [[nodiscard]] const dns::CacheStats& cache_stats() const { return cache_.stats(); }
+  [[nodiscard]] const dns::DnsCache& cache() const { return cache_; }
   [[nodiscard]] std::uint64_t upstream_queries() const { return upstream_queries_; }
 
  private:

@@ -158,10 +158,10 @@ void RecursiveResolverPlatform::answer(const netsim::Packet& query,
   dns::Rcode rcode = dns::Rcode::kNoError;
   bool truth_cache_hit = false;
 
-  if (auto hit = cache.lookup(q.qname, q.qtype, sim_.now()); hit && !hit->expired) {
+  if (auto hit = cache.lookup_view(q.qname, q.qtype, sim_.now()); hit && !hit->expired) {
     ++stats_.shard_hits;
     truth_cache_hit = true;
-    answers = std::move(hit->answers);
+    answers = hit->answers.records();
     rcode = hit->rcode;
     // Served TTLs count down in the shared cache (RFC 1035 §4.2 behaviour
     // every recursive resolver implements).
@@ -270,6 +270,12 @@ void RecursiveResolverPlatform::respond(const netsim::Packet& query,
 std::size_t RecursiveResolverPlatform::cached_entries() const {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s.size();
+  return n;
+}
+
+std::size_t RecursiveResolverPlatform::cached_bytes() const {
+  std::size_t n = 0;
+  for (const auto& s : shards_) n += s.bytes().total();
   return n;
 }
 

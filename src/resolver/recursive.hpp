@@ -83,6 +83,8 @@ class RecursiveResolverPlatform : public netsim::Host {
 
   /// Total entries across shards (diagnostics).
   [[nodiscard]] std::size_t cached_entries() const;
+  /// Heap bytes of the shards' caches (dns::DnsCache::bytes()).
+  [[nodiscard]] std::size_t cached_bytes() const;
 
  private:
   void answer(const netsim::Packet& query, const dns::DnsMessage& msg);

@@ -15,13 +15,11 @@ StubResolver::StubResolver(netsim::Simulator& sim, Ipv4Addr device_ip, StubConfi
 
 void StubResolver::resolve(const dns::DomainName& name, Callback cb, bool speculative) {
   // 1. Device cache — including TTL-violating stale entries. The view
-  // avoids copying the answer set; only A rdata is read out.
+  // reads the addresses straight from the entry.
   if (auto hit = cache_.lookup_view(name, dns::RrType::kA, sim_.now())) {
     ResolveResult res;
-    res.success = !hit->answers->empty();
-    for (const auto& rr : *hit->answers) {
-      if (rr.type == dns::RrType::kA) res.addrs.push_back(std::get<Ipv4Addr>(rr.rdata));
-    }
+    res.success = !hit->answers.empty();
+    hit->answers.append_addresses(res.addrs);
     res.from_cache = true;
     res.used_expired = hit->expired;
     res.origin = hit->origin;
@@ -292,7 +290,7 @@ std::uint64_t StubResolver::secure_reuses() const {
 void StubResolver::insert_pushed(const dns::DomainName& name,
                                  std::vector<dns::ResourceRecord> answers, SimTime now) {
   ++pushed_inserts_;
-  cache_.insert(name, dns::RrType::kA, std::move(answers), dns::Rcode::kNoError, now,
+  cache_.insert(name, dns::RrType::kA, answers, dns::Rcode::kNoError, now,
                 SimDuration::zero(), dns::CacheOrigin::kPushed);
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace dnsctx::scenario {
 
@@ -721,6 +722,39 @@ void Town::publish_metrics() const {
     reg.gauge("resolver_nxdomain" + label).set(static_cast<double>(st.nxdomain));
     reg.gauge("resolver_cached_entries" + label)
         .set(static_cast<double>(cached_by_platform[name]));
+  }
+
+  // DNS cache footprint by layer: entries held and the heap bytes of
+  // the caches' containers. Walks every device, so only scrapes pay.
+  struct CacheTally {
+    std::size_t entries = 0;
+    std::size_t bytes = 0;
+    void add(const dns::DnsCache& c) {
+      entries += c.size();
+      bytes += c.bytes().total();
+    }
+  };
+  CacheTally device_caches;
+  CacheTally forwarder_caches;
+  CacheTally platform_caches;
+  for (const auto& shard : shards_) {
+    for (const auto& house : shard->houses) {
+      if (house->forwarder) forwarder_caches.add(house->forwarder->cache());
+      for (const auto& dev : house->devices) {
+        device_caches.add(std::as_const(*dev).stub().cache());
+      }
+    }
+  }
+  for (const resolver::RecursiveResolverPlatform* p : platform_view_) {
+    platform_caches.entries += p->cached_entries();
+    platform_caches.bytes += p->cached_bytes();
+  }
+  for (const auto& [layer, tally] :
+       {std::pair{"device", device_caches}, std::pair{"forwarder", forwarder_caches},
+        std::pair{"platform", platform_caches}}) {
+    const std::string label = std::string{"{layer=\""} + layer + "\"}";
+    reg.gauge("dns_cache_entries" + label).set(static_cast<double>(tally.entries));
+    reg.gauge("dns_cache_bytes" + label).set(static_cast<double>(tally.bytes));
   }
 
   const FaultStats f = fault_stats();

@@ -77,6 +77,7 @@ class Device : public netsim::Host {
   void set_syn_backoff(double factor) { syn_backoff_ = factor; }
 
   [[nodiscard]] resolver::StubResolver& stub() { return stub_; }
+  [[nodiscard]] const resolver::StubResolver& stub() const { return stub_; }
   [[nodiscard]] netsim::Simulator& sim() { return sim_; }
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] Ipv4Addr ip() const { return ip_; }

@@ -115,6 +115,10 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// Heap bytes of the table, counted from its vectors' capacities.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return slots_.capacity() * sizeof(value_type) + used_.capacity();
+  }
 
   [[nodiscard]] iterator begin() { return {this, 0}; }
   [[nodiscard]] iterator end() { return {this, slots_.size()}; }
