@@ -8,6 +8,7 @@
 // Usage: log_pipeline [out_dir] [houses] [hours]
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "analysis/report.hpp"
@@ -21,6 +22,7 @@ int main(int argc, char** argv) {
   cfg.houses = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 15;
   cfg.duration = SimDuration::hours(argc > 3 ? std::atoi(argv[3]) : 3);
 
+  std::filesystem::create_directories(out_dir);
   const std::string conn_path = out_dir + "/dnsctx_conn.log";
   const std::string dns_path = out_dir + "/dnsctx_dns.log";
 

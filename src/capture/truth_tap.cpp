@@ -25,8 +25,8 @@ void TruthTap::observe(SimTime at_tap, const netsim::Packet& p) {
     flow.cls = p.intent->true_class;
   } else if (servers_.contains(p.dst_ip) &&
              (p.dst_port == 853 || p.dst_port == 443)) {
-    // The stub's encrypted channel (or a legacy UDP/853 flow): not an
-    // application connection at all — it IS the DNS.
+    // The stub's encrypted channel: not an application connection at
+    // all — it IS the DNS.
     flow.cls = netsim::TrueClass::kDnsTransport;
   } else {
     // Intent-less traffic (beacons, control chatter) opened no lookup.

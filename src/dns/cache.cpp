@@ -268,19 +268,18 @@ void DnsCache::insert(const DomainName& qname, RrType qtype,
   ++stats_.insertions;
 }
 
-CacheHitView DnsCache::view(const Entry& e, const DomainName& qname, SimTime now) const {
+CacheHit DnsCache::view(const Entry& e, const DomainName& qname, SimTime now) const {
   const SimTime expires = expires_at(e);
-  return CacheHitView{.answers = AnswerView{e.answers, qname},
-                      .rcode = e.rcode,
-                      .inserted_at = e.inserted_at,
-                      .expires_at = expires,
-                      .expired = now >= expires,
-                      .origin = e.origin,
-                      .first_use = false};
+  return CacheHit{.answers = AnswerView{e.answers, qname},
+                  .rcode = e.rcode,
+                  .inserted_at = e.inserted_at,
+                  .expires_at = expires,
+                  .expired = now >= expires,
+                  .origin = e.origin,
+                  .first_use = false};
 }
 
-std::optional<CacheHitView> DnsCache::lookup_view(const DomainName& qname, RrType qtype,
-                                                  SimTime now) {
+std::optional<CacheHit> DnsCache::lookup(const DomainName& qname, RrType qtype, SimTime now) {
   const auto it = index_.find(key_of(qname.id(), qtype));
   if (it == index_.end() || now >= slab_[it->second].servable_until) {
     if (it != index_.end()) remove_at(it->second);
@@ -291,31 +290,19 @@ std::optional<CacheHitView> DnsCache::lookup_view(const DomainName& qname, RrTyp
   touch(idx);
   ++stats_.hits;
   Entry& e = slab_[idx];
-  CacheHitView hit = view(e, qname, now);
+  CacheHit hit = view(e, qname, now);
   hit.first_use = !e.used;
   e.used = true;
   if (hit.expired) ++stats_.expired_hits;
   return hit;
 }
 
-std::optional<CacheHit> DnsCache::lookup(const DomainName& qname, RrType qtype, SimTime now) {
-  const auto hit = lookup_view(qname, qtype, now);
-  if (!hit) return std::nullopt;
-  return CacheHit{.answers = hit->answers.records(),
-                  .rcode = hit->rcode,
-                  .inserted_at = hit->inserted_at,
-                  .expires_at = hit->expires_at,
-                  .expired = hit->expired,
-                  .origin = hit->origin,
-                  .first_use = hit->first_use};
-}
-
-std::optional<CacheHitView> DnsCache::peek(const DomainName& qname, RrType qtype,
-                                           SimTime now) const {
+std::optional<CacheHit> DnsCache::peek(const DomainName& qname, RrType qtype,
+                                       SimTime now) const {
   const auto it = index_.find(key_of(qname.id(), qtype));
   if (it == index_.end() || now >= slab_[it->second].servable_until) return std::nullopt;
   const Entry& e = slab_[it->second];
-  CacheHitView hit = view(e, qname, now);
+  CacheHit hit = view(e, qname, now);
   hit.first_use = !e.used;
   return hit;
 }

@@ -26,8 +26,9 @@
 //   * a set outside that form (mixed TTLs, an owner off the chain,
 //     another type or class, a CNAME after an address) is kept as given,
 //     in one out-of-line block of ResourceRecords.
-// Reads rebuild ResourceRecords only when a caller asks for them, from
-// stored handles: no read takes the name table's lock.
+// Reads (lookup, peek) copy nothing: the hit borrows the entry's set as
+// an AnswerView, which rebuilds ResourceRecords only when a caller asks
+// for them, from stored handles: no read takes the name table's lock.
 #pragma once
 
 #include <cstddef>
@@ -139,28 +140,18 @@ class AnswerView {
   DomainName qname_;
 };
 
-/// Result of a successful cache lookup.
+/// Result of a successful cache lookup. Borrowed: `answers` reads the
+/// entry in place and is valid only until the next call that changes
+/// the cache. Callers read addresses from it, or rebuild records
+/// (`answers.records()`) only for what they send.
 struct CacheHit {
-  std::vector<ResourceRecord> answers;  ///< empty for negative entries
+  AnswerView answers;  ///< empty for negative entries
   Rcode rcode = Rcode::kNoError;
   SimTime inserted_at;
   SimTime expires_at;   ///< TTL expiry (not including stale window)
   bool expired = false; ///< true when served from the stale window
   CacheOrigin origin = CacheOrigin::kQuery;
   bool first_use = false;  ///< this counting lookup is the entry's first hit
-};
-
-/// Borrowed counterpart of CacheHit: `answers` reads the entry in place
-/// and is valid only until the next cache mutation. For callers that
-/// read addresses, or rebuild records only for what they send.
-struct CacheHitView {
-  AnswerView answers;
-  Rcode rcode = Rcode::kNoError;
-  SimTime inserted_at;
-  SimTime expires_at;
-  bool expired = false;
-  CacheOrigin origin = CacheOrigin::kQuery;
-  bool first_use = false;
 };
 
 /// Running hit/miss counters (for Table 3-style accounting).
@@ -203,20 +194,16 @@ class DnsCache {
               Rcode rcode, SimTime now, SimDuration extra_hold = SimDuration::zero(),
               CacheOrigin origin = CacheOrigin::kQuery);
 
-  /// Look up (qname, qtype). Counts a hit or miss. Entries past their
-  /// servable lifetime are treated as absent (and dropped lazily).
+  /// Look up (qname, qtype). Counts a hit or miss and moves a hit to the
+  /// front of the LRU order. Entries past their servable lifetime are
+  /// treated as absent (and dropped lazily). The hit borrows from the
+  /// entry: read it before the next cache call.
   [[nodiscard]] std::optional<CacheHit> lookup(const DomainName& qname, RrType qtype,
                                                SimTime now);
 
-  /// lookup() without copying the answer set: same counters, LRU touch
-  /// and lazy expiry; the returned view borrows from the entry and must
-  /// be consumed before the next cache call.
-  [[nodiscard]] std::optional<CacheHitView> lookup_view(const DomainName& qname, RrType qtype,
-                                                        SimTime now);
-
-  /// Non-counting, non-mutating probe; borrows like lookup_view().
-  [[nodiscard]] std::optional<CacheHitView> peek(const DomainName& qname, RrType qtype,
-                                                 SimTime now) const;
+  /// Non-counting, non-mutating probe; borrows like lookup().
+  [[nodiscard]] std::optional<CacheHit> peek(const DomainName& qname, RrType qtype,
+                                             SimTime now) const;
 
   /// Drop every entry whose servable lifetime has passed.
   void purge_expired(SimTime now);
@@ -255,7 +242,7 @@ class DnsCache {
   }
   /// The TTL boundary: the set's TTL, clamped per config.
   [[nodiscard]] SimTime expires_at(const Entry& e) const;
-  [[nodiscard]] CacheHitView view(const Entry& e, const DomainName& qname, SimTime now) const;
+  [[nodiscard]] CacheHit view(const Entry& e, const DomainName& qname, SimTime now) const;
   void touch(std::uint32_t idx);
   void evict_lru();
   void lru_unlink(std::uint32_t idx);

@@ -44,7 +44,7 @@ enum class TrueClass : std::uint8_t {
   kSharedCache = 4,   ///< blocked; resolver answered from its cache — truth for SC
   kRequired = 5,      ///< blocked; resolver resolved authoritatively — truth for R
   kPushed = 6,        ///< resolver-less: record was server-pushed, no lookup at all
-  kDnsTransport = 7,  ///< the flow IS a DNS channel (DoT/DoH/legacy 853)
+  kDnsTransport = 7,  ///< the flow IS a DNS channel (DoT/DoH)
 };
 
 [[nodiscard]] std::string_view to_string(TrueClass c);

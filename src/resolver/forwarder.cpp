@@ -23,7 +23,7 @@ bool WholeHouseForwarder::on_device_query(const netsim::Packet& p) {
   if (msg == nullptr || msg->flags.qr || msg->questions.empty()) return false;
   const dns::Question& q = msg->questions.front();
 
-  if (auto hit = cache_.lookup_view(q.qname, q.qtype, sim_.now()); hit && !hit->expired) {
+  if (auto hit = cache_.lookup(q.qname, q.qtype, sim_.now()); hit && !hit->expired) {
     const auto remaining = std::max<std::int64_t>(
         1, (hit->expires_at - sim_.now()).count_us() / 1'000'000);
     answer_device(p, *msg, hit->answers.records(), hit->rcode,

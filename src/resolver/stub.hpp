@@ -47,20 +47,15 @@ struct StubConfig {
   double retry_backoff = 1.0;
   /// Backoff ceiling: no single attempt waits longer than this.
   SimDuration max_query_timeout = SimDuration::sec(30);
-  /// 53 = plain DNS. 853 models encrypted DNS (DoT/DoQ): resolution
-  /// still works, but the aggregation-point monitor can no longer parse
-  /// the transactions (§3/§5.1's "future efforts..." observation).
-  std::uint16_t dns_port = 53;
   /// Dual-stack hosts fire a parallel AAAA query alongside fresh A
   /// queries (happy eyeballs). The result is cached but never drives a
   /// connection in this v4-only study — it thickens the visible DNS
   /// transaction stream exactly as real captures show.
   double aaaa_prob = 0.0;
-  /// Retry truncated (TC) UDP responses over TCP (RFC 1035 §4.2.2).
-  bool tcp_fallback = true;
   /// Upstream transport. kDo53 (and kResolverless, which changes how
-  /// records *arrive*, not how lookups travel) keeps the classic UDP
-  /// path above — byte-identical to builds without the knob. kDoT/kDoH
+  /// records *arrive*, not how lookups travel) keeps classic UDP/53,
+  /// retried over TCP when the answer comes back truncated (RFC 1035
+  /// §4.2.2) — byte-identical to builds without the knob. kDoT/kDoH
   /// move every query onto one padded, connection-reused encrypted
   /// channel per resolver (netsim/transport.hpp).
   netsim::Transport transport = netsim::Transport::kDo53;
@@ -132,9 +127,6 @@ class StubResolver {
   /// summed over every resolver channel (0 on cleartext transports).
   [[nodiscard]] std::uint64_t secure_handshakes() const;
   [[nodiscard]] std::uint64_t secure_reuses() const;
-
-  /// Force-expire the device cache (used by tests).
-  void flush_cache() { cache_.clear(); }
 
   [[nodiscard]] const dns::DnsCache& cache() const { return cache_; }
   [[nodiscard]] std::uint64_t queries_sent() const { return queries_sent_; }

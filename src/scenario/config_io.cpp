@@ -194,8 +194,6 @@ constexpr Knob kKnobs[] = {
                                                "scenario.ttl_violation_prob"),
     knob<parse_prob, &Cfg::dead_ntp_frac>("dead_ntp_frac", "scenario.dead_ntp_frac"),
     knob<parse_prob, &Cfg::p2p_house_frac>("p2p_house_frac", "scenario.p2p_house_frac"),
-    knob<parse_prob, &Cfg::encrypted_dns_device_frac>("encrypted_dns_device_frac",
-                                                      "scenario.encrypted_dns_device_frac"),
     knob<parse_prob, &Cfg::whole_house_cache_frac>("whole_house_cache_frac",
                                                    "scenario.whole_house_cache_frac"),
     knob<parse_faults, &Cfg::faults>("faults", "faults.plan", kIfChanged | kQuoted),
@@ -293,6 +291,21 @@ void set(const Knob& knob, ScenarioConfig& cfg, std::string_view value,
   return nullptr;
 }
 
+/// A retired key: it sent cleartext DNS to port 853. Every snapshot
+/// saved while it existed wrote it as 0, so 0 still loads and does
+/// nothing; any other value is refused.
+constexpr std::string_view kRetiredEncryptedFrac = "encrypted_dns_device_frac";
+
+void check_retired_encrypted_frac(std::string_view value, const std::string& where) {
+  double v = 1.0;
+  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
+  if (ec != std::errc{} || ptr != value.data() + value.size() || v != 0.0) {
+    throw std::runtime_error{where +
+                             " is retired and loads only as 0 (encrypted DNS is now "
+                             "transport = dot)"};
+  }
+}
+
 }  // namespace
 
 const Knob* find_pack_knob(std::string_view section_key) {
@@ -371,14 +384,19 @@ ScenarioConfig load_config(std::istream& is, const std::string& source) {
           strfmt("%s line %zu: expected key = value", source.c_str(), line_no)};
     }
     const std::string key{trim(stripped.substr(0, eq))};
+    const std::string_view value = trim(stripped.substr(eq + 1));
+    const std::string where = strfmt("%s line %zu: key '%s'", source.c_str(), line_no,
+                                     key.c_str());
+    if (key == kRetiredEncryptedFrac) {
+      check_retired_encrypted_frac(value, where);
+      continue;
+    }
     const Knob* knob = find_knob(key);
     if (knob == nullptr) {
       throw std::runtime_error{
           strfmt("%s line %zu: unknown key '%s'", source.c_str(), line_no, key.c_str())};
     }
-    const std::string where = strfmt("%s line %zu: key '%s'", source.c_str(), line_no,
-                                     key.c_str());
-    set(*knob, cfg, trim(stripped.substr(eq + 1)), where);
+    set(*knob, cfg, value, where);
     checks.note(*knob, where);
   }
   checks.run(cfg);

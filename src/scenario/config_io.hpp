@@ -81,7 +81,9 @@ void save_config_file(const std::string& path, const ScenarioConfig& cfg);
 /// failed end-of-file checks throw std::runtime_error naming `source`,
 /// the line number and the key. Out-of-range numbers ("1e999"),
 /// non-finite doubles ("inf", "nan") and trailing garbage are rejected,
-/// never clamped. Keys not present keep their defaults.
+/// never clamped. Keys not present keep their defaults. A retired key
+/// that old snapshots carry loads at its no-op value and is refused at
+/// any other.
 [[nodiscard]] ScenarioConfig load_config(std::istream& is,
                                          const std::string& source = "config");
 [[nodiscard]] ScenarioConfig load_config_file(const std::string& path);

@@ -434,9 +434,9 @@ void Town::build_house(Shard& shard, std::size_t index, const std::string& profi
     const bool can_encrypt = plan.kind == DeviceKind::kComputer ||
                              plan.kind == DeviceKind::kAndroid ||
                              plan.kind == DeviceKind::kAppleMobile;
-    if (can_encrypt && house_rng.bernoulli(cfg_.encrypted_dns_device_frac)) {
-      stub_cfg.dns_port = 853;
-    }
+    // A retired adoption knob drew here; the discarded draw keeps every
+    // later draw, and so every output, where it was.
+    if (can_encrypt) house_rng();
     // Transport scenario: capable devices move to the encrypted channel.
     // Structural (keyed on the device plan, no RNG draw), so the kDo53
     // stream is untouched. Resolverless keeps Do53 lookups — it changes

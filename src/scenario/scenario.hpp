@@ -61,10 +61,6 @@ struct ScenarioConfig {
   /// Local hour at simulation start (short runs should begin in the
   /// afternoon so they see representative diurnal activity).
   int start_hour = 15;
-  /// Fraction of computers/phones resolving over an encrypted transport
-  /// (port 853). 0 matches the paper's Feb 2019 dataset; raising it
-  /// shows how the passive methodology degrades (§3, §5.1).
-  double encrypted_dns_device_frac = 0.0;
   /// Fraction of houses whose router runs a live caching DNS forwarder
   /// (the §8 what-if, deployed rather than trace-simulated).
   double whole_house_cache_frac = 0.0;

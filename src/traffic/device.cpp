@@ -102,7 +102,7 @@ void Device::send_udp(Ipv4Addr dst, std::uint16_t dst_port, std::uint16_t src_po
 
 void Device::receive(const netsim::Packet& p) {
   if (p.proto == Proto::kUdp) {
-    if (p.src_port == 53 || p.src_port == 853) stub_.on_response(p);
+    if (p.src_port == 53) stub_.on_response(p);
     return;  // other inbound UDP (P2P/stream payloads) needs no client action
   }
   if (p.src_port == 53) {  // DNS truncation fallback runs over TCP

@@ -28,7 +28,7 @@ TEST(ConfigIo, RoundTripPreservesEveryKnob) {
   cfg.ttl_violation_prob = 0.33;
   cfg.dead_ntp_frac = 0.1;
   cfg.p2p_house_frac = 0.42;
-  cfg.encrypted_dns_device_frac = 0.25;
+  cfg.transport = netsim::Transport::kDoT;
   cfg.whole_house_cache_frac = 0.6;
   cfg.mix.isp_only = 0.2;
   cfg.mix.cloudflare = 0.07;
@@ -52,7 +52,7 @@ TEST(ConfigIo, RoundTripPreservesEveryKnob) {
   EXPECT_DOUBLE_EQ(back.ttl_violation_prob, cfg.ttl_violation_prob);
   EXPECT_DOUBLE_EQ(back.dead_ntp_frac, cfg.dead_ntp_frac);
   EXPECT_DOUBLE_EQ(back.p2p_house_frac, cfg.p2p_house_frac);
-  EXPECT_DOUBLE_EQ(back.encrypted_dns_device_frac, cfg.encrypted_dns_device_frac);
+  EXPECT_EQ(back.transport, cfg.transport);
   EXPECT_DOUBLE_EQ(back.whole_house_cache_frac, cfg.whole_house_cache_frac);
   EXPECT_DOUBLE_EQ(back.mix.isp_only, cfg.mix.isp_only);
   EXPECT_DOUBLE_EQ(back.mix.cloudflare, cfg.mix.cloudflare);
@@ -185,8 +185,7 @@ TEST(ConfigIo, SnapshotsAreExact) {
             "# dnsctx scenario configuration\n"
             "seed = 42\nhouses = 40\nduration_hours = 8\nstart_hour = 15\nshards = 1\n"
             "threads = 1\nactivity_scale = 1\nttl_violation_prob = 0.2\n"
-            "dead_ntp_frac = 0.35\np2p_house_frac = 0.24\n"
-            "encrypted_dns_device_frac = 0\nwhole_house_cache_frac = 0\n"
+            "dead_ntp_frac = 0.35\np2p_house_frac = 0.24\nwhole_house_cache_frac = 0\n"
             "mix.isp_only = 0.12\nmix.cloudflare = 0.045\nmix.no_isp = 0.05\n"
             "mix.opendns_in_mixed = 0.38\nzones.web_sites = 600\nzones.cdn_domains = 50\n"
             "zones.ad_domains = 90\nzones.tracker_domains = 60\nzones.api_domains = 120\n"
@@ -201,8 +200,8 @@ TEST(ConfigIo, SnapshotsAreExact) {
     auto& t = c.tuning;
     std::vector<double*> out = {
         &c.activity_scale,       &c.ttl_violation_prob,   &c.dead_ntp_frac,
-        &c.p2p_house_frac,       &c.encrypted_dns_device_frac, &c.whole_house_cache_frac,
-        &c.mix.isp_only,         &c.mix.cloudflare,       &c.mix.no_isp,
+        &c.p2p_house_frac,       &c.whole_house_cache_frac, &c.mix.isp_only,
+        &c.mix.cloudflare,       &c.mix.no_isp,
         &c.mix.opendns_in_mixed, &c.zones.zipf_exponent,  &t.android_extra_prob,
         &t.apple_prob,           &t.apple_prob_light,     &t.tv_prob,
         &t.tv_prob_light,        &t.alarm_prob,           &t.browser_session_scale,
@@ -232,6 +231,36 @@ TEST(ConfigIo, SnapshotsAreExact) {
   }
 }
 
+TEST(ConfigIo, RetiredEncryptedFracLoadsOnlyAsZero) {
+  // The default snapshot as saved before the cleartext-853 adoption key
+  // was retired: every snapshot of that time carries the key, at 0.
+  std::stringstream old{
+      "# dnsctx scenario configuration\n"
+      "seed = 42\nhouses = 40\nduration_hours = 8\nstart_hour = 15\nshards = 1\n"
+      "threads = 1\nactivity_scale = 1\nttl_violation_prob = 0.2\n"
+      "dead_ntp_frac = 0.35\np2p_house_frac = 0.24\n"
+      "encrypted_dns_device_frac = 0\nwhole_house_cache_frac = 0\n"
+      "mix.isp_only = 0.12\nmix.cloudflare = 0.045\nmix.no_isp = 0.05\n"
+      "mix.opendns_in_mixed = 0.38\nzones.web_sites = 600\nzones.cdn_domains = 50\n"
+      "zones.ad_domains = 90\nzones.tracker_domains = 60\nzones.api_domains = 120\n"
+      "zones.video_sites = 25\nzones.other_names = 150\nzones.zipf_exponent = 0.95\n"
+      "zones.edges_per_cdn = 4\nzones.hosting_pool_ips = 200\n"};
+  std::stringstream loaded, defaults;
+  save_config(loaded, load_config(old, "old.conf"));
+  save_config(defaults, ScenarioConfig{});
+  EXPECT_EQ(loaded.str(), defaults.str());
+
+  std::stringstream adopted{"houses = 4\nencrypted_dns_device_frac = 0.7\n"};
+  try {
+    (void)load_config(adopted, "old.conf");
+    FAIL() << "a nonzero retired fraction was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "old.conf line 2: key 'encrypted_dns_device_frac' is retired and loads only "
+                 "as 0 (encrypted DNS is now transport = dot)");
+  }
+}
+
 TEST(ConfigIo, ShippedScenariosLoad) {
   const std::string dir = DNSCTX_SCENARIO_DIR;
   const ScenarioConfig paper = load_config_file(dir + "/paper_scale.conf");
@@ -241,7 +270,7 @@ TEST(ConfigIo, ShippedScenariosLoad) {
   const ScenarioConfig future = load_config_file(dir + "/encrypted_future.conf");
   EXPECT_EQ(future.houses, 40u);
   EXPECT_EQ(future.duration, SimDuration::hours(12));
-  EXPECT_DOUBLE_EQ(future.encrypted_dns_device_frac, 0.7);
+  EXPECT_EQ(future.transport, netsim::Transport::kDoT);
 }
 
 TEST(ConfigIo, FileRoundTrip) {

@@ -1,5 +1,5 @@
 // Integration tests for the scenario knobs that extend the paper:
-// encrypted DNS adoption, live whole-house forwarders, stratified
+// encrypted DNS transport, live whole-house forwarders, stratified
 // profile assignment, dual-stack lookups and junk probes.
 #include <gtest/gtest.h>
 
@@ -61,7 +61,7 @@ TEST(ScenarioKnobs, EncryptedDnsShrinksTheVisibleDnsLog) {
   Town plain{base_config(5)};
   plain.run();
   auto cfg = base_config(5);
-  cfg.encrypted_dns_device_frac = 0.8;
+  cfg.transport = netsim::Transport::kDoT;
   Town encrypted{cfg};
   encrypted.run();
   EXPECT_LT(encrypted.dataset().dns.size(), plain.dataset().dns.size() / 2);
@@ -74,7 +74,7 @@ TEST(ScenarioKnobs, EncryptedDnsShrinksTheVisibleDnsLog) {
 
 TEST(ScenarioKnobs, EncryptedDnsInflatesTheNClass) {
   auto cfg = base_config(5);
-  cfg.encrypted_dns_device_frac = 0.8;
+  cfg.transport = netsim::Transport::kDoT;
   Town town{cfg};
   town.run();
   const auto study = analysis::run_study(town.dataset());

@@ -2,6 +2,10 @@
 // through stub → NAT → platform and back.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "capture/monitor.hpp"
 #include "dns/codec.hpp"
 #include "resolver/recursive.hpp"
@@ -167,20 +171,59 @@ TEST_F(TcpFallbackTest, MonitorLogsBothTransactions) {
   EXPECT_EQ(without, 1u);
 }
 
-TEST_F(TcpFallbackTest, FallbackCanBeDisabled) {
-  auto cfg = stub_config();
-  cfg.tcp_fallback = false;
-  traffic::Device strict{sim, gateway, Ipv4Addr{192, 168, 1, 11}, cfg, 13};
+/// Every DNS message that crosses the tap, with its transport.
+struct DnsRecorder final : netsim::PacketTap {
+  std::vector<std::pair<Proto, dns::DnsMessage>> seen;
+  void observe(SimTime, const netsim::Packet& p) override {
+    if (const dns::DnsMessage* msg = p.dns.message()) seen.emplace_back(p.proto, *msg);
+  }
+};
+
+TEST_F(TcpFallbackTest, RetryRepeatsTheQueryAndDeliversTheWholePool) {
   const HostRecord* wide = find_wide_record(zones);
   ASSERT_NE(wide, nullptr);
+  DnsRecorder tap;
+  net.set_tap(&tap);
   ResolveResult result;
-  result.success = true;
-  strict.stub().resolve(wide->name, [&](const ResolveResult& r) { result = r; });
+  device.stub().resolve(wide->name, [&](const ResolveResult& r) { result = r; });
   sim.run_until(sim.now() + SimDuration::sec(2));
-  // The TC response carries no answers; without fallback that reads as
-  // an empty (failed) resolution.
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(strict.stub().tcp_fallbacks(), 0u);
+
+  // UDP query, truncated UDP response, TCP query, TCP response.
+  ASSERT_EQ(tap.seen.size(), 4u);
+  const auto& [udp_proto, udp_query] = tap.seen[0];
+  const auto& [tc_proto, tc_response] = tap.seen[1];
+  const auto& [tcp_proto, tcp_query] = tap.seen[2];
+  const auto& [full_proto, full_response] = tap.seen[3];
+  EXPECT_EQ(udp_proto, Proto::kUdp);
+  EXPECT_EQ(tc_proto, Proto::kUdp);
+  EXPECT_EQ(tcp_proto, Proto::kTcp);
+  EXPECT_EQ(full_proto, Proto::kTcp);
+  EXPECT_FALSE(udp_query.flags.qr);
+  EXPECT_EQ(udp_query.questions,
+            (std::vector<dns::Question>{{wide->name, dns::RrType::kA, dns::RrClass::kIn}}));
+
+  EXPECT_TRUE(tc_response.flags.qr);
+  EXPECT_TRUE(tc_response.flags.tc);
+  EXPECT_EQ(tc_response.id, udp_query.id);
+  EXPECT_TRUE(tc_response.answers.empty());
+  EXPECT_TRUE(tc_response.authorities.empty());
+  EXPECT_TRUE(tc_response.additionals.empty());
+
+  // The retry asks the same question under the same id.
+  EXPECT_FALSE(tcp_query.flags.qr);
+  EXPECT_EQ(tcp_query.id, udp_query.id);
+  EXPECT_EQ(tcp_query.questions, udp_query.questions);
+
+  EXPECT_TRUE(full_response.flags.qr);
+  EXPECT_FALSE(full_response.flags.tc);
+  EXPECT_EQ(full_response.id, udp_query.id);
+
+  // Delivered: every address of the zone's pool, in the answer's order.
+  ASSERT_TRUE(result.success);
+  EXPECT_EQ(result.addrs, full_response.answer_addresses());
+  EXPECT_EQ(result.addrs.size(), wide->addrs.size());
+  EXPECT_TRUE(std::is_permutation(result.addrs.begin(), result.addrs.end(),
+                                  wide->addrs.begin(), wide->addrs.end()));
 }
 
 }  // namespace
