@@ -15,9 +15,10 @@
 // workers execute the shards: for a fixed `--shards` the records are the
 // same for every N, so it is the knob for shard-scaling curves.
 //
-// `--pack FILE` loads a scenario pack (examples/packs/) so the city runs
-// heterogeneous, non-web-centric load — the record key in the JSON line
-// carries the pack name, keeping default baselines distinct.
+// `--pack FILE` loads a scenario pack (examples/packs/, config keys with
+// a required `pack = NAME`) so the city runs heterogeneous,
+// non-web-centric load — the record key in the JSON line carries the
+// pack name ("default" without one), keeping default baselines distinct.
 //
 // `--max-rss-mib M` turns the bench into a pass/fail memory check: the
 // process exits nonzero if peak RSS exceeds M MiB (the CI perf-smoke job
@@ -39,7 +40,6 @@ struct CityScale {
   scenario::ScenarioConfig cfg;   ///< --pack, then the scale flags, via the knob table
   std::uint64_t max_rss_mib = 0;  ///< 0 = report only, no bound asserted
   std::string json_path;
-  std::string pack = "default";   ///< pack name for the JSON record key
 };
 
 CityScale parse_args(int argc, char** argv) {
@@ -49,9 +49,7 @@ CityScale parse_args(int argc, char** argv) {
   const CliArgs args = bench::parse_bench_args(
       argc, argv, {"houses", "hours", "seed", "shards", "threads", "pack", "max-rss-mib", "json"},
       {}, 0, [&s](const CliArgs& a) {
-        if (const auto pack = a.option("pack")) {
-          s.pack = scenario::apply_pack_file(*pack, &s.cfg).name;
-        }
+        if (const auto pack = a.option("pack")) scenario::apply_pack_file(*pack, &s.cfg);
         scenario::set_flag_knobs(s.cfg, a);
         const long long mib = a.int_option_or("max-rss-mib", 0);
         if (mib < 0) throw std::runtime_error{"--max-rss-mib must be >= 0"};
@@ -79,7 +77,7 @@ int main(int argc, char** argv) {
   std::printf("scenario: %zu houses, %d h of traffic, seed %llu, %zu shard(s) on %u "
               "thread(s), pack %s\n",
               cfg.houses, bench::hours_of(cfg), static_cast<unsigned long long>(cfg.seed),
-              cfg.shards, cfg.threads, scale.pack.c_str());
+              cfg.shards, cfg.threads, cfg.pack.c_str());
 
   CountingSink sink;
   const auto t0 = Clock::now();
@@ -126,7 +124,7 @@ int main(int argc, char** argv) {
         .integer("seed", cfg.seed)
         .integer("threads", cfg.threads)
         .integer("shards", cfg.shards)
-        .text("pack", scale.pack)
+        .text("pack", cfg.pack)
         .fixed("gen_sec", gen_sec, 3)
         .fixed("build_sec", build_sec, 3)
         .integer("conns", sink.conns)

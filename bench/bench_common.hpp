@@ -12,6 +12,9 @@
 //
 // Scenario values get their config-file rule (scenario/config_io.hpp);
 // an unknown flag, an extra argument or a bad value exits 2 naming it.
+// `--pack FILE` applies a scenario pack, a config file that sets
+// `pack = NAME` and no run-shape key, before the other flags; its name
+// keys the JSON record ("default" without one).
 // `--threads N` runs both the simulation shards and the analysis
 // map-reduce on N workers (0 = hardware concurrency); results are
 // identical for any N. It never changes the scenario: `--shards N`
@@ -45,7 +48,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/config_io.hpp"
-#include "scenario/pack.hpp"
 #include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 
@@ -68,7 +70,6 @@ struct BenchScale {
   std::string csv_dir;    ///< when non-empty, figure series are exported here
   std::string json_path;  ///< when non-empty, append a one-line JSON timing record
   std::string faults;     ///< --faults as given, for the JSON record ("" = none)
-  std::string pack = "default";  ///< pack name for the JSON record key
   bool metrics = false;   ///< enable the obs registry for this run (default off)
   std::string metrics_out;  ///< when non-empty, also write a scrape file on exit
 };
@@ -117,10 +118,9 @@ template <typename Apply>
   const CliArgs args = parse_bench_args(
       argc, argv, {"shards", "threads", "json", "faults", "transport", "pack", "metrics-out"},
       {"metrics"}, 4, [&s](const CliArgs& a) {
-        // The pack first, so the scale knobs always win over its contents.
-        if (const auto pack = a.option("pack")) {
-          s.pack = scenario::apply_pack_file(*pack, &s.cfg).name;
-        }
+        // The pack first. It may not set the scale knobs, and the
+        // --transport and --faults flags win over its contents.
+        if (const auto pack = a.option("pack")) scenario::apply_pack_file(*pack, &s.cfg);
         constexpr std::pair<const char*, std::string_view> kPositionals[] = {
             {"houses", "houses"}, {"hours", "duration_hours"}, {"seed", "seed"}};
         for (std::size_t i = 0; i < std::min<std::size_t>(3, a.positionals.size()); ++i) {
@@ -216,7 +216,7 @@ inline void append_json_record(const std::string& path, const char* bench_name,
       .integer("threads", s.cfg.threads)
       .integer("shards", s.cfg.shards)
       .text("faults", s.faults)
-      .text("pack", s.pack)
+      .text("pack", s.cfg.pack)
       .text("transport", netsim::to_string(s.cfg.transport))
       .integer("encflows", encflows)
       .fixed("enc_classify_sec", run.enc_classify_sec, 3)
@@ -250,7 +250,7 @@ inline void append_json_record(const std::string& path, const char* bench_name,
               "transport %s, pack %s (paper: ~100 houses, 7 days)\n",
               scale.cfg.houses, hours_of(scale.cfg),
               static_cast<unsigned long long>(scale.cfg.seed), scale.cfg.threads,
-              transport.c_str(), scale.pack.c_str());
+              transport.c_str(), scale.cfg.pack.c_str());
   BenchRun run;
   const auto t0 = Clock::now();
   run.town_ptr = std::make_unique<scenario::Town>(scale.cfg);

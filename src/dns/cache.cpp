@@ -316,21 +316,6 @@ void DnsCache::purge_expired(SimTime now) {
   }
 }
 
-void DnsCache::erase(const DomainName& qname, RrType qtype) {
-  const auto it = index_.find(key_of(qname.id(), qtype));
-  if (it == index_.end()) return;
-  remove_at(it->second);
-}
-
-void DnsCache::clear() {
-  index_.clear();
-  slab_.clear();
-  free_head_ = kNil;
-  lru_head_ = kNil;
-  lru_tail_ = kNil;
-  block_bytes_ = 0;
-}
-
 CacheBytes DnsCache::bytes() const {
   return CacheBytes{.entries = slab_.capacity() * sizeof(Entry),
                     .index = index_.memory_bytes(),

@@ -208,11 +208,6 @@ class DnsCache {
   /// Drop every entry whose servable lifetime has passed.
   void purge_expired(SimTime now);
 
-  /// Remove a single entry if present.
-  void erase(const DomainName& qname, RrType qtype);
-
-  void clear();
-
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }

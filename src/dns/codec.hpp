@@ -1,9 +1,12 @@
 // dnsctx — RFC 1035 §4.1 wire-format codec with §4.1.4 name compression.
 //
-// The passive monitor (src/capture) parses real wire bytes exactly like a
-// Bro/Zeek worker would, so the simulation's DNS path round-trips through
-// this codec. The decoder is written for untrusted input: every offset is
-// bounds-checked and compression-pointer chains are cycle-limited.
+// The simulation passes DnsMessage structures, not bytes (dns/lazy.hpp):
+// the passive monitor reads the message a Bro/Zeek worker would have
+// parsed. The codec sizes messages: DoT/DoH padding goes by the encoded
+// size, and truncate_for_udp decides classic UDP truncation. The decoder
+// serves tests and fuzzers, and is written for untrusted input: every
+// offset is bounds-checked and compression-pointer chains are
+// cycle-limited.
 #pragma once
 
 #include <cstdint>

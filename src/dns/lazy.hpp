@@ -1,24 +1,17 @@
-// dnsctx — lazily materialized DNS payload.
+// dnsctx — the shared DNS payload of a simulated packet.
 //
-// Packets used to carry eagerly encoded RFC 1035 wire bytes, which every
-// interested party (stub, forwarder, recursive platform, monitor tap)
-// then decoded again — one encode plus two-to-three decodes per DNS
-// message even though all parties live in the same process. DnsPayload
-// carries whichever representation the producer already had and
-// materializes the other on first demand:
+// Every simulated sender constructs from_message(), and every reader
+// (stub, forwarder, recursive platform, monitor tap) reads the same
+// DnsMessage through message(): it is shared by reference through NAT
+// and tap fan-out, and no hop encodes or decodes it. wire_size() runs
+// the codec to size the message (DoT/DoH padding, the monitor's
+// encrypted-flow byte counts) and keeps nothing.
 //
-//   * simulated senders construct from_message(); the structured form is
-//     shared by reference through NAT/tap fan-out and the wire bytes are
-//     only produced if something asks for them,
-//   * wire-origin payloads (tests, fuzzers, recorded traces) construct
-//     from_wire(); decode happens once, on the first message() call, and
-//     a malformed payload yields nullptr (the monitor's malformed_dns
-//     accounting) instead of throwing.
-//
-// Both conversions go through the real codec, whose encode/decode
-// round-trip is identity on every message this simulation produces, so
-// consumers observe byte-for-byte the same content either way (the
-// golden-output suite pins this).
+// The wire half has no caller outside tests and fuzzers: from_wire()
+// payloads decode once, on the first message() call, and a malformed
+// one yields nullptr (the monitor's malformed_dns count); wire()
+// materializes bytes. The codec's encode/decode round-trip is identity
+// on every message this simulation produces.
 //
 // Thread-safety: state is mutated behind const accessors (first-use
 // materialization) and shared via a NON-atomic refcount drawn from a

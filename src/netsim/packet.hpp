@@ -1,14 +1,14 @@
 // dnsctx — the packet record exchanged between simulated hosts.
 //
-// Packets are abstract transport events, not byte-accurate frames, with
-// one exception: DNS payloads round-trip through the real RFC 1035
-// codec (lazily — see dns/lazy.hpp) so the passive monitor consumes
-// them exactly as Bro/Zeek would parse the wire bytes.
+// Packets are abstract transport events, not byte-accurate frames. A
+// DNS payload is a shared DnsMessage (dns/lazy.hpp) that the passive
+// monitor reads as the message Bro/Zeek would have parsed from the wire;
+// the RFC 1035 codec only sizes it (wire_bytes(), encrypted padding).
 //
 // VANTAGE-POINT RULE: the `intent` field is simulation-internal routing
 // metadata (the client tells the generic server farm how to animate the
 // transfer). The passive monitor MUST NOT read it; monitors only consume
-// the observable header fields, payload sizes and DNS bytes.
+// the observable header fields, payload sizes and DNS messages.
 #pragma once
 
 #include <cstdint>

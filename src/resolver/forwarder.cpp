@@ -5,13 +5,8 @@
 namespace dnsctx::resolver {
 
 WholeHouseForwarder::WholeHouseForwarder(netsim::Simulator& sim, netsim::HouseGateway& gateway,
-                                         Ipv4Addr forwarder_ip, dns::CacheConfig cache_cfg,
-                                         std::uint64_t seed)
-    : sim_{sim},
-      gateway_{gateway},
-      forwarder_ip_{forwarder_ip},
-      cache_{cache_cfg},
-      rng_{seed} {
+                                         Ipv4Addr forwarder_ip, dns::CacheConfig cache_cfg)
+    : sim_{sim}, gateway_{gateway}, forwarder_ip_{forwarder_ip}, cache_{cache_cfg} {
   gateway_.attach_device(forwarder_ip_, this);
   gateway_.set_dns_intercept([this](const netsim::Packet& p) { return on_device_query(p); });
 }

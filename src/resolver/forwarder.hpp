@@ -24,7 +24,7 @@ class WholeHouseForwarder : public netsim::Host {
   /// Installs itself as `gateway`'s DNS intercept and attaches as an
   /// in-home pseudo-device at `forwarder_ip` for upstream responses.
   WholeHouseForwarder(netsim::Simulator& sim, netsim::HouseGateway& gateway,
-                      Ipv4Addr forwarder_ip, dns::CacheConfig cache_cfg, std::uint64_t seed);
+                      Ipv4Addr forwarder_ip, dns::CacheConfig cache_cfg);
 
   /// Upstream responses arrive here (via the gateway's NAT demux).
   void receive(const netsim::Packet& p) override;
@@ -44,7 +44,6 @@ class WholeHouseForwarder : public netsim::Host {
   netsim::HouseGateway& gateway_;
   Ipv4Addr forwarder_ip_;
   dns::DnsCache cache_;
-  Rng rng_;
 
   struct Relayed {
     netsim::Packet original_query;  ///< pre-NAT packet from the device

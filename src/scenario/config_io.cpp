@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
@@ -12,15 +13,16 @@
 
 namespace dnsctx::scenario {
 
-std::string_view trim(std::string_view s) {
+namespace {
+
+/// Leading/trailing blanks (and a trailing CR) of one line or value.
+[[nodiscard]] std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
   while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
     s.remove_suffix(1);
   }
   return s;
 }
-
-namespace {
 
 /// Strict numeric parse: the whole token must be consumed, values must
 /// be representable, and doubles must be finite (std::from_chars'
@@ -107,11 +109,33 @@ template <typename T>
 
 [[nodiscard]] bool parse_switch(std::string_view v) { return parse_number<int>(v) != 0; }
 
-[[nodiscard]] std::string parse_text(std::string_view v) { return std::string{v}; }
+/// A pack name: 1-64 chars of [A-Za-z0-9._-].
+[[nodiscard]] std::string parse_pack_name(std::string_view v) {
+  bool ok = !v.empty() && v.size() <= 64;
+  for (const char c : v) {
+    ok = ok && ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+                c == '.' || c == '_' || c == '-');
+  }
+  if (!ok) throw std::runtime_error{"pack name must be 1-64 chars of [A-Za-z0-9._-]"};
+  return std::string{v};
+}
 
-/// 24 comma-separated hour multipliers, checked as a diurnal table.
+/// A named diurnal table (residential, office, flat) or 24 comma-separated
+/// hour multipliers, checked as a diurnal table.
 [[nodiscard]] std::array<double, 24> parse_hours(std::string_view v) {
   std::array<double, 24> out{};
+  if (v == "residential") return traffic::kResidentialHours;
+  if (v == "office") return traffic::kOfficeHours;
+  if (v == "flat") {
+    out.fill(1.0);
+    return out;
+  }
+  if (v.find(',') == std::string_view::npos) {
+    throw std::runtime_error{
+        strfmt("unknown diurnal table '%.*s' (expected residential, office, flat, or 24 "
+               "comma-separated hour values)",
+               static_cast<int>(v.size()), v.data())};
+  }
   std::size_t idx = 0;
   while (true) {
     const auto comma = v.find(',');
@@ -152,24 +176,22 @@ template <typename T>
   return out;
 }
 
-enum KnobFlags : unsigned { kAlways = 0, kIfChanged = 1, kQuoted = 2 };
+enum KnobFlags : unsigned { kAlways = 0, kIfChanged = 1, kRunShape = 2 };
 
 /// A row for the field reached from ScenarioConfig by the member
 /// pointers `Path`, stored as `Parse(value)` and written by to_text.
 template <auto Parse, auto... Path>
-[[nodiscard]] constexpr Knob knob(std::string_view key, std::string_view pack_key = {},
-                                  unsigned flags = kAlways) {
-  return Knob{key, pack_key,
-              [](ScenarioConfig& c, std::string_view v) { (c .* ... .* Path) = Parse(v); },
+[[nodiscard]] constexpr Knob knob(std::string_view key, unsigned flags = kAlways) {
+  return Knob{key, [](ScenarioConfig& c, std::string_view v) { (c .* ... .* Path) = Parse(v); },
               [](const ScenarioConfig& c) { return to_text((c .* ... .* Path)); },
-              (flags & kIfChanged) == 0, (flags & kQuoted) != 0};
+              (flags & kIfChanged) == 0, (flags & kRunShape) != 0};
 }
 
 /// A TrafficTuning row: written only when changed, so snapshots of
 /// pre-pack configs keep their bytes.
 template <auto Parse, auto... Path>
-[[nodiscard]] constexpr Knob tuning_knob(std::string_view key, std::string_view pack_key) {
-  return knob<Parse, &ScenarioConfig::tuning, Path...>(key, pack_key, kIfChanged);
+[[nodiscard]] constexpr Knob tuning_knob(std::string_view key) {
+  return knob<Parse, &ScenarioConfig::tuning, Path...>(key, kIfChanged);
 }
 
 constexpr auto parse_count = parse_number<std::size_t>;
@@ -183,96 +205,66 @@ using Web = traffic::WebFanout;
 
 /// Every ScenarioConfig field, in save_config order.
 constexpr Knob kKnobs[] = {
-    knob<parse_number<std::uint64_t>, &Cfg::seed>("seed"),
-    knob<parse_count_min1, &Cfg::houses>("houses"),
-    knob<parse_duration_hours, &Cfg::duration>("duration_hours"),
-    knob<parse_hour_of_day, &Cfg::start_hour>("start_hour", "scenario.start_hour"),
-    knob<parse_count, &Cfg::shards>("shards"),
-    knob<parse_number<unsigned>, &Cfg::threads>("threads"),
-    knob<parse_positive, &Cfg::activity_scale>("activity_scale", "scenario.activity_scale"),
-    knob<parse_prob, &Cfg::ttl_violation_prob>("ttl_violation_prob",
-                                               "scenario.ttl_violation_prob"),
-    knob<parse_prob, &Cfg::dead_ntp_frac>("dead_ntp_frac", "scenario.dead_ntp_frac"),
-    knob<parse_prob, &Cfg::p2p_house_frac>("p2p_house_frac", "scenario.p2p_house_frac"),
-    knob<parse_prob, &Cfg::whole_house_cache_frac>("whole_house_cache_frac",
-                                                   "scenario.whole_house_cache_frac"),
-    knob<parse_faults, &Cfg::faults>("faults", "faults.plan", kIfChanged | kQuoted),
-    knob<parse_transport, &Cfg::transport>("transport", "transport.default",
-                                           kIfChanged | kQuoted),
-    knob<parse_switch, &Cfg::collect_truth>("collect_truth", {}, kIfChanged),
-    knob<parse_text, &Cfg::pack>("pack", {}, kIfChanged),
-    knob<parse_prob, &Cfg::mix, &Mix::isp_only>("mix.isp_only", "mix.isp_only"),
-    knob<parse_prob, &Cfg::mix, &Mix::cloudflare>("mix.cloudflare", "mix.cloudflare"),
-    knob<parse_prob, &Cfg::mix, &Mix::no_isp>("mix.no_isp", "mix.no_isp"),
-    knob<parse_prob, &Cfg::mix, &Mix::opendns_in_mixed>("mix.opendns_in_mixed",
-                                                        "mix.opendns_in_mixed"),
-    knob<parse_count_min1, &Cfg::zones, &Zones::web_sites>("zones.web_sites", "zones.web_sites"),
-    knob<parse_count_min1, &Cfg::zones, &Zones::cdn_domains>("zones.cdn_domains",
-                                                             "zones.cdn_domains"),
-    knob<parse_count, &Cfg::zones, &Zones::ad_domains>("zones.ad_domains", "zones.ad_domains"),
-    knob<parse_count, &Cfg::zones, &Zones::tracker_domains>("zones.tracker_domains",
-                                                            "zones.tracker_domains"),
-    knob<parse_count, &Cfg::zones, &Zones::api_domains>("zones.api_domains",
-                                                        "zones.api_domains"),
-    knob<parse_count_min1, &Cfg::zones, &Zones::video_sites>("zones.video_sites",
-                                                             "zones.video_sites"),
-    knob<parse_count, &Cfg::zones, &Zones::other_names>("zones.other_names",
-                                                        "zones.other_names"),
-    knob<parse_positive, &Cfg::zones, &Zones::zipf_exponent>("zones.zipf_exponent",
-                                                             "zones.zipf_exponent"),
-    knob<parse_count_min1, &Cfg::zones, &Zones::edges_per_cdn>("zones.edges_per_cdn",
-                                                               "zones.edges_per_cdn"),
-    knob<parse_count_min1, &Cfg::zones, &Zones::hosting_pool_ips>("zones.hosting_pool_ips",
-                                                                  "zones.hosting_pool_ips"),
-    tuning_knob<parse_count_min1, &Tun::computers_min>("tuning.computers_min",
-                                                       "devices.computers_min"),
-    tuning_knob<parse_count, &Tun::computers_max>("tuning.computers_max",
-                                                  "devices.computers_max"),
-    tuning_knob<parse_count_min1, &Tun::computers_light>("tuning.computers_light",
-                                                         "devices.computers_light"),
-    tuning_knob<parse_prob, &Tun::android_extra_prob>("tuning.android_extra_prob",
-                                                      "devices.android_extra_prob"),
-    tuning_knob<parse_prob, &Tun::apple_prob>("tuning.apple_prob", "devices.apple_prob"),
-    tuning_knob<parse_prob, &Tun::apple_prob_light>("tuning.apple_prob_light",
-                                                    "devices.apple_prob_light"),
-    tuning_knob<parse_prob, &Tun::tv_prob>("tuning.tv_prob", "devices.tv_prob"),
-    tuning_knob<parse_prob, &Tun::tv_prob_light>("tuning.tv_prob_light",
-                                                 "devices.tv_prob_light"),
-    tuning_knob<parse_count, &Tun::iot_min>("tuning.iot_min", "devices.iot_min"),
-    tuning_knob<parse_count, &Tun::iot_max>("tuning.iot_max", "devices.iot_max"),
-    tuning_knob<parse_prob, &Tun::alarm_prob>("tuning.alarm_prob", "devices.alarm_prob"),
-    tuning_knob<parse_positive, &Tun::browser_session_scale>("tuning.browser_session_scale",
-                                                             "apps.browser_session_scale"),
-    tuning_knob<parse_positive, &Tun::video_session_scale>("tuning.video_session_scale",
-                                                           "apps.video_session_scale"),
-    tuning_knob<parse_positive, &Tun::background_poll_scale>("tuning.background_poll_scale",
-                                                             "apps.background_poll_scale"),
-    tuning_knob<parse_positive, &Tun::pages_per_session_scale>(
-        "tuning.pages_per_session_scale", "apps.pages_per_session_scale"),
-    tuning_knob<parse_positive, &Tun::conncheck_scale>("tuning.conncheck_scale",
-                                                       "apps.conncheck_scale"),
-    tuning_knob<parse_prob, &Tun::prefetch_prob>("tuning.prefetch_prob", "apps.prefetch_prob"),
-    tuning_knob<parse_prob, &Tun::household_site_prob>("tuning.household_site_prob",
-                                                       "apps.household_site_prob"),
-    tuning_knob<parse_prob, &Tun::junk_probe_prob>("tuning.junk_probe_prob",
-                                                   "apps.junk_probe_prob"),
-    tuning_knob<parse_non_negative, &Tun::junk_queries_per_hour>(
-        "tuning.junk_queries_per_hour", "apps.junk_queries_per_hour"),
-    tuning_knob<parse_count, &Tun::web, &Web::cdn_min>("tuning.web_cdn_min", "web.cdn_min"),
-    tuning_knob<parse_count, &Tun::web, &Web::cdn_max>("tuning.web_cdn_max", "web.cdn_max"),
-    tuning_knob<parse_count, &Tun::web, &Web::ad_min>("tuning.web_ad_min", "web.ad_min"),
-    tuning_knob<parse_count, &Tun::web, &Web::ad_max>("tuning.web_ad_max", "web.ad_max"),
-    tuning_knob<parse_count, &Tun::web, &Web::tracker_min>("tuning.web_tracker_min",
-                                                           "web.tracker_min"),
-    tuning_knob<parse_count, &Tun::web, &Web::tracker_max>("tuning.web_tracker_max",
-                                                           "web.tracker_max"),
-    tuning_knob<parse_count, &Tun::web, &Web::api_min>("tuning.web_api_min", "web.api_min"),
-    tuning_knob<parse_count, &Tun::web, &Web::api_max>("tuning.web_api_max", "web.api_max"),
-    tuning_knob<parse_count, &Tun::web, &Web::links_min>("tuning.web_links_min",
-                                                         "web.links_min"),
-    tuning_knob<parse_count, &Tun::web, &Web::links_max>("tuning.web_links_max",
-                                                         "web.links_max"),
-    tuning_knob<parse_hours, &Tun::diurnal_hours>("tuning.diurnal_hours", "diurnal.hours"),
+    knob<parse_number<std::uint64_t>, &Cfg::seed>("seed", kRunShape),
+    knob<parse_count_min1, &Cfg::houses>("houses", kRunShape),
+    knob<parse_duration_hours, &Cfg::duration>("duration_hours", kRunShape),
+    knob<parse_hour_of_day, &Cfg::start_hour>("start_hour"),
+    knob<parse_count, &Cfg::shards>("shards", kRunShape),
+    knob<parse_number<unsigned>, &Cfg::threads>("threads", kRunShape),
+    knob<parse_positive, &Cfg::activity_scale>("activity_scale"),
+    knob<parse_prob, &Cfg::ttl_violation_prob>("ttl_violation_prob"),
+    knob<parse_prob, &Cfg::dead_ntp_frac>("dead_ntp_frac"),
+    knob<parse_prob, &Cfg::p2p_house_frac>("p2p_house_frac"),
+    knob<parse_prob, &Cfg::whole_house_cache_frac>("whole_house_cache_frac"),
+    knob<parse_faults, &Cfg::faults>("faults", kIfChanged),
+    knob<parse_transport, &Cfg::transport>("transport", kIfChanged),
+    knob<parse_switch, &Cfg::collect_truth>("collect_truth", kIfChanged | kRunShape),
+    knob<parse_pack_name, &Cfg::pack>("pack", kIfChanged),
+    knob<parse_prob, &Cfg::mix, &Mix::isp_only>("mix.isp_only"),
+    knob<parse_prob, &Cfg::mix, &Mix::cloudflare>("mix.cloudflare"),
+    knob<parse_prob, &Cfg::mix, &Mix::no_isp>("mix.no_isp"),
+    knob<parse_prob, &Cfg::mix, &Mix::opendns_in_mixed>("mix.opendns_in_mixed"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::web_sites>("zones.web_sites"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::cdn_domains>("zones.cdn_domains"),
+    knob<parse_count, &Cfg::zones, &Zones::ad_domains>("zones.ad_domains"),
+    knob<parse_count, &Cfg::zones, &Zones::tracker_domains>("zones.tracker_domains"),
+    knob<parse_count, &Cfg::zones, &Zones::api_domains>("zones.api_domains"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::video_sites>("zones.video_sites"),
+    knob<parse_count, &Cfg::zones, &Zones::other_names>("zones.other_names"),
+    knob<parse_positive, &Cfg::zones, &Zones::zipf_exponent>("zones.zipf_exponent"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::edges_per_cdn>("zones.edges_per_cdn"),
+    knob<parse_count_min1, &Cfg::zones, &Zones::hosting_pool_ips>("zones.hosting_pool_ips"),
+    tuning_knob<parse_count_min1, &Tun::computers_min>("tuning.computers_min"),
+    tuning_knob<parse_count, &Tun::computers_max>("tuning.computers_max"),
+    tuning_knob<parse_count_min1, &Tun::computers_light>("tuning.computers_light"),
+    tuning_knob<parse_prob, &Tun::android_extra_prob>("tuning.android_extra_prob"),
+    tuning_knob<parse_prob, &Tun::apple_prob>("tuning.apple_prob"),
+    tuning_knob<parse_prob, &Tun::apple_prob_light>("tuning.apple_prob_light"),
+    tuning_knob<parse_prob, &Tun::tv_prob>("tuning.tv_prob"),
+    tuning_knob<parse_prob, &Tun::tv_prob_light>("tuning.tv_prob_light"),
+    tuning_knob<parse_count, &Tun::iot_min>("tuning.iot_min"),
+    tuning_knob<parse_count, &Tun::iot_max>("tuning.iot_max"),
+    tuning_knob<parse_prob, &Tun::alarm_prob>("tuning.alarm_prob"),
+    tuning_knob<parse_positive, &Tun::browser_session_scale>("tuning.browser_session_scale"),
+    tuning_knob<parse_positive, &Tun::video_session_scale>("tuning.video_session_scale"),
+    tuning_knob<parse_positive, &Tun::background_poll_scale>("tuning.background_poll_scale"),
+    tuning_knob<parse_positive, &Tun::pages_per_session_scale>("tuning.pages_per_session_scale"),
+    tuning_knob<parse_positive, &Tun::conncheck_scale>("tuning.conncheck_scale"),
+    tuning_knob<parse_prob, &Tun::prefetch_prob>("tuning.prefetch_prob"),
+    tuning_knob<parse_prob, &Tun::household_site_prob>("tuning.household_site_prob"),
+    tuning_knob<parse_prob, &Tun::junk_probe_prob>("tuning.junk_probe_prob"),
+    tuning_knob<parse_non_negative, &Tun::junk_queries_per_hour>("tuning.junk_queries_per_hour"),
+    tuning_knob<parse_count, &Tun::web, &Web::cdn_min>("tuning.web_cdn_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::cdn_max>("tuning.web_cdn_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::ad_min>("tuning.web_ad_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::ad_max>("tuning.web_ad_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::tracker_min>("tuning.web_tracker_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::tracker_max>("tuning.web_tracker_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::api_min>("tuning.web_api_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::api_max>("tuning.web_api_max"),
+    tuning_knob<parse_count, &Tun::web, &Web::links_min>("tuning.web_links_min"),
+    tuning_knob<parse_count, &Tun::web, &Web::links_max>("tuning.web_links_max"),
+    tuning_knob<parse_hours, &Tun::diurnal_hours>("tuning.diurnal_hours"),
 };
 
 void set(const Knob& knob, ScenarioConfig& cfg, std::string_view value,
@@ -282,13 +274,6 @@ void set(const Knob& knob, ScenarioConfig& cfg, std::string_view value,
   } catch (const std::exception& e) {
     throw std::runtime_error{where + ": " + e.what()};
   }
-}
-
-[[nodiscard]] const Knob* find_knob(std::string_view key) {
-  for (const Knob& k : kKnobs) {
-    if (k.key == key) return &k;
-  }
-  return nullptr;
 }
 
 /// A retired key: it sent cleartext DNS to port 853. Every snapshot
@@ -306,11 +291,93 @@ void check_retired_encrypted_frac(std::string_view value, const std::string& whe
   }
 }
 
+/// The mix and tuning checks (HouseProfileMix::validate,
+/// TrafficTuning::validate), each failure prefixed with the place that
+/// last set a key of its group.
+void check_groups(const ScenarioConfig& cfg, const std::string& mix_at,
+                  const std::string& tuning_at) {
+  const auto check = [](const std::string& at, const auto& part) {
+    try {
+      part.validate();
+    } catch (const std::exception& e) {
+      throw std::runtime_error{at + ": " + e.what()};
+    }
+  };
+  check(mix_at, cfg.mix);
+  check(tuning_at, cfg.tuning);
+}
+
+/// The config-key spelling of each section of the retired sectioned
+/// pack grammar, for the error that refuses its header line.
+constexpr std::pair<std::string_view, std::string_view> kSectionSpellings[] = {
+    {"[pack]", "pack = NAME, the description as a # comment"},
+    {"[scenario]", "KEY = VALUE"},
+    {"[mix]", "mix.KEY = VALUE"},
+    {"[zones]", "zones.KEY = VALUE"},
+    {"[devices]", "tuning.KEY = VALUE"},
+    {"[apps]", "tuning.KEY = VALUE"},
+    {"[web]", "tuning.web_KEY = VALUE"},
+    {"[diurnal]", "tuning.diurnal_hours = PROFILE or 24 hour values"},
+    {"[faults]", "faults = PLAN"},
+    {"[transport]", "transport = NAME"},
+};
+
+[[nodiscard]] std::string refuse_section(std::string_view line) {
+  for (const auto& [section, spelling] : kSectionSpellings) {
+    if (line == section) {
+      return strfmt("sections are not read; write %.*s keys as %.*s",
+                    static_cast<int>(section.size()), section.data(),
+                    static_cast<int>(spelling.size()), spelling.data());
+    }
+  }
+  return "sections are not read; write config keys, e.g. tuning.web_cdn_min = 3";
+}
+
+/// The one line loop behind config files and packs: `key = value` lines,
+/// `#` comment lines and blank lines, each value set through its knob
+/// row, the mix and tuning checks once the last line is in. A pack must
+/// set `pack` and may not set a run-shape key.
+void read_lines(std::istream& is, const std::string& source, bool is_pack,
+                ScenarioConfig& cfg) {
+  std::string mix_at = source;
+  std::string tuning_at = source;
+  bool named = false;
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(is, line)) {
+    ++line_no;
+    const std::string_view stripped = trim(line);
+    if (stripped.empty() || stripped.front() == '#') continue;
+    const std::string at = strfmt("%s line %zu", source.c_str(), line_no);
+    if (stripped.front() == '[') throw std::runtime_error{at + ": " + refuse_section(stripped)};
+    const auto eq = stripped.find('=');
+    if (eq == std::string_view::npos) throw std::runtime_error{at + ": expected key = value"};
+    const std::string key{trim(stripped.substr(0, eq))};
+    const std::string_view value = trim(stripped.substr(eq + 1));
+    const std::string where = at + ": key '" + key + "'";
+    if (key == kRetiredEncryptedFrac) {
+      check_retired_encrypted_frac(value, where);
+      continue;
+    }
+    const Knob* knob = find_knob(key);
+    if (knob == nullptr) throw std::runtime_error{at + ": unknown key '" + key + "'"};
+    if (is_pack && knob->run_shape) {
+      throw std::runtime_error{where + " is run shape, which a pack may not set"};
+    }
+    set(*knob, cfg, value, where);
+    if (key.starts_with("mix.")) mix_at = where;
+    if (key.starts_with("tuning.")) tuning_at = where;
+    named = named || key == "pack";
+  }
+  if (is_pack && !named) throw std::runtime_error{source + ": a pack must set pack = NAME"};
+  check_groups(cfg, mix_at, tuning_at);
+}
+
 }  // namespace
 
-const Knob* find_pack_knob(std::string_view section_key) {
+const Knob* find_knob(std::string_view key) {
   for (const Knob& k : kKnobs) {
-    if (!k.pack_key.empty() && k.pack_key == section_key) return &k;
+    if (k.key == key) return &k;
   }
   return nullptr;
 }
@@ -323,6 +390,7 @@ void set_knob(ScenarioConfig& cfg, std::string_view key, std::string_view value,
                                   key.data())};
   }
   set(*knob, cfg, value, where);
+  check_groups(cfg, where, where);
 }
 
 void set_flag_knobs(ScenarioConfig& cfg, const CliArgs& args) {
@@ -335,23 +403,6 @@ void set_flag_knobs(ScenarioConfig& cfg, const CliArgs& args) {
       set_knob(cfg, key, *value, std::string{"--"} + flag);
     }
   }
-}
-
-void EndOfFileChecks::note(const Knob& knob, const std::string& where) {
-  if (knob.key.starts_with("mix.")) mix_at_ = where;
-  if (knob.key.starts_with("tuning.")) tuning_at_ = where;
-}
-
-void EndOfFileChecks::run(const ScenarioConfig& cfg) const {
-  const auto check = [](const std::string& at, const auto& part) {
-    try {
-      part.validate();
-    } catch (const std::exception& e) {
-      throw std::runtime_error{at + ": " + e.what()};
-    }
-  };
-  check(mix_at_, cfg.mix);
-  check(tuning_at_, cfg.tuning);
 }
 
 void save_config(std::ostream& os, const ScenarioConfig& cfg) {
@@ -371,35 +422,7 @@ void save_config_file(const std::string& path, const ScenarioConfig& cfg) {
 
 ScenarioConfig load_config(std::istream& is, const std::string& source) {
   ScenarioConfig cfg;
-  EndOfFileChecks checks{source};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::string_view stripped = trim(line);
-    if (stripped.empty() || stripped.front() == '#') continue;
-    const auto eq = stripped.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::runtime_error{
-          strfmt("%s line %zu: expected key = value", source.c_str(), line_no)};
-    }
-    const std::string key{trim(stripped.substr(0, eq))};
-    const std::string_view value = trim(stripped.substr(eq + 1));
-    const std::string where = strfmt("%s line %zu: key '%s'", source.c_str(), line_no,
-                                     key.c_str());
-    if (key == kRetiredEncryptedFrac) {
-      check_retired_encrypted_frac(value, where);
-      continue;
-    }
-    const Knob* knob = find_knob(key);
-    if (knob == nullptr) {
-      throw std::runtime_error{
-          strfmt("%s line %zu: unknown key '%s'", source.c_str(), line_no, key.c_str())};
-    }
-    set(*knob, cfg, value, where);
-    checks.note(*knob, where);
-  }
-  checks.run(cfg);
+  read_lines(is, source, false, cfg);
   return cfg;
 }
 
@@ -407,6 +430,19 @@ ScenarioConfig load_config_file(const std::string& path) {
   std::ifstream is{path};
   if (!is) throw std::runtime_error{"load_config_file: cannot open " + path};
   return load_config(is, path);
+}
+
+std::string apply_pack(std::string_view text, const std::string& source, ScenarioConfig* cfg) {
+  std::istringstream is{std::string{text}};
+  read_lines(is, source, true, *cfg);
+  return cfg->pack;
+}
+
+std::string apply_pack_file(const std::string& path, ScenarioConfig* cfg) {
+  std::ifstream is{path};
+  if (!is) throw std::runtime_error{"pack: cannot open " + path};
+  read_lines(is, path, true, *cfg);
+  return cfg->pack;
 }
 
 }  // namespace dnsctx::scenario

@@ -318,8 +318,7 @@ void Town::build_house(Shard& shard, std::size_t index, const std::string& profi
       *shard.sim, *shard.net, house_ip, derive_seed(cfg_.seed, "gateway", index));
   if (house_rng.bernoulli(cfg_.whole_house_cache_frac)) {
     house->forwarder = std::make_unique<resolver::WholeHouseForwarder>(
-        *shard.sim, *house->gateway, Ipv4Addr{192, 168, 1, 253}, dns::CacheConfig{},
-        derive_seed(cfg_.seed, "forwarder", index));
+        *shard.sim, *house->gateway, Ipv4Addr{192, 168, 1, 253}, dns::CacheConfig{});
   }
 
   // ----- profile ----------------------------------------------------------

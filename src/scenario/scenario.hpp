@@ -93,7 +93,7 @@ struct ScenarioConfig {
   bool collect_truth = false;
   /// Query-composition tuning (device population, app rates, web fanout,
   /// junk rate, diurnal table). The default reproduces the classic
-  /// household mix byte for byte; scenario packs (pack.hpp) override it.
+  /// household mix byte for byte; scenario packs (config_io.hpp) override it.
   traffic::TrafficTuning tuning;
   /// Scenario-pack name for bench records and report labelling
   /// ("default" = no pack applied).

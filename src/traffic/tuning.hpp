@@ -4,8 +4,8 @@
 // existed, and the default-constructed struct is applied through
 // arithmetic identities (×1.0, ÷1.0, bounded() with identical bounds),
 // so a default TrafficTuning reproduces the classic household mix byte
-// for byte — the golden-output contract. Scenario packs
-// (src/scenario/pack.hpp) override these to model IoT-heavy homes,
+// for byte — the golden-output contract. Scenario packs (tuning.* keys,
+// src/scenario/config_io.hpp) override these to model IoT-heavy homes,
 // CDN-dominated streaming, junk/NXDOMAIN storms, or enterprise fanout.
 #pragma once
 
@@ -65,9 +65,9 @@ struct TrafficTuning {
 
   bool operator==(const TrafficTuning&) const = default;
 
-  /// Programmatic backstop behind the pack parser's per-line checks:
+  /// Programmatic backstop behind the knob table's per-line checks:
   /// a tuning assembled in code (tests, future callers) gets the same
-  /// rejection as one loaded from a malformed pack file.
+  /// rejection as one loaded from a malformed config or pack file.
   void validate() const {
     const auto range = [](std::size_t lo, std::size_t hi, const char* what) {
       if (lo > hi) {

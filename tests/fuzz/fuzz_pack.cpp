@@ -1,10 +1,10 @@
-// libFuzzer target for the two text front ends of the scenario knob
-// table: every input goes to the scenario-pack parser and to the
-// config-file parser. One contract for both: an input is either rejected
-// with a std::runtime_error naming the source — never a crash, never a
-// sanitizer fault — or accepted as a config that passes the scenario
-// layer's own checks (mix + tuning) and whose save_config snapshot is a
-// fixed point of save∘load.
+// libFuzzer target for the scenario knob table's one line loop: every
+// input is read as a scenario pack and as a config file. One contract
+// for both: an input is either rejected with a std::runtime_error naming
+// the source — never a crash, never a sanitizer fault — or accepted as a
+// config that passes the scenario layer's own checks (mix + tuning) and
+// whose save_config snapshot is a fixed point of save∘load. An accepted
+// pack also returns the name it set.
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "scenario/config_io.hpp"
-#include "scenario/pack.hpp"
 
 namespace {
 
@@ -53,8 +52,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const std::string text{reinterpret_cast<const char*>(data), size};
   check_front_end([&text] {
     scn::ScenarioConfig cfg;
-    const scn::PackInfo info = scn::apply_pack(text, "fuzz.pack", &cfg);
-    if (info.name.empty() || cfg.pack != info.name) std::abort();
+    const std::string name = scn::apply_pack(text, "fuzz.pack", &cfg);
+    if (name.empty() || cfg.pack != name) std::abort();
     return cfg;
   });
   check_front_end([&text] {

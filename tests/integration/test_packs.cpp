@@ -7,20 +7,26 @@
 //   2. The four shipped packs (examples/packs/) parse, run end to end,
 //      and actually shift query composition the way their names claim —
 //      junk_storm drives the NXDOMAIN fraction up by an order of
-//      magnitude, enterprise_fanout switches the transport default.
-//   3. The parser is as strict as the CLI flag layer: every malformed
-//      input is rejected with an error naming the source and line.
+//      magnitude, enterprise_fanout switches the transport default. Each
+//      reproduces the snapshot its sectioned form gave before packs were
+//      written in config keys.
+//   3. A pack is a config file read by the same line loop, with two
+//      rules of its own (it names itself; it leaves the run shape alone),
+//      and is as strict as the CLI flag layer: every malformed input is
+//      rejected with an error naming the source and line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capture/logio.hpp"
 #include "capture/records.hpp"
-#include "scenario/pack.hpp"
+#include "scenario/config_io.hpp"
 #include "scenario/scenario.hpp"
 #include "traffic/diurnal.hpp"
 #include "util/strings.hpp"
@@ -53,6 +59,12 @@ namespace {
   return os.str();
 }
 
+[[nodiscard]] std::string snapshot(const scenario::ScenarioConfig& cfg) {
+  std::ostringstream os;
+  scenario::save_config(os, cfg);
+  return os.str();
+}
+
 [[nodiscard]] double nxdomain_frac(const capture::Dataset& ds) {
   if (ds.dns.empty()) return 0.0;
   const auto nx = std::count_if(ds.dns.begin(), ds.dns.end(), [](const auto& d) {
@@ -75,10 +87,8 @@ TEST_P(PackGolden, DefaultsEquivalentPackIsByteIdentical) {
   base.shards = shards;
 
   scenario::ScenarioConfig packed = base;
-  const auto info = scenario::apply_pack(
-      "[pack]\nname = noop\ndescription = \"overrides nothing\"\n", "noop.pack",
-      &packed);
-  EXPECT_EQ(info.name, "noop");
+  EXPECT_EQ(scenario::apply_pack("# overrides nothing\npack = noop\n", "noop.pack", &packed),
+            "noop");
   EXPECT_EQ(packed.pack, "noop");
 
   const std::string a = render(simulate(base));
@@ -107,9 +117,7 @@ TEST(ShippedPacks, AllParseAndRunEndToEnd) {
     cfg.houses = 4;
     cfg.duration = SimDuration::hours(1);
     cfg.seed = 3;
-    const auto info = scenario::apply_pack_file(pack_path(name), &cfg);
-    EXPECT_EQ(info.name, name);
-    EXPECT_FALSE(info.description.empty()) << name;
+    EXPECT_EQ(scenario::apply_pack_file(pack_path(name), &cfg), name);
     EXPECT_EQ(cfg.pack, name);
     const auto ds = simulate(cfg);
     EXPECT_FALSE(ds.conns.empty()) << name << " produced no connections";
@@ -120,6 +128,172 @@ TEST(ShippedPacks, AllParseAndRunEndToEnd) {
       // carries encrypted resolver flows instead of a DNS log.
       EXPECT_FALSE(ds.encflows.empty()) << name << " produced no encrypted flows";
     }
+  }
+}
+
+TEST(ShippedPacks, MatchTheSnapshotsOfTheirSectionedForms) {
+  // save_config of each pack applied to a default ScenarioConfig, as
+  // written when the packs still had [sections] and their own key names.
+  const std::pair<std::string, std::string> kSnapshots[] = {
+    {"iot_heavy", R"(# dnsctx scenario configuration
+seed = 42
+houses = 40
+duration_hours = 8
+start_hour = 15
+shards = 1
+threads = 1
+activity_scale = 1
+ttl_violation_prob = 0.2
+dead_ntp_frac = 0.35
+p2p_house_frac = 0.24
+whole_house_cache_frac = 0
+pack = iot_heavy
+mix.isp_only = 0.12
+mix.cloudflare = 0.045
+mix.no_isp = 0.05
+mix.opendns_in_mixed = 0.38
+zones.web_sites = 600
+zones.cdn_domains = 50
+zones.ad_domains = 90
+zones.tracker_domains = 60
+zones.api_domains = 120
+zones.video_sites = 25
+zones.other_names = 150
+zones.zipf_exponent = 0.95
+zones.edges_per_cdn = 4
+zones.hosting_pool_ips = 200
+tuning.computers_max = 1
+tuning.apple_prob = 0.3
+tuning.tv_prob = 0.35
+tuning.tv_prob_light = 0.25
+tuning.iot_min = 3
+tuning.iot_max = 8
+tuning.alarm_prob = 0.6
+tuning.browser_session_scale = 0.5
+tuning.background_poll_scale = 3
+tuning.conncheck_scale = 2
+tuning.diurnal_hours = 1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1
+)"},
+    {"mobile_streaming", R"(# dnsctx scenario configuration
+seed = 42
+houses = 40
+duration_hours = 8
+start_hour = 15
+shards = 1
+threads = 1
+activity_scale = 1
+ttl_violation_prob = 0.2
+dead_ntp_frac = 0.35
+p2p_house_frac = 0.24
+whole_house_cache_frac = 0
+pack = mobile_streaming
+mix.isp_only = 0.12
+mix.cloudflare = 0.045
+mix.no_isp = 0.05
+mix.opendns_in_mixed = 0.38
+zones.web_sites = 600
+zones.cdn_domains = 90
+zones.ad_domains = 90
+zones.tracker_domains = 60
+zones.api_domains = 120
+zones.video_sites = 60
+zones.other_names = 150
+zones.zipf_exponent = 0.95
+zones.edges_per_cdn = 8
+zones.hosting_pool_ips = 200
+tuning.android_extra_prob = 0.8
+tuning.apple_prob = 0.9
+tuning.apple_prob_light = 0.7
+tuning.tv_prob = 0.9
+tuning.tv_prob_light = 0.8
+tuning.video_session_scale = 2.5
+tuning.conncheck_scale = 2
+tuning.web_cdn_min = 4
+tuning.web_cdn_max = 8
+)"},
+    {"junk_storm", R"(# dnsctx scenario configuration
+seed = 42
+houses = 40
+duration_hours = 8
+start_hour = 15
+shards = 1
+threads = 1
+activity_scale = 1
+ttl_violation_prob = 0.2
+dead_ntp_frac = 0.3
+p2p_house_frac = 0.24
+whole_house_cache_frac = 0
+faults = nxdomain=0.02
+pack = junk_storm
+mix.isp_only = 0.12
+mix.cloudflare = 0.045
+mix.no_isp = 0.05
+mix.opendns_in_mixed = 0.38
+zones.web_sites = 600
+zones.cdn_domains = 50
+zones.ad_domains = 90
+zones.tracker_domains = 60
+zones.api_domains = 120
+zones.video_sites = 25
+zones.other_names = 150
+zones.zipf_exponent = 0.95
+zones.edges_per_cdn = 4
+zones.hosting_pool_ips = 200
+tuning.junk_probe_prob = 0.9
+tuning.junk_queries_per_hour = 180
+)"},
+    {"enterprise_fanout", R"(# dnsctx scenario configuration
+seed = 42
+houses = 40
+duration_hours = 8
+start_hour = 15
+shards = 1
+threads = 1
+activity_scale = 1
+ttl_violation_prob = 0.2
+dead_ntp_frac = 0.35
+p2p_house_frac = 0.24
+whole_house_cache_frac = 0
+transport = dot
+pack = enterprise_fanout
+mix.isp_only = 0.7
+mix.cloudflare = 0.2
+mix.no_isp = 0.05
+mix.opendns_in_mixed = 0.38
+zones.web_sites = 900
+zones.cdn_domains = 50
+zones.ad_domains = 90
+zones.tracker_domains = 60
+zones.api_domains = 300
+zones.video_sites = 25
+zones.other_names = 150
+zones.zipf_exponent = 0.95
+zones.edges_per_cdn = 4
+zones.hosting_pool_ips = 400
+tuning.computers_min = 2
+tuning.computers_max = 5
+tuning.computers_light = 2
+tuning.apple_prob = 0.6
+tuning.tv_prob = 0.05
+tuning.tv_prob_light = 0
+tuning.iot_max = 0
+tuning.alarm_prob = 0.05
+tuning.pages_per_session_scale = 1.5
+tuning.prefetch_prob = 0.95
+tuning.household_site_prob = 0.1
+tuning.web_cdn_min = 3
+tuning.web_cdn_max = 7
+tuning.web_api_min = 2
+tuning.web_api_max = 6
+tuning.web_links_min = 8
+tuning.web_links_max = 18
+tuning.diurnal_hours = 0.1,0.1,0.1,0.1,0.15,0.25,0.5,0.9,1.4,1.7,1.8,1.7,1.5,1.6,1.7,1.6,1.4,1,0.6,0.4,0.3,0.2,0.15,0.1
+)"},
+  };
+  for (const auto& [name, expected] : kSnapshots) {
+    scenario::ScenarioConfig cfg;
+    (void)scenario::apply_pack_file(pack_path(name), &cfg);
+    EXPECT_EQ(snapshot(cfg), expected) << name;
   }
 }
 
@@ -182,12 +356,11 @@ TEST(ShippedPacks, JunkStormCarriesAFaultPlanDefault) {
   EXPECT_DOUBLE_EQ(cfg.dead_ntp_frac, 0.3);
 }
 
-// --- contract 3: strict rejection with source + line ----------------------
+// --- contract 3: one grammar, strict rejection with source + line --------
 
-/// Applies `text` and asserts the thrown message contains every needle —
-/// in particular the synthetic source name and a "line N" locator.
-void expect_reject(const std::string& text,
-                   const std::vector<std::string>& needles) {
+/// Applies `text` as a pack and asserts the thrown message contains every
+/// needle — in particular the synthetic source name and a "line N" locator.
+void expect_reject(const std::string& text, const std::vector<std::string>& needles) {
   scenario::ScenarioConfig cfg;
   try {
     scenario::apply_pack(text, "bad.pack", &cfg);
@@ -202,63 +375,126 @@ void expect_reject(const std::string& text,
 }
 
 TEST(PackParser, RejectsStructuralErrors) {
-  expect_reject("[pack\nname = x\n", {"bad.pack line 1", "malformed section"});
-  expect_reject("[nope]\n", {"bad.pack line 1", "unknown section '[nope]'"});
-  expect_reject("name = x\n", {"bad.pack line 1", "before any [section]"});
-  expect_reject("[pack]\nname = x\njust some words\n",
-                {"bad.pack line 3", "expected key = value"});
-  expect_reject("[pack]\nname = x\n[apps]\nbogus_knob = 1\n",
-                {"bad.pack line 4", "unknown key 'bogus_knob'", "[apps]"});
-  expect_reject("[apps]\nprefetch_prob = 0.5\n",
-                {"bad.pack", "missing required [pack] name"});
-  expect_reject("[pack]\nname = \"unterminated\n",
-                {"bad.pack line 2", "key 'name'", "unterminated"});
-  expect_reject("[pack]\nname = bad/name\n", {"bad.pack line 2", "[A-Za-z0-9._-]"});
+  // The retired sectioned grammar: refused, with the config-key spelling.
+  expect_reject("[pack]\nname = x\n", {"bad.pack line 1", "sections are not read", "pack = NAME"});
+  expect_reject("pack = x\n\n[web]\ncdn_min = 3\n",
+                {"bad.pack line 3", "[web]", "tuning.web_KEY"});
+  expect_reject("pack = x\n[diurnal]\nprofile = flat\n",
+                {"bad.pack line 2", "tuning.diurnal_hours"});
+  expect_reject("[nope]\n", {"bad.pack line 1", "sections are not read", "config keys"});
+  // `;` comments went with the sections.
+  expect_reject("; alt comment\npack = x\n", {"bad.pack line 1", "expected key = value"});
+  expect_reject("pack = x\njust some words\n", {"bad.pack line 2", "expected key = value"});
+  expect_reject("pack = x\ntuning.bogus_knob = 1\n",
+                {"bad.pack line 2", "unknown key 'tuning.bogus_knob'"});
+  // A pack's own key names are gone too: `name` is `pack`.
+  expect_reject("name = x\n", {"bad.pack line 1", "unknown key 'name'"});
+}
+
+TEST(PackParser, RequiresAValidName) {
+  expect_reject("tuning.prefetch_prob = 0.5\n", {"bad.pack", "a pack must set pack = NAME"});
+  expect_reject("# only a comment\n", {"bad.pack", "a pack must set pack = NAME"});
+  for (const std::string bad : {"bad/name", "\"quoted\"", "has space", ""}) {
+    expect_reject("pack = " + bad + "\n", {"bad.pack line 1", "key 'pack'", "[A-Za-z0-9._-]"});
+  }
+  expect_reject("pack = " + std::string(65, 'a') + "\n", {"bad.pack line 1", "1-64 chars"});
+  scenario::ScenarioConfig cfg;
+  EXPECT_EQ(scenario::apply_pack("pack = " + std::string(64, 'a') + "\n", "ok.pack", &cfg),
+            std::string(64, 'a'));
+  // The rule is the knob's, so a config file gets it too.
+  std::istringstream conf{"houses = 2\npack = bad/name\n"};
+  EXPECT_THROW((void)scenario::load_config(conf, "bad.conf"), std::runtime_error);
+}
+
+TEST(PackParser, RefusesRunShapeKeys) {
+  for (const char* key :
+       {"seed", "houses", "duration_hours", "shards", "threads", "collect_truth"}) {
+    expect_reject(strfmt("pack = x\n%s = 1\n", key),
+                  {"bad.pack line 2", strfmt("key '%s'", key), "run shape"});
+    // A config file sets the same keys.
+    std::istringstream conf{strfmt("%s = 1\n", key)};
+    EXPECT_NO_THROW((void)scenario::load_config(conf)) << key;
+  }
+  // A pack applied over a config leaves its run shape alone.
+  scenario::ScenarioConfig cfg;
+  cfg.houses = 3;
+  cfg.seed = 9;
+  scenario::apply_pack("pack = x\nstart_hour = 4\n", "ok.pack", &cfg);
+  EXPECT_EQ(cfg.houses, 3u);
+  EXPECT_EQ(cfg.seed, 9u);
+  EXPECT_EQ(cfg.start_hour, 4);
 }
 
 TEST(PackParser, RejectsMalformedNumbersWithLocation) {
-  const std::string head = "[pack]\nname = x\n[apps]\n";
-  expect_reject(head + "conncheck_scale = 1.5x\n",
-                {"bad.pack line 4", "key 'conncheck_scale'", "bad number '1.5x'"});
-  expect_reject(head + "conncheck_scale = 1e999\n",
-                {"bad.pack line 4", "out of range"});
-  expect_reject(head + "conncheck_scale = inf\n", {"bad.pack line 4", "finite"});
-  expect_reject(head + "junk_queries_per_hour = nan\n",
-                {"bad.pack line 4", "finite"});
-  expect_reject(head + "prefetch_prob = 1.2\n",
-                {"bad.pack line 4", "must be in [0, 1]"});
-  expect_reject(head + "background_poll_scale = 0\n",
-                {"bad.pack line 4", "must be > 0"});
-  expect_reject(head + "junk_queries_per_hour = -3\n",
-                {"bad.pack line 4", "must be >= 0"});
-  expect_reject("[pack]\nname = x\n[zones]\nweb_sites = 0\n",
-                {"bad.pack line 4", "must be >= 1"});
-  expect_reject("[pack]\nname = x\n[scenario]\nstart_hour = 24\n",
-                {"bad.pack line 4", "start_hour must be in [0, 23]"});
+  const std::string head = "pack = x\n";
+  expect_reject(head + "tuning.conncheck_scale = 1.5x\n",
+                {"bad.pack line 2", "key 'tuning.conncheck_scale'", "bad number '1.5x'"});
+  expect_reject(head + "tuning.conncheck_scale = 1e999\n", {"bad.pack line 2", "out of range"});
+  expect_reject(head + "tuning.conncheck_scale = inf\n", {"bad.pack line 2", "finite"});
+  expect_reject(head + "tuning.junk_queries_per_hour = nan\n", {"bad.pack line 2", "finite"});
+  expect_reject(head + "tuning.prefetch_prob = 1.2\n", {"bad.pack line 2", "must be in [0, 1]"});
+  expect_reject(head + "tuning.background_poll_scale = 0\n",
+                {"bad.pack line 2", "must be > 0"});
+  expect_reject(head + "tuning.junk_queries_per_hour = -3\n",
+                {"bad.pack line 2", "must be >= 0"});
+  expect_reject(head + "zones.web_sites = 0\n", {"bad.pack line 2", "must be >= 1"});
+  expect_reject(head + "start_hour = 24\n",
+                {"bad.pack line 2", "start_hour must be in [0, 23]"});
 }
 
 TEST(PackParser, RejectsBadEnumsAndTables) {
-  const std::string head = "[pack]\nname = x\n";
-  expect_reject(head + "[diurnal]\nprofile = weekend\n",
-                {"bad.pack line 4", "unknown diurnal profile 'weekend'"});
-  expect_reject(head + "[diurnal]\nhours = 1,2,3\n",
-                {"bad.pack line 4", "exactly 24 hour values"});
-  expect_reject(head + "[transport]\ndefault = carrier-pigeon\n",
-                {"bad.pack line 4", "unknown transport"});
-  expect_reject(head + "[faults]\nplan = \"loss=2.0\"\n",
-                {"bad.pack line 4", "key 'plan'"});
+  const std::string head = "pack = x\n";
+  expect_reject(head + "tuning.diurnal_hours = weekend\n",
+                {"bad.pack line 2", "unknown diurnal table 'weekend'"});
+  expect_reject(head + "tuning.diurnal_hours = 1,2,3\n",
+                {"bad.pack line 2", "exactly 24 hour values"});
+  expect_reject(head + "transport = carrier-pigeon\n", {"bad.pack line 2", "unknown transport"});
+  expect_reject(head + "faults = loss=2.0\n", {"bad.pack line 2", "key 'faults'"});
+  // Values are not quoted any more.
+  expect_reject(head + "faults = \"loss=0.01\"\n", {"bad.pack line 2", "key 'faults'"});
+}
+
+TEST(PackParser, ReadsNamedAndExplicitDiurnalTables) {
+  std::array<double, 24> flat{};
+  flat.fill(1.0);
+  const std::pair<const char*, std::array<double, 24>> kTables[] = {
+      {"residential", traffic::kResidentialHours},
+      {"office", traffic::kOfficeHours},
+      {"flat", flat},
+      {"0.5,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,2",
+       {0.5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}},
+  };
+  for (const auto& [value, hours] : kTables) {
+    const std::string line = strfmt("tuning.diurnal_hours = %s\n", value);
+    scenario::ScenarioConfig packed;
+    scenario::apply_pack("pack = x\n" + line, "ok.pack", &packed);
+    EXPECT_EQ(packed.tuning.diurnal_hours, hours) << value;
+    std::istringstream conf{line};
+    const scenario::ScenarioConfig loaded = scenario::load_config(conf);
+    EXPECT_EQ(loaded.tuning.diurnal_hours, hours) << value;
+  }
+  // A snapshot writes the table as 24 numbers, and they read back.
+  std::istringstream office{"tuning.diurnal_hours = office\n"};
+  const std::string text = snapshot(scenario::load_config(office));
+  EXPECT_NE(text.find("tuning.diurnal_hours = 0.1,0.1,0.1,0.1,0.15,"), std::string::npos)
+      << text;
+  std::istringstream again{text};
+  EXPECT_EQ(scenario::load_config(again).tuning.diurnal_hours, traffic::kOfficeHours);
 }
 
 TEST(PackParser, RejectsCrossKeyViolationsAtEndOfFile) {
-  // Mix probabilities individually valid but jointly claiming > 100%.
-  expect_reject(
-      "[pack]\nname = x\n[mix]\nisp_only = 0.6\ncloudflare = 0.3\nno_isp = 0.2\n",
-      {"bad.pack", "remainder"});
+  // Mix probabilities individually valid but jointly claiming > 100%;
+  // the error names the last line that set a mix key.
+  expect_reject("pack = x\nmix.isp_only = 0.6\nmix.cloudflare = 0.3\nmix.no_isp = 0.2\n",
+                {"bad.pack line 4", "key 'mix.no_isp'", "remainder"});
   // Fanout min > max only detectable once both keys are read.
-  expect_reject("[pack]\nname = x\n[web]\ncdn_min = 9\ncdn_max = 2\n",
-                {"bad.pack"});
-  expect_reject("[pack]\nname = x\n[devices]\niot_min = 5\niot_max = 1\n",
-                {"bad.pack"});
+  expect_reject("pack = x\ntuning.web_cdn_min = 9\ntuning.web_cdn_max = 2\n",
+                {"bad.pack line 3", "key 'tuning.web_cdn_max'"});
+  expect_reject("pack = x\ntuning.iot_min = 5\ntuning.iot_max = 1\n", {"bad.pack line 3"});
+  // Key order does not matter: a later line can mend an earlier one.
+  scenario::ScenarioConfig cfg;
+  EXPECT_NO_THROW(scenario::apply_pack(
+      "pack = x\ntuning.web_cdn_min = 9\ntuning.web_cdn_max = 12\n", "ok.pack", &cfg));
 }
 
 TEST(PackParser, MissingFileNamesThePath) {
@@ -272,20 +508,16 @@ TEST(PackParser, MissingFileNamesThePath) {
   }
 }
 
-TEST(PackParser, AcceptsCommentsWhitespaceAndQuotedStrings) {
+TEST(PackParser, AcceptsCommentsAndWhitespace) {
   scenario::ScenarioConfig cfg;
-  const auto info = scenario::apply_pack(
+  const std::string name = scenario::apply_pack(
       "# leading comment\n"
-      "; alt comment style\n"
-      "  [pack]  \n"
-      "  name   =   tidy-1.0_x  \n"
-      "description = \"spaces; and [brackets] = fine inside quotes\"\n"
+      "   # indented comment\n"
+      "  pack   =   tidy-1.0_x  \n"
       "\n"
-      "[apps]\n"
-      "prefetch_prob = 0.25  \n",
+      "\ttuning.prefetch_prob = 0.25  \r\n",
       "ok.pack", &cfg);
-  EXPECT_EQ(info.name, "tidy-1.0_x");
-  EXPECT_EQ(info.description, "spaces; and [brackets] = fine inside quotes");
+  EXPECT_EQ(name, "tidy-1.0_x");
   EXPECT_DOUBLE_EQ(cfg.tuning.prefetch_prob, 0.25);
 }
 

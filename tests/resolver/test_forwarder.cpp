@@ -31,7 +31,7 @@ class ForwarderTest : public ::testing::Test {
         gateway{sim, net, kHouse, 11, SimDuration::from_ms(0.2)},
         zones{make_zone_config()},
         platform{sim, net, zones, platform_config(), 13},
-        forwarder{sim, gateway, kForwarderIp, dns::CacheConfig{}, 17} {
+        forwarder{sim, gateway, kForwarderIp, dns::CacheConfig{}} {
     gateway.attach_device(kDevice, &probe);
     gateway.attach_device(kDevice2, &probe2);
   }

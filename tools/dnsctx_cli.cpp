@@ -1,13 +1,16 @@
 // dnsctx — the command-line frontend.
 //
-//   dnsctx simulate --out DIR [--config FILE] [--houses N] [--hours H]
-//                   [--seed S] [--start-hour H] [--shards N] [--threads N]
-//                   [--faults SPEC]
+//   dnsctx simulate --out DIR [--config FILE] [--pack FILE] [--houses N]
+//                   [--hours H] [--seed S] [--start-hour H] [--shards N]
+//                   [--threads N] [--faults SPEC] [--transport T]
 //       Simulate a neighborhood and write conn.log / dns.log (plus a
-//       scenario.conf snapshot) into DIR. --shards splits the town into
-//       independent sub-towns (a scenario knob: each shard has its own
-//       resolver platform caches); --threads only decides how many
-//       workers execute them — output is identical for any value.
+//       scenario.conf snapshot) into DIR. --config and --pack read the
+//       same key = value format (scenario/config_io.hpp): the config
+//       first, then the pack over it, then the flags. --shards splits
+//       the town into independent sub-towns (a scenario knob: each shard
+//       has its own resolver platform caches); --threads only decides
+//       how many workers execute them — output is identical for any
+//       value.
 //       --faults takes a deterministic impairment plan in the grammar of
 //       docs/FAULTS.md (e.g. loss=0.01,outage=upstream1:600-900).
 //
@@ -18,8 +21,10 @@
 //       adds the retry/recovery report; --baseline DIR compares the
 //       {N,LC,P,SC,R} shares against an unimpaired run's logs.
 //
-//   dnsctx sweep --key KEY --values a,b,c [--config FILE] [--out DIR]
-//       Re-simulate with KEY overridden per value; print headline shares.
+//   dnsctx sweep --key KEY --values a,b,c [--config FILE] [--pack FILE]
+//                [simulate's scenario flags]
+//       Re-simulate with config key KEY set to each value; print headline
+//       shares. Every value is checked before the first run.
 //
 //   dnsctx validate [--config FILE] [--houses N] [--hours H] [--seed S]
 //       Simulate and compare the passive inferences against ground truth.
@@ -64,7 +69,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/config_io.hpp"
-#include "scenario/pack.hpp"
 #include "serve/push.hpp"
 #include "serve/server.hpp"
 #include "stream/feed.hpp"
@@ -369,29 +373,27 @@ int cmd_sweep(const CliArgs& args) {
     std::fprintf(stderr, "sweep: --key KEY and --values a,b,c are required\n");
     return 2;
   }
-  std::string base_text;
-  if (const auto file = args.option("config")) {
-    std::stringstream ss;
-    scenario::save_config(ss, scenario::load_config_file(*file));
-    base_text = ss.str();
-  } else {
-    std::stringstream ss;
-    scenario::save_config(ss, config_from_args(args));
-    base_text = ss.str();
+  const scenario::ScenarioConfig base = config_from_args(args);
+  if (scenario::find_knob(*key) == nullptr) {
+    throw std::runtime_error{"--key '" + *key + "' is not a config key"};
+  }
+  // Every value is set and checked before the first row prints.
+  const auto list = split(*values, ',');
+  std::vector<scenario::ScenarioConfig> runs;
+  for (const auto value : list) {
+    scenario::set_knob(runs.emplace_back(base), *key, value,
+                       "--values '" + std::string{value} + "'");
   }
 
   std::printf("%-14s %10s %8s %7s %7s %7s %7s %7s %13s\n", key->c_str(), "conns", "N%",
               "LC%", "P%", "SC%", "R%", "block%", "significant%");
-  for (const auto value : split(*values, ',')) {
-    std::stringstream cfg_text;
-    cfg_text << base_text << "\n" << *key << " = " << value << "\n";
-    const auto cfg = scenario::load_config(cfg_text);
-    scenario::Town town{cfg};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    scenario::Town town{runs[i]};
     town.run();
     const auto study = analysis::run_study(town.dataset());
     const auto& c = study.classified.counts;
     std::printf("%-14.*s %10zu %7.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %12.1f%%\n",
-                static_cast<int>(value.size()), value.data(), town.dataset().conns.size(),
+                static_cast<int>(list[i].size()), list[i].data(), town.dataset().conns.size(),
                 100.0 * c.share(c.n), 100.0 * c.share(c.lc), 100.0 * c.share(c.p),
                 100.0 * c.share(c.sc), 100.0 * c.share(c.r), 100.0 * c.share(c.blocked()),
                 100.0 * study.performance.significant_overall);
@@ -718,7 +720,10 @@ void usage() {
                "           [--transport do53|dot|doh|resolverless]\n"
                "  analyze  --dir DIR | (--conn F --dns F) [--section S] [--csv DIR]\n"
                "           [--threads N] [--baseline DIR]\n"
-               "  sweep    --key K --values a,b,c [--config F | sim options]\n"
+               "  sweep    --key K --values a,b,c [--config F] [--pack F] [--houses N]\n"
+               "           [--hours H] [--seed S] [--shards N] [--transport T] ...\n"
+               "           (K is a config key; --config and --pack files are\n"
+               "           key = value lines, see examples/scenarios and packs)\n"
                "  validate [--config F] [--pack F] [--houses N] [--hours H] [--seed S]\n"
                "           [--shards N] [--threads N] [--transport T]\n"
                "           (prints truth-vs-inferred taxonomy + encrypted-flow\n"
